@@ -19,7 +19,6 @@ from .channels import (
     apply_adjoint,
     channel_from_kraus,
     channel_to_json,
-    compose,
     covariance_residual,
     depolarizing_r,
     identity_channel,
@@ -49,7 +48,6 @@ from .linalg import (
     mat_pow_psd,
     mat_sqrt_psd,
     matrix_to_json,
-    permutation_unitary,
     psd_check,
 )
 from .recovery import Quadrature, tilde_recovery, universal_recovery
@@ -61,6 +59,7 @@ from .superchannels import (
     is_r_subpreserving,
     sct_membership,
     super_from_rep,
+    tensor_supermaps,  # also re-exported as bounds.tensor_supermaps
     tp_fix_map,
     tp_fixed_channel,
 )
@@ -222,6 +221,30 @@ def _alpha_remainder(f, rho):
     return alpha, ref, rel_entropy(rho, ref)
 
 
+def _entropy_pair(n, tn, opts, share):
+    """S[N] and S[Theta(N)], each tightened with the other's best witness.
+
+    The witnesses are shared only when share holds (equal input slots): before,
+    then after seeded with before's witness, then before again with after's.
+    """
+    before = channel_entropy(n, opts)
+    after = channel_entropy(tn, opts, witnesses=_state_witnesses(before) if share else ())
+    if share:
+        before = channel_entropy(n, opts, witnesses=_state_witnesses(after))
+    return before, after
+
+
+def _divergence_pair(n, m, tn, tm, opts, share):
+    """D[N||M] and D[Theta(N)||Theta(M)], the first seeded with the second's witness.
+
+    Returns the two results and the number of injected witnesses.
+    """
+    after = channel_divergence(tn, tm, opts)
+    cross = _state_witnesses(after) if share else ()
+    before = channel_divergence(n, m, opts, witnesses=cross)
+    return before, after, len(cross)
+
+
 def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
     """Channel divergence never grows under a superchannel.
 
@@ -236,10 +259,10 @@ def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
     _require_superchannel(theta)
     _require_input_slot(theta, n, m)
     a, _, c, _ = theta.dims
-    after = channel_divergence(apply_super(theta, n), apply_super(theta, m), opts)
-    cross = _state_witnesses(after) if a == c else ()
-    before = channel_divergence(n, m, opts, witnesses=cross)
-    params = {"dims": list(theta.dims), "restarts": opts.restarts, "injected": len(cross)}
+    before, after, injected = _divergence_pair(
+        n, m, apply_super(theta, n), apply_super(theta, m), opts, a == c
+    )
+    params = {"dims": list(theta.dims), "restarts": opts.restarts, "injected": injected}
     wit = _witness_json(before=before.optimizer_state, after=after.optimizer_state)
     return _record("channel-dpi", before.value, after.value, tolerance, opts.seed, params, wit)
 
@@ -291,11 +314,7 @@ def verify_entropy_gain_remainder(theta, n, opts=OptimizerOpts(), psi=None, phi=
             witness_full_rank=True,
         )
 
-    before = channel_entropy(n, opts)
-    tn = apply_super(theta, n)
-    after = channel_entropy(tn, opts, witnesses=_state_witnesses(before) if a == c else ())
-    if a == c:
-        before = channel_entropy(n, opts, witnesses=_state_witnesses(after))
+    before, after = _entropy_pair(n, apply_super(theta, n), opts, a == c)
 
     psi0 = psi if psi is not None else before.optimizer_state
     phi0 = phi if phi is not None else after.optimizer_state
@@ -378,9 +397,7 @@ def verify_refined_dpi(
     if (c, d) == (n.dim_in, n.dim_out):
         tn = _try_attach_telecov(tn, n.telecov)
         tm = _try_attach_telecov(tm, m.telecov)
-    after = channel_divergence(tn, tm, opts)
-    cross = _state_witnesses(after) if a == c else ()
-    before = channel_divergence(n, m, opts, witnesses=cross)
+    before, after, _ = _divergence_pair(n, m, tn, tm, opts, a == c)
 
     sigma = _hermitian(choi_witness(m, psi0))
     rec = universal_recovery(sigma, t_prime, quad)
@@ -419,11 +436,7 @@ def verify_entropy_gain_rsub(theta, n, opts=OptimizerOpts(), tolerance=INEQ_TOL)
             f"min eigenvalue {report.min_eig:.3e}"
         )
     a, _, c, _ = theta.dims
-    before = channel_entropy(n, opts)
-    tn = apply_super(theta, n)
-    after = channel_entropy(tn, opts, witnesses=_state_witnesses(before) if a == c else ())
-    if a == c:
-        before = channel_entropy(n, opts, witnesses=_state_witnesses(after))
+    before, after = _entropy_pair(n, apply_super(theta, n), opts, a == c)
     params = {
         "dims": list(theta.dims),
         "r_preserving": bool(report.is_r_preserving),
@@ -633,10 +646,7 @@ def verify_telecov_entropy_gain(theta, n, tolerance=INEQ_TOL, xi=None, opts=None
     if s_before is None or s_after is None:
         o = OptimizerOpts() if opts is None else opts
         seed = o.seed
-        before = channel_entropy(n, o)
-        after = channel_entropy(tn, o, witnesses=_state_witnesses(before) if a == c else ())
-        if a == c:
-            before = channel_entropy(n, o, witnesses=_state_witnesses(after))
+        before, after = _entropy_pair(n, tn, o, a == c)
         s_before, s_after = before.value, after.value
         params["path"] = "optimized"
     else:
@@ -658,17 +668,6 @@ def replacer_supermap(n0, dim_in, dim_mid):
     """Superchannel sending every channel on the input slot to the fixed n0."""
     rep_choi = np.kron(np.eye(dim_in * dim_mid), n0.choi) / dim_in
     return super_from_rep(rep_choi, (dim_in, dim_mid, n0.dim_in, n0.dim_out))
-
-
-def tensor_supermaps(t1, t2):
-    """Joint supermap acting slotwise on a tensor-product channel space."""
-    a1, b1, c1, d1 = t1.dims
-    a2, b2, c2, d2 = t2.dims
-    big = tensor_channels(t1.rep, t2.rep)
-    p_in = permutation_unitary((a1, a2, b1, b2), (0, 2, 1, 3))
-    p_out = permutation_unitary((c1, d1, c2, d2), (0, 2, 1, 3))
-    rep = compose(channel_from_kraus([p_out]), compose(big, channel_from_kraus([p_in])))
-    return super_from_rep(rep.choi, (a1 * a2, b1 * b2, c1 * c2, d1 * d2))
 
 
 def _isometry_from_params(x, rows, cols):

@@ -315,13 +315,10 @@ def compose(n2, n1):
     """Composition n2 o n1 (apply n1 first)."""
     if n1.dim_out != n2.dim_in:
         raise ValueError("dim_out of the inner channel must match dim_in of the outer")
-    din, dout = n1.dim_in, n2.dim_out
-    choi = np.zeros((din * dout, din * dout), dtype=complex)
-    for i in range(din):
-        for j in range(din):
-            eij = np.zeros((din, din), dtype=complex)
-            eij[i, j] = 1.0
-            choi += np.kron(eij, apply(n2, apply(n1, eij)))
+    din, dmid, dout = n1.dim_in, n1.dim_out, n2.dim_out
+    c1 = n1.choi.reshape(din, dmid, din, dmid)
+    c2 = n2.choi.reshape(dmid, dout, dmid, dout)
+    choi = np.einsum("ibjc,bdce->idje", c1, c2).reshape(din * dout, din * dout)
     kraus = None
     if n1.kraus is not None and n2.kraus is not None:
         kraus = tuple(k2 @ k1 for k2 in n2.kraus for k1 in n1.kraus)

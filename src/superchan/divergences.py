@@ -6,20 +6,14 @@ equal to the channel input dimension; replacer pairs and channels sharing a
 tele-covariance group get exact closed forms instead.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import (
-    Channel,
-    channel_from_choi,
-    is_cptp,
-    thermal_map,
-)
+from .channels import channel_from_choi, is_cptp, thermal_map
 from .linalg import (
-    PSD_TOL,
     SUPPORT_CUTOFF,
     dagger,
     herm_eig,
@@ -273,6 +267,15 @@ def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
     )
 
 
+def _negated(div):
+    """The entropy estimate -D[N||reference] from a divergence result."""
+    return replace(
+        div,
+        value=-div.value,
+        per_restart_values=tuple(-v for v in div.per_restart_values),
+    )
+
+
 def channel_entropy(n, opts=OptimizerOpts(), witnesses=()):
     """Channel entropy, the negated divergence to the depolarizing map."""
     if not is_cptp(n):
@@ -280,15 +283,7 @@ def channel_entropy(n, opts=OptimizerOpts(), witnesses=()):
     r = channel_from_choi(
         np.eye(n.dim_in * n.dim_out), n.dim_in, n.dim_out
     )
-    div = channel_divergence(n, r, opts, witnesses=witnesses)
-    return DivergenceResult(
-        value=-div.value,
-        optimizer_state=div.optimizer_state,
-        restarts_used=div.restarts_used,
-        per_restart_values=tuple(-v for v in div.per_restart_values),
-        converged=div.converged,
-        is_lower_bound=div.is_lower_bound,
-    )
+    return _negated(channel_divergence(n, r, opts, witnesses=witnesses))
 
 
 def channel_entropy_telecov(n, residual_tol=1e-8):
@@ -308,12 +303,4 @@ def channel_entropy_beta(n, thermal, opts=OptimizerOpts(), witnesses=()):
     if not is_cptp(n):
         raise ValueError("channel must be certified CPTP")
     m = thermal_map(thermal)
-    div = channel_divergence(n, m, opts, witnesses=witnesses)
-    return DivergenceResult(
-        value=-div.value,
-        optimizer_state=div.optimizer_state,
-        restarts_used=div.restarts_used,
-        per_restart_values=tuple(-v for v in div.per_restart_values),
-        converged=div.converged,
-        is_lower_bound=div.is_lower_bound,
-    )
+    return _negated(channel_divergence(n, m, opts, witnesses=witnesses))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -30,12 +29,16 @@ def dagger(x):
 
 
 def check_hermitian(m, tol=HERM_TOL):
-    """Raise if m is not square and Hermitian within tol."""
+    """Raise if m is not square and Hermitian within tol, or holds NaN or Inf."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = np.abs(m - dagger(m)).max()
-    if dev > tol:
+    # Written negated so that a NaN deviation fails too; any NaN or Inf entry
+    # makes the deviation non-finite.
+    if not dev <= tol:
+        if not np.isfinite(dev):
+            raise ValueError("matrix holds a non-finite value")
         raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {tol:.3e}")
     return m
 
@@ -222,14 +225,6 @@ def matrix_from_json(obj):
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")
     flat = np.array([complex(re, im) for re, im in data])
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix holds a non-finite value")
     return flat.reshape(rows, cols)
-
-
-def save_matrix(x, path):
-    with open(path, "w") as f:
-        json.dump(matrix_to_json(x), f)
-
-
-def load_matrix(path):
-    with open(path) as f:
-        return matrix_from_json(json.load(f))

@@ -34,7 +34,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     partial_trace,
-    permutation_unitary,
+    permute_systems,
     psd_check,
 )
 
@@ -100,15 +100,14 @@ def certify_tp_preserving(rep, dims, tol=TP_PRESERVING_TOL):
     k, l; the certificate is the worst residual over that basis.
     """
     a, b, c, d = dims
-    worst = 0.0
-    for k in range(c):
-        for ell in range(c):
-            e = np.zeros((c, c), dtype=complex)
-            e[k, ell] = 1.0
-            w = apply_adjoint(rep, np.kron(e, np.eye(d)))
-            z = partial_trace(w, (a, b), "first") / b
-            worst = max(worst, float(np.linalg.norm(w - np.kron(z, np.eye(b)))))
-            worst = max(worst, abs(np.trace(z) - (1.0 if k == ell else 0.0)))
+    c8 = rep.choi.reshape(a, b, c, d, a, b, c, d)
+    # w[k, l] = T*(e_kl (x) 1_D) for every basis pair at once, and z its B-trace.
+    w = np.einsum("abkdxyld->klabxy", c8.conj())
+    z = np.einsum("klabxb->klax", w) / b
+    off_product = w - np.einsum("klax,by->klabxy", z, np.eye(b))
+    residual = np.linalg.norm(off_product.reshape(c, c, -1), axis=2)
+    trace_err = np.abs(np.einsum("klaa->kl", z) - np.eye(c))
+    worst = float(max(residual.max(), trace_err.max()))
     return Flag("yes" if worst <= tol else "no", worst)
 
 
@@ -312,20 +311,25 @@ def choi_witness(n, psi):
 
 def extend_super_with_identity(theta, dim_e):
     """The supermap id_E (x) Theta acting on maps E(x)A -> E(x)B."""
-    a, b, c, d = theta.dims
     if theta.dilation is not None:
         pre, post, r = theta.dilation
         pre_big = channel_from_kraus([np.kron(np.eye(dim_e), k) for k in pre.kraus])
         post_big = channel_from_kraus([np.kron(np.eye(dim_e), k) for k in post.kraus])
         return super_from_dilation(pre_big, post_big, ref_dim=r)
-    big = tensor_channels(identity_channel(dim_e * dim_e), theta.rep)
-    p_in = permutation_unitary((dim_e, a, dim_e, b), (0, 2, 1, 3))
-    p_out = permutation_unitary((dim_e, dim_e, c, d), (0, 2, 1, 3))
-    reordered = compose(
-        channel_from_kraus([p_out]), compose(big, channel_from_kraus([p_in]))
+    id_e = super_from_rep(identity_channel(dim_e * dim_e).choi, (dim_e,) * 4)
+    return tensor_supermaps(id_e, theta)
+
+
+def tensor_supermaps(t1, t2):
+    """Joint supermap acting slotwise on a tensor-product channel space."""
+    a1, b1, c1, d1 = t1.dims
+    a2, b2, c2, d2 = t2.dims
+    rep_choi = permute_systems(
+        np.kron(t1.rep.choi, t2.rep.choi),
+        (a1, b1, c1, d1, a2, b2, c2, d2),
+        (0, 4, 1, 5, 2, 6, 3, 7),
     )
-    dims = (dim_e * a, dim_e * b, dim_e * c, dim_e * d)
-    return Superchannel(dims, reordered, None, _flags_for(reordered, dims))
+    return super_from_rep(rep_choi, (a1 * a2, b1 * b2, c1 * c2, d1 * d2))
 
 
 def super_to_json(theta):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchan import channels, linalg
 
@@ -203,6 +204,41 @@ def test_compose_matches_sequential_apply():
         np.testing.assert_allclose(
             channels.apply(comp, x), channels.apply(n2, channels.apply(n1, x)), atol=1e-10
         )
+
+
+def compose_by_basis_loop(n2, n1):
+    """Reference Choi of n2 o n1, sum_ij e_ij (x) n2(n1(e_ij)), one basis matrix at a time."""
+    din, dout = n1.dim_in, n2.dim_out
+    choi = np.zeros((din * dout, din * dout), dtype=complex)
+    for i in range(din):
+        for j in range(din):
+            eij = np.zeros((din, din), dtype=complex)
+            eij[i, j] = 1.0
+            choi += np.kron(eij, channels.apply(n2, channels.apply(n1, eij)))
+    return choi
+
+
+def random_map(seed, dim_in, dim_out, cp):
+    """A random CPTP channel, or a random Hermiticity-preserving map that is not CP."""
+    if cp:
+        return channels.random_channel(dim_in, dim_out, dim_in, seed)
+    choi = rand_herm(np.random.default_rng(seed), dim_in * dim_out)
+    return channels.channel_from_choi(choi, dim_in, dim_out)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(*[st.integers(1, 3)] * 3),
+    cps=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**16),
+)
+def test_compose_matches_basis_loop(dims, cps, seed):
+    din, dmid, dout = dims
+    n1 = random_map(seed, din, dmid, cps[0])
+    n2 = random_map(seed + 1, dmid, dout, cps[1])
+    comp = channels.compose(n2, n1)
+    np.testing.assert_allclose(comp.choi, compose_by_basis_loop(n2, n1), rtol=0, atol=1e-12)
+    assert (comp.kraus is not None) == (n1.kraus is not None and n2.kraus is not None)
 
 
 def test_tensor_choi_reshuffle():

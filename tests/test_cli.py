@@ -78,6 +78,14 @@ def test_entropy_exit_codes(tmp_path):
     assert cli.main(["entropy", sub]) == 3
 
 
+def test_entropy_non_finite_channel_is_usage_error(tmp_path, capsys):
+    obj = channels.channel_to_json(channels.identity_channel(2))
+    obj["kraus"][0]["data"][0] = [float("nan"), 0.0]
+    path = write_json(tmp_path, "nan.json", obj)
+    assert cli.main(["entropy", path]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_divergence_value_replays_from_witness(tmp_path):
     cfg = write_config(tmp_path)
     n = channels.random_channel(2, 2, 4, 51)
@@ -206,6 +214,12 @@ def test_verify_failure_sets_exit_code(tmp_path, monkeypatch):
     assert cli.main(["verify", "petz", "--trials", "2", "--out", out]) == 1
     blob = json.loads((tmp_path / "rep.json").read_text())
     assert blob["summary"]["failures"] == 2
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "r.json")
+    assert cli.main(["verify", "petz", "--trials", "1", "--out", out]) == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_report_csv_projection(tmp_path):

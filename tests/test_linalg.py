@@ -39,6 +39,16 @@ def test_herm_eig_rejects_non_hermitian():
         linalg.herm_eig(np.ones((2, 3)))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_check_hermitian_rejects_non_finite(bad):
+    for pos in ((0, 0), (0, 1)):
+        m = np.eye(2, dtype=complex)
+        m[pos] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.check_hermitian(m)
+
+
 def test_herm_eig_eigenvalue_sum_is_trace():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -181,6 +191,14 @@ def test_matrix_json_round_trip_exact():
     enc = json.loads(json.dumps(linalg.matrix_to_json(x)))
     back = linalg.matrix_from_json(enc)
     assert np.array_equal(back, x)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_matrix_from_json_rejects_non_finite(bad):
+    enc = linalg.matrix_to_json(np.eye(2))
+    enc["data"][1] = [0.0, bad]
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.matrix_from_json(enc)
 
 
 def test_check_density():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superchan import channels, divergences as dv, linalg, superchannels as sc
 
@@ -18,6 +19,51 @@ def random_dilation_super(seed, a=2, b=2, c=2, d=2, r=2):
     pre = channels.random_channel(c, a * r, 2, seed=seed)
     post = channels.random_channel(b * r, d, max(2, (b * r) // d + 1), seed=seed + 1)
     return sc.super_from_dilation(pre, post, ref_dim=r)
+
+
+@st.composite
+def bounded_dims(draw, n, budget):
+    """n dimensions, each at most 3, with product at most budget."""
+    dims = []
+    for _ in range(n):
+        dims.append(draw(st.integers(1, min(3, budget))))
+        budget //= dims[-1]
+    return tuple(dims)
+
+
+def random_supermap(seed, dims, cp):
+    """A dilation superchannel, or a supermap with a random Hermitian representing map."""
+    if cp:
+        return random_dilation_super(seed, *dims)
+    size = int(np.prod(dims))
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    return sc.super_from_rep((g + g.conj().T) / 2, dims)
+
+
+def reorder_by_permutation_unitaries(big, in_dims, out_dims):
+    """Swap the middle two factors of the input and output spaces of a map."""
+    p_in = linalg.permutation_unitary(in_dims, (0, 2, 1, 3))
+    p_out = linalg.permutation_unitary(out_dims, (0, 2, 1, 3))
+    return channels.compose(
+        channels.channel_from_kraus([p_out]),
+        channels.compose(big, channels.channel_from_kraus([p_in])),
+    ).choi
+
+
+def certify_tp_by_basis_loop(rep, dims):
+    """Worst residual of T*(e_kl (x) 1_D) = Z_kl (x) 1_B, tr Z_kl = delta_kl, one k, l at a time."""
+    a, b, c, d = dims
+    worst = 0.0
+    for k in range(c):
+        for ell in range(c):
+            e = np.zeros((c, c), dtype=complex)
+            e[k, ell] = 1.0
+            w = channels.apply_adjoint(rep, np.kron(e, np.eye(d)))
+            z = linalg.partial_trace(w, (a, b), "first") / b
+            worst = max(worst, float(np.linalg.norm(w - np.kron(z, np.eye(b)))))
+            worst = max(worst, abs(np.trace(z) - (1.0 if k == ell else 0.0)))
+    return worst
 
 
 def test_identity_superchannel():
@@ -346,12 +392,62 @@ def test_t_frak_prime_agrees_on_normalized_choi_states():
         )
 
 
-def test_extend_with_identity_routes_agree():
-    theta = random_dilation_super(seed=34)
-    via_dilation = sc.extend_super_with_identity(theta, 2)
+# Slot pairs are capped at 4 so that the extended spaces stay at most 16-dimensional.
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    ab=bounded_dims(2, 4),
+    cd=bounded_dims(2, 4),
+    dim_e=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+@example(ab=(2, 2), cd=(2, 2), dim_e=2, seed=34)
+def test_extend_with_identity_routes_agree(ab, cd, dim_e, seed):
+    dims = ab + cd
+    a, b, c, d = dims
+    theta = random_dilation_super(seed, *dims)
+    via_dilation = sc.extend_super_with_identity(theta, dim_e)
     rep_only = sc.super_from_rep(theta.rep.choi, theta.dims)
-    via_rep = sc.extend_super_with_identity(rep_only, 2)
+    via_rep = sc.extend_super_with_identity(rep_only, dim_e)
+    assert via_rep.dims == via_dilation.dims == tuple(dim_e * x for x in dims)
     np.testing.assert_allclose(via_dilation.rep.choi, via_rep.rep.choi, atol=1e-8)
+    assert via_rep.flags.tp_preserving.status == "yes"
+    big = channels.tensor_channels(channels.identity_channel(dim_e * dim_e), theta.rep)
+    reference = reorder_by_permutation_unitaries(
+        big, (dim_e, a, dim_e, b), (dim_e, dim_e, c, d)
+    )
+    np.testing.assert_allclose(via_rep.rep.choi, reference, rtol=0, atol=1e-12)
+
+
+# The joint input and output spaces are capped at 16 dimensions each.
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    ins=bounded_dims(4, 16),
+    outs=bounded_dims(4, 16),
+    cp=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_tensor_supermaps_matches_permutation_route(ins, outs, cp, seed):
+    dims1 = ins[:2] + outs[:2]
+    dims2 = ins[2:] + outs[2:]
+    t1 = random_supermap(seed, dims1, cp)
+    t2 = random_supermap(seed + 1, dims2, True)
+    joint = sc.tensor_supermaps(t1, t2)
+    assert joint.dims == tuple(x * y for x, y in zip(dims1, dims2))
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = dims1, dims2
+    reference = reorder_by_permutation_unitaries(
+        channels.tensor_channels(t1.rep, t2.rep), (a1, a2, b1, b2), (c1, d1, c2, d2)
+    )
+    np.testing.assert_allclose(joint.rep.choi, reference, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(dims=bounded_dims(4, 36), cp=st.booleans(), seed=st.integers(0, 2**16))
+def test_certify_tp_preserving_matches_basis_loop(dims, cp, seed):
+    theta = random_supermap(seed, dims, cp)
+    flag = sc.certify_tp_preserving(theta.rep, dims)
+    reference = certify_tp_by_basis_loop(theta.rep, dims)
+    assert abs(flag.certificate - reference) <= 1e-12
+    assert flag.status == ("yes" if cp else "no")
 
 
 def test_super_json_round_trip():
