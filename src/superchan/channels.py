@@ -12,6 +12,7 @@ import numpy as np
 from .linalg import (
     PSD_TOL,
     SUPPORT_CUTOFF,
+    _psd_from_spectrum,
     dagger,
     herm_eig,
     matrix_from_json,
@@ -80,7 +81,13 @@ class ThermalMap(NamedTuple):
 
 def certify_flags(choi, dim_in, dim_out, tp_tol=TP_TOL, psd_tol=PSD_TOL):
     """Certify cp/tp/unital/subunital from the unnormalized Choi operator."""
-    cp_chk = psd_check(choi, tol=psd_tol)
+    w = herm_eig(choi).eigenvalues
+    return _flags_from_spectrum(choi, w, dim_in, dim_out, tp_tol, psd_tol)
+
+
+def _flags_from_spectrum(choi, w, dim_in, dim_out, tp_tol=TP_TOL, psd_tol=PSD_TOL):
+    """certify_flags of a Choi operator whose ascending eigenvalues are w."""
+    cp_chk = _psd_from_spectrum(w, psd_tol)
     cp = Flag("yes" if cp_chk.is_psd else "no", cp_chk.min_eig)
     tr_out = partial_trace(choi, (dim_in, dim_out), "first")
     tp_res = float(np.linalg.norm(tr_out - np.eye(dim_in)))
@@ -117,6 +124,11 @@ def channel_from_kraus(kraus):
 def kraus_from_choi(choi, dim_in, dim_out, cutoff=SUPPORT_CUTOFF):
     """Extract a minimal Kraus set from a PSD Choi operator."""
     w, v = herm_eig(choi)
+    return _kraus_from_spectrum(w, v, dim_in, dim_out, cutoff)
+
+
+def _kraus_from_spectrum(w, v, dim_in, dim_out, cutoff=SUPPORT_CUTOFF):
+    """kraus_from_choi of a Choi operator whose herm_eig is (w, v)."""
     if w[0] < -PSD_TOL:
         raise ValueError(f"Choi is not PSD: min eigenvalue {w[0]:.3e}")
     kraus = []
@@ -133,8 +145,10 @@ def channel_from_choi(choi, dim_in, dim_out, normalized=False):
         raise ValueError("Choi shape does not match dim_in * dim_out")
     if normalized:
         choi = choi * dim_in
-    flags = certify_flags(choi, dim_in, dim_out)
-    kraus = kraus_from_choi(choi, dim_in, dim_out) if flags.cp.status == "yes" else None
+    # One decomposition serves both the CP flag and the Kraus set.
+    w, v = herm_eig(choi)
+    flags = _flags_from_spectrum(choi, w, dim_in, dim_out)
+    kraus = _kraus_from_spectrum(w, v, dim_in, dim_out) if flags.cp.status == "yes" else None
     return Channel(dim_in, dim_out, choi, kraus, flags)
 
 

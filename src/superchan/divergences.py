@@ -7,6 +7,7 @@ tele-covariance group get exact closed forms instead.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -15,12 +16,12 @@ from scipy.optimize import minimize
 from .channels import channel_from_choi, is_cptp, thermal_map
 from .linalg import (
     SUPPORT_CUTOFF,
+    _fn_from_spectrum,
+    _projector_from_spectrum,
+    _psd_from_spectrum,
     dagger,
     herm_eig,
-    mat_log2_psd,
     partial_trace,
-    psd_check,
-    support_projector,
 )
 
 LEAK_TOL = 1e-8
@@ -37,8 +38,15 @@ class PureBipartiteState:
     """|psi> = (a_psi (x) 1) sum_i |ii> on reference (x) input, unit norm."""
 
     a_psi: np.ndarray
-    full_rank: bool
-    min_sv: float
+
+    @cached_property
+    def min_sv(self):
+        """Smallest singular value of a_psi, computed on first read."""
+        return float(np.linalg.svd(self.a_psi, compute_uv=False)[-1])
+
+    @property
+    def full_rank(self):
+        return self.min_sv > RANK_CUTOFF
 
     @property
     def ket(self):
@@ -73,15 +81,13 @@ class DivergenceResult:
     is_lower_bound: bool
 
 
-def pure_bipartite(a_psi, rank_cutoff=RANK_CUTOFF):
+def pure_bipartite(a_psi):
     """Normalize an amplitude matrix into a PureBipartiteState."""
     a = np.asarray(a_psi, dtype=complex)
     nrm = np.linalg.norm(a)
     if nrm == 0:
         raise ValueError("amplitude matrix is zero")
-    a = a / nrm
-    min_sv = float(np.linalg.svd(a, compute_uv=False)[-1])
-    return PureBipartiteState(a, min_sv > rank_cutoff, min_sv)
+    return PureBipartiteState(a / nrm)
 
 
 def maximally_entangled(dim):
@@ -100,33 +106,38 @@ def nudge_full_rank(psi, rank_cutoff=RANK_CUTOFF):
     return maximally_entangled(dim)
 
 
+def _psd_eig(x, name):
+    """herm_eig of x; raises naming x when it is not PSD."""
+    w, v = herm_eig(x)
+    chk = _psd_from_spectrum(w)
+    if not chk.is_psd:
+        raise ValueError(f"{name} is not PSD: min eigenvalue {chk.min_eig:.3e}")
+    return w, v
+
+
 def rel_entropy(rho, sigma, leak_tol=LEAK_TOL, cutoff=SUPPORT_CUTOFF):
     """Quantum relative entropy D(rho||sigma) in bits, +inf on support leakage."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError("shape mismatch")
-    for name, x in (("rho", rho), ("sigma", sigma)):
-        chk = psd_check(x)
-        if not chk.is_psd:
-            raise ValueError(f"{name} is not PSD: min eigenvalue {chk.min_eig:.3e}")
-    leak = np.trace(rho @ (np.eye(rho.shape[0]) - support_projector(sigma, cutoff))).real
+    # One decomposition per operand: sigma's also gives its support projector
+    # and its log2.
+    w, _ = _psd_eig(rho, "rho")
+    mu, u = _psd_eig(sigma, "sigma")
+    leak = np.trace(rho @ (np.eye(rho.shape[0]) - _projector_from_spectrum(mu, u, cutoff))).real
     if leak > leak_tol:
         return np.inf
-    w, _ = herm_eig(rho)
     on = w > cutoff
     first = float(np.sum(w[on] * np.log2(w[on])))
-    second = float(np.trace(rho @ mat_log2_psd(sigma, cutoff)).real)
+    second = float(np.trace(rho @ _fn_from_spectrum(mu, u, "log2", cutoff)).real)
     return first - second
 
 
 def vn_entropy(rho, cutoff=SUPPORT_CUTOFF):
     """von Neumann entropy -tr(rho log2 rho) of a PSD operator, in bits."""
     rho = np.asarray(rho, dtype=complex)
-    chk = psd_check(rho)
-    if not chk.is_psd:
-        raise ValueError(f"operator is not PSD: min eigenvalue {chk.min_eig:.3e}")
-    w, _ = herm_eig(rho)
+    w, _ = _psd_eig(rho, "operator")
     on = w > cutoff
     return float(-np.sum(w[on] * np.log2(w[on])))
 
@@ -143,8 +154,9 @@ def apply_extended(n, psi_density, dim_ref):
 def divergence_at(n, m, psi):
     """D((id (x) N)Psi || (id (x) M)Psi) at one pure bipartite witness."""
     dim_ref = psi.a_psi.shape[0]
-    rho = apply_extended(n, psi.density, dim_ref)
-    sig = apply_extended(m, psi.density, dim_ref)
+    density = psi.density
+    rho = apply_extended(n, density, dim_ref)
+    sig = apply_extended(m, density, dim_ref)
     return rel_entropy(rho, sig)
 
 

@@ -33,7 +33,9 @@ def check_hermitian(m, tol=HERM_TOL):
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = np.abs(m - dagger(m)).max()
+    # Inf - Inf is NaN; that case is reported below as non-finite, not warned.
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(m - dagger(m)).max()
     # Written negated so that a NaN deviation fails too; any NaN or Inf entry
     # makes the deviation non-finite.
     if not dev <= tol:
@@ -74,6 +76,11 @@ def mat_fn_psd(p, fn, alpha=None, cutoff=SUPPORT_CUTOFF, psd_tol=PSD_TOL):
     -psd_tol raise.
     """
     w, v = herm_eig(p)
+    return _fn_from_spectrum(w, v, fn, cutoff, alpha, psd_tol)
+
+
+def _fn_from_spectrum(w, v, fn, cutoff, alpha=None, psd_tol=PSD_TOL):
+    """mat_fn_psd of the matrix whose herm_eig is (w, v)."""
     f = _fn_table(fn, alpha)
     if fn == "exp2":
         # exp2 is total on Hermitian input; no PSD gate, no support cut.
@@ -108,6 +115,11 @@ def mat_pow_psd(p, alpha, cutoff=SUPPORT_CUTOFF):
 def support_projector(p, cutoff=SUPPORT_CUTOFF):
     """Projector onto the support (eigenvalues > cutoff) of a PSD matrix."""
     w, v = herm_eig(p)
+    return _projector_from_spectrum(w, v, cutoff)
+
+
+def _projector_from_spectrum(w, v, cutoff):
+    """support_projector of the matrix whose herm_eig is (w, v)."""
     on = w > cutoff
     out = (v[:, on]) @ dagger(v[:, on])
     return (out + dagger(out)) / 2
@@ -194,7 +206,11 @@ def fidelity(rho, sigma, psd_tol=PSD_TOL):
 
 def psd_check(x, tol=PSD_TOL):
     """PSD verdict with the min eigenvalue as certificate."""
-    w, _ = herm_eig(x)
+    return _psd_from_spectrum(herm_eig(x).eigenvalues, tol)
+
+
+def _psd_from_spectrum(w, tol=PSD_TOL):
+    """psd_check of the matrix whose ascending eigenvalues are w."""
     mn = float(w[0]) if w.size else 0.0
     return PsdCheck(bool(mn >= -tol), mn)
 

@@ -241,6 +241,40 @@ def test_compose_matches_basis_loop(dims, cps, seed):
     assert (comp.kraus is not None) == (n1.kraus is not None and n2.kraus is not None)
 
 
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    cp=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_channel_from_choi_matches_separate_certify_and_kraus(dims, cp, seed):
+    din, dout = dims
+    choi = random_map(seed, din, dout, cp).choi
+    ch = channels.channel_from_choi(choi, din, dout)
+    assert ch.flags == channels.certify_flags(choi, din, dout)
+    if ch.flags.cp.status == "yes":
+        kraus = channels.kraus_from_choi(choi, din, dout)
+        assert len(ch.kraus) == len(kraus)
+        assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, kraus))
+    else:
+        assert ch.kraus is None
+
+
+def test_channel_from_choi_decomposes_the_choi_once(monkeypatch):
+    choi = channels.random_channel(2, 3, 2, seed=5).choi
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(x):
+        calls.append(x.shape)
+        return eigh(x)
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", counting)
+    channels.channel_from_choi(choi, 2, 3)
+    # The Choi once, then 1 - tr_in(Choi) for the subunital flag.
+    assert calls == [(6, 6), (3, 3)]
+
+
 def test_tensor_choi_reshuffle():
     n = channels.random_channel(2, 2, 2, seed=20)
     m = channels.random_channel(3, 2, 2, seed=21)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from superchan import channels, divergences as dv
+from superchan import channels, divergences as dv, linalg
 
 SMALL = dv.OptimizerOpts(restarts=4, max_evals=500, seed=0)
 
@@ -34,6 +35,118 @@ def test_vn_entropy_examples():
     rng = np.random.default_rng(1)
     rho = rand_state(rng, 3)
     assert abs(dv.vn_entropy(rho) + dv.rel_entropy(rho, np.eye(3))) < 1e-10
+
+
+def rel_entropy_five_eig(rho, sigma, leak_tol=dv.LEAK_TOL, cutoff=linalg.SUPPORT_CUTOFF):
+    """rel_entropy as it was before sharing spectra: five decompositions per call."""
+    rho = np.asarray(rho, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    if rho.shape != sigma.shape:
+        raise ValueError("shape mismatch")
+    for name, x in (("rho", rho), ("sigma", sigma)):
+        chk = linalg.psd_check(x)
+        if not chk.is_psd:
+            raise ValueError(f"{name} is not PSD: min eigenvalue {chk.min_eig:.3e}")
+    proj = linalg.support_projector(sigma, cutoff)
+    leak = np.trace(rho @ (np.eye(rho.shape[0]) - proj)).real
+    if leak > leak_tol:
+        return np.inf
+    w, _ = linalg.herm_eig(rho)
+    on = w > cutoff
+    first = float(np.sum(w[on] * np.log2(w[on])))
+    second = float(np.trace(rho @ linalg.mat_log2_psd(sigma, cutoff)).real)
+    return first - second
+
+
+def rand_rank_state(rng, d, rank):
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    p = g @ g.conj().T
+    return p / np.trace(p).real
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 4),
+    rank_cut=st.integers(0, 3),
+    same_support=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_rel_entropy_matches_five_decomposition_route(d, rank_cut, same_support, seed):
+    rng = np.random.default_rng(seed)
+    rank = max(d - rank_cut, 1)
+    sigma = rand_rank_state(rng, d, rank)
+    if same_support:
+        # rho inside sigma's support: a finite value, also when sigma is rank-deficient.
+        w, v = linalg.herm_eig(sigma)
+        on = v[:, w > linalg.SUPPORT_CUTOFF]
+        rho = on @ rand_state(rng, on.shape[1]) @ on.conj().T
+    else:
+        rho = rand_state(rng, d)
+    new, old = dv.rel_entropy(rho, sigma), rel_entropy_five_eig(rho, sigma)
+    assert new == old
+    if rank < d and not same_support:
+        assert new == np.inf
+
+
+@pytest.mark.parametrize("which", ["rho", "sigma"])
+def test_rel_entropy_non_psd_message_matches_five_decomposition_route(which):
+    good, bad = np.eye(2) / 2, np.diag([1.5, -0.5])
+    args = (bad, good) if which == "rho" else (good, bad)
+    with pytest.raises(ValueError) as new:
+        dv.rel_entropy(*args)
+    with pytest.raises(ValueError) as old:
+        rel_entropy_five_eig(*args)
+    assert str(new.value) == str(old.value)
+    assert str(new.value).startswith(f"{which} is not PSD: min eigenvalue")
+
+
+def counting(monkeypatch, name):
+    """Record each call to np.linalg.<name> until the test ends."""
+    calls = []
+    inner = getattr(np.linalg, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.np.linalg, name, wrapped)
+    return calls
+
+
+def test_objective_decomposes_each_operand_once(monkeypatch):
+    n = channels.random_channel(2, 2, 2, seed=3)
+    m = channels.depolarizing_r(2, 2)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=8)
+    rho, sigma = rand_state(rng, 4), rand_state(rng, 4)
+    eighs = counting(monkeypatch, "eigh")
+    svds = counting(monkeypatch, "svd")
+    psi = dv._params_to_state(x, 2)
+    assert svds == [] and eighs == []
+    dv.divergence_at(n, m, psi)
+    assert eighs == ["eigh"] * 2
+    eighs.clear()
+    dv.rel_entropy(rho, sigma)
+    assert eighs == ["eigh"] * 2
+    assert svds == []
+
+
+@pytest.mark.parametrize(
+    "amp",
+    [
+        np.array([[2.0, 0.0], [0.0, 0.0]]),
+        np.array([[1.0, 1e-7], [0.0, 1e-7]]),
+        np.array([[1.0, 2.0], [0.5, 1.0]]),
+        np.arange(9.0).reshape(3, 3) + 1j * np.eye(3),
+    ],
+)
+def test_pure_bipartite_rank_matches_eager_svd(amp):
+    a = np.asarray(amp, dtype=complex)
+    a = a / np.linalg.norm(a)
+    min_sv = float(np.linalg.svd(a, compute_uv=False)[-1])
+    psi = dv.pure_bipartite(amp)
+    assert psi.min_sv == min_sv
+    assert psi.full_rank == (min_sv > dv.RANK_CUTOFF)
 
 
 def test_pure_bipartite_normalization_and_rank():

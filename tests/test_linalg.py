@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -39,14 +40,15 @@ def test_herm_eig_rejects_non_hermitian():
         linalg.herm_eig(np.ones((2, 3)))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_check_hermitian_rejects_non_finite(bad):
     for pos in ((0, 0), (0, 1)):
         m = np.eye(2, dtype=complex)
         m[pos] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            linalg.check_hermitian(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.check_hermitian(m)
 
 
 def test_herm_eig_eigenvalue_sum_is_trace():
