@@ -79,23 +79,23 @@ class ThermalMap(NamedTuple):
     beta: float
 
 
-def certify_flags(choi, dim_in, dim_out, tp_tol=TP_TOL, psd_tol=PSD_TOL):
+def certify_flags(choi, dim_in, dim_out):
     """Certify cp/tp/unital/subunital from the unnormalized Choi operator."""
     w = herm_eig(choi).eigenvalues
-    return _flags_from_spectrum(choi, w, dim_in, dim_out, tp_tol, psd_tol)
+    return _flags_from_spectrum(choi, w, dim_in, dim_out)
 
 
-def _flags_from_spectrum(choi, w, dim_in, dim_out, tp_tol=TP_TOL, psd_tol=PSD_TOL):
+def _flags_from_spectrum(choi, w, dim_in, dim_out):
     """certify_flags of a Choi operator whose ascending eigenvalues are w."""
-    cp_chk = _psd_from_spectrum(w, psd_tol)
+    cp_chk = _psd_from_spectrum(w)
     cp = Flag("yes" if cp_chk.is_psd else "no", cp_chk.min_eig)
     tr_out = partial_trace(choi, (dim_in, dim_out), "first")
     tp_res = float(np.linalg.norm(tr_out - np.eye(dim_in)))
-    tp = Flag("yes" if tp_res <= tp_tol else "no", tp_res)
+    tp = Flag("yes" if tp_res <= TP_TOL else "no", tp_res)
     tr_in = partial_trace(choi, (dim_in, dim_out), "second")
     un_res = float(np.linalg.norm(tr_in - np.eye(dim_out)))
-    unital = Flag("yes" if un_res <= tp_tol else "no", un_res)
-    sub_chk = psd_check(np.eye(dim_out) - tr_in, tol=psd_tol)
+    unital = Flag("yes" if un_res <= TP_TOL else "no", un_res)
+    sub_chk = psd_check(np.eye(dim_out) - tr_in)
     subunital = Flag("yes" if sub_chk.is_psd else "no", sub_chk.min_eig)
     return ChannelFlags(cp, tp, unital, subunital)
 
@@ -121,19 +121,19 @@ def channel_from_kraus(kraus):
     return Channel(dim_in, dim_out, choi, kraus, flags)
 
 
-def kraus_from_choi(choi, dim_in, dim_out, cutoff=SUPPORT_CUTOFF):
+def kraus_from_choi(choi, dim_in, dim_out):
     """Extract a minimal Kraus set from a PSD Choi operator."""
     w, v = herm_eig(choi)
-    return _kraus_from_spectrum(w, v, dim_in, dim_out, cutoff)
+    return _kraus_from_spectrum(w, v, dim_in, dim_out)
 
 
-def _kraus_from_spectrum(w, v, dim_in, dim_out, cutoff=SUPPORT_CUTOFF):
+def _kraus_from_spectrum(w, v, dim_in, dim_out):
     """kraus_from_choi of a Choi operator whose herm_eig is (w, v)."""
     if w[0] < -PSD_TOL:
         raise ValueError(f"Choi is not PSD: min eigenvalue {w[0]:.3e}")
     kraus = []
     for i in range(len(w)):
-        if w[i] > cutoff:
+        if w[i] > SUPPORT_CUTOFF:
             kraus.append(np.sqrt(w[i]) * v[:, i].reshape(dim_in, dim_out).T)
     return tuple(kraus)
 
@@ -249,13 +249,13 @@ def weyl_heisenberg_spec(dim):
     return TeleCovariantSpec(u, u)
 
 
-def check_telecov_spec(spec, unitary_tol=1e-10, twirl_tol=1e-8):
+def check_telecov_spec(spec):
     """Validate unitarity and the one-design twirl condition on the input reps."""
     if len(spec.reps_in) != len(spec.reps_out):
         raise ValueError("reps_in and reps_out must have equal length")
     for u in list(spec.reps_in) + list(spec.reps_out):
         d = u.shape[0]
-        if np.linalg.norm(dagger(u) @ u - np.eye(d)) > unitary_tol:
+        if np.linalg.norm(dagger(u) @ u - np.eye(d)) > 1e-10:
             raise ValueError("representation element is not unitary")
     dim = spec.reps_in[0].shape[0]
     for i in range(dim):
@@ -264,7 +264,7 @@ def check_telecov_spec(spec, unitary_tol=1e-10, twirl_tol=1e-8):
             e[i, j] = 1.0
             tw = sum(u @ e @ dagger(u) for u in spec.reps_in) / spec.group_size
             target = (1.0 if i == j else 0.0) * np.eye(dim) / dim
-            if np.linalg.norm(tw - target) > twirl_tol:
+            if np.linalg.norm(tw - target) > 1e-8:
                 raise ValueError("input representation fails the twirl condition")
 
 

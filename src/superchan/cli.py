@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import (
+    INEQ_TOL,
     VerificationRecord,
     _record,
     depolarizing_supermap,
@@ -105,22 +106,18 @@ class CliError(Exception):
 class RunConfig:
     """Effective run configuration; the JSON config file mirrors this shape."""
 
-    psd_tol: float = 1e-9
-    support_cutoff: float = 1e-10
-    herm_tol: float = 1e-9
-    ineq_tol: float = 1e-3
-    restarts: int = 32
-    max_evals: int = 2000
-    rank_cutoff: float = 1e-6
-    half_width: float = 20.0
-    nodes: int = 801
+    ineq_tol: float = INEQ_TOL
+    restarts: int = OptimizerOpts().restarts
+    max_evals: int = OptimizerOpts().max_evals
+    half_width: float = Quadrature().half_width
+    nodes: int = Quadrature().nodes
     seed: int = 0
     output_path: Optional[str] = None
 
 
 _CONFIG_GROUPS = {
-    "tolerances": ("psd_tol", "support_cutoff", "herm_tol", "ineq_tol"),
-    "optimizer": ("restarts", "max_evals", "rank_cutoff"),
+    "tolerances": ("ineq_tol",),
+    "optimizer": ("restarts", "max_evals"),
     "quadrature": ("half_width", "nodes"),
 }
 
@@ -151,13 +148,23 @@ def load_config(path):
 
 
 def validate_config(cfg):
-    for name in _CONFIG_GROUPS["tolerances"]:
-        if getattr(cfg, name) <= 0:
-            raise CliError(EXIT_USAGE, f"config tolerance {name} must be > 0")
+    # bool is an int subclass, so true/false would otherwise pass as 1/0.
+    for name in ("restarts", "max_evals", "nodes", "seed"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise CliError(EXIT_USAGE, f"config {name} must be an integer, got {value!r}")
+    for name in ("ineq_tol", "half_width"):
+        value = getattr(cfg, name)
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # Fails for NaN, +-Inf and integers too large for a float.
+        if not (real and abs(value) <= sys.float_info.max):
+            raise CliError(EXIT_USAGE, f"config {name} must be a finite number, got {value!r}")
+    if cfg.output_path is not None and not isinstance(cfg.output_path, str):
+        raise CliError(EXIT_USAGE, f"config output_path must be a string, got {cfg.output_path!r}")
+    if cfg.ineq_tol <= 0:
+        raise CliError(EXIT_USAGE, "config tolerance ineq_tol must be > 0")
     if cfg.restarts < 1 or cfg.max_evals < 1:
         raise CliError(EXIT_USAGE, "optimizer restarts and max_evals must be >= 1")
-    if cfg.rank_cutoff <= 0:
-        raise CliError(EXIT_USAGE, "optimizer rank_cutoff must be > 0")
     if cfg.nodes < 3 or cfg.nodes % 2 == 0 or cfg.half_width <= 0:
         raise CliError(EXIT_USAGE, "quadrature needs odd nodes >= 3 and half_width > 0")
     if cfg.seed < 0:
@@ -239,12 +246,7 @@ def _emit(text, out_path):
 
 
 def _opts(cfg, seed):
-    return OptimizerOpts(
-        restarts=cfg.restarts,
-        max_evals=cfg.max_evals,
-        seed=int(seed),
-        rank_cutoff=cfg.rank_cutoff,
-    )
+    return OptimizerOpts(restarts=cfg.restarts, max_evals=cfg.max_evals, seed=int(seed))
 
 
 def _with_telecov(n):

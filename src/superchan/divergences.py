@@ -13,7 +13,13 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import channel_from_choi, is_cptp, thermal_map
+from .channels import (
+    COVARIANCE_TOL,
+    channel_from_choi,
+    covariance_residual,
+    is_cptp,
+    thermal_map,
+)
 from .linalg import (
     SUPPORT_CUTOFF,
     _fn_from_spectrum,
@@ -67,8 +73,6 @@ class OptimizerOpts:
     restarts: int = 32
     max_evals: int = 2000
     seed: int = 0
-    rank_cutoff: float = RANK_CUTOFF
-    grid_check: bool = False
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,14 @@ def maximally_entangled(dim):
     return pure_bipartite(np.eye(dim) / np.sqrt(dim))
 
 
-def nudge_full_rank(psi, rank_cutoff=RANK_CUTOFF):
+def nudge_full_rank(psi):
     """Blend with the maximally entangled amplitude until full rank holds."""
-    if psi.min_sv > rank_cutoff:
+    if psi.full_rank:
         return psi
     dim = psi.a_psi.shape[0]
-    for lam in np.geomspace(rank_cutoff * 10, 1.0, 16):
+    for lam in np.geomspace(RANK_CUTOFF * 10, 1.0, 16):
         cand = pure_bipartite((1 - lam) * psi.a_psi + lam * np.eye(dim) / np.sqrt(dim))
-        if cand.min_sv > rank_cutoff:
+        if cand.full_rank:
             return cand
     return maximally_entangled(dim)
 
@@ -115,7 +119,7 @@ def _psd_eig(x, name):
     return w, v
 
 
-def rel_entropy(rho, sigma, leak_tol=LEAK_TOL, cutoff=SUPPORT_CUTOFF):
+def rel_entropy(rho, sigma):
     """Quantum relative entropy D(rho||sigma) in bits, +inf on support leakage."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -125,20 +129,21 @@ def rel_entropy(rho, sigma, leak_tol=LEAK_TOL, cutoff=SUPPORT_CUTOFF):
     # and its log2.
     w, _ = _psd_eig(rho, "rho")
     mu, u = _psd_eig(sigma, "sigma")
-    leak = np.trace(rho @ (np.eye(rho.shape[0]) - _projector_from_spectrum(mu, u, cutoff))).real
-    if leak > leak_tol:
+    proj = _projector_from_spectrum(mu, u, SUPPORT_CUTOFF)
+    leak = np.trace(rho @ (np.eye(rho.shape[0]) - proj)).real
+    if leak > LEAK_TOL:
         return np.inf
-    on = w > cutoff
+    on = w > SUPPORT_CUTOFF
     first = float(np.sum(w[on] * np.log2(w[on])))
-    second = float(np.trace(rho @ _fn_from_spectrum(mu, u, "log2", cutoff)).real)
+    second = float(np.trace(rho @ _fn_from_spectrum(mu, u, "log2", SUPPORT_CUTOFF)).real)
     return first - second
 
 
-def vn_entropy(rho, cutoff=SUPPORT_CUTOFF):
+def vn_entropy(rho):
     """von Neumann entropy -tr(rho log2 rho) of a PSD operator, in bits."""
     rho = np.asarray(rho, dtype=complex)
     w, _ = _psd_eig(rho, "operator")
-    on = w > cutoff
+    on = w > SUPPORT_CUTOFF
     return float(-np.sum(w[on] * np.log2(w[on])))
 
 
@@ -259,16 +264,6 @@ def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
         if val > best_val:
             best_val, best_state, best_success = val, psi, True
 
-    if opts.grid_check:
-        rng = np.random.default_rng((opts.seed, 0xFEED))
-        for _ in range(10_000):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            psi = pure_bipartite(g)
-            val = divergence_at(n, m, psi)
-            if val > best_val:
-                best_val, best_state = val, psi
-        per_restart.append(best_val)
-
     return DivergenceResult(
         value=best_val,
         optimizer_state=best_state,
@@ -298,14 +293,12 @@ def channel_entropy(n, opts=OptimizerOpts(), witnesses=()):
     return _negated(channel_divergence(n, r, opts, witnesses=witnesses))
 
 
-def channel_entropy_telecov(n, residual_tol=1e-8):
+def channel_entropy_telecov(n):
     """Exact channel entropy S(C_N) - log2 dim_in for tele-covariant channels."""
-    from .channels import covariance_residual
-
     if n.telecov is None:
         raise ValueError("channel carries no tele-covariance data")
     res = covariance_residual(n.telecov, n)
-    if res > residual_tol:
+    if res > COVARIANCE_TOL:
         raise ValueError(f"covariance residual too large: {res:.3e}")
     return vn_entropy(n.normalized_choi) - np.log2(n.dim_in)
 

@@ -28,8 +28,8 @@ def dagger(x):
     return np.asarray(x).conj().T
 
 
-def check_hermitian(m, tol=HERM_TOL):
-    """Raise if m is not square and Hermitian within tol, or holds NaN or Inf."""
+def check_hermitian(m):
+    """Raise if m is not square and Hermitian within HERM_TOL, or holds NaN or Inf."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -38,16 +38,16 @@ def check_hermitian(m, tol=HERM_TOL):
         dev = np.abs(m - dagger(m)).max()
     # Written negated so that a NaN deviation fails too; any NaN or Inf entry
     # makes the deviation non-finite.
-    if not dev <= tol:
+    if not dev <= HERM_TOL:
         if not np.isfinite(dev):
             raise ValueError("matrix holds a non-finite value")
-        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {tol:.3e}")
+        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {HERM_TOL:.3e}")
     return m
 
 
-def herm_eig(m, tol=HERM_TOL):
+def herm_eig(m):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = check_hermitian(m, tol)
+    m = check_hermitian(m)
     w, v = np.linalg.eigh((m + dagger(m)) / 2)
     return SpectralDecomposition(w, v)
 
@@ -68,25 +68,25 @@ def _fn_table(fn, alpha):
     raise ValueError(f"unknown spectral function {fn!r}")
 
 
-def mat_fn_psd(p, fn, alpha=None, cutoff=SUPPORT_CUTOFF, psd_tol=PSD_TOL):
+def mat_fn_psd(p, fn, alpha=None, cutoff=SUPPORT_CUTOFF):
     """Apply a scalar function spectrally to a PSD matrix on its support.
 
     Eigenvalues below cutoff are treated as exact zeros: log2/pow/sqrt
     contribute nothing there and inv_sqrt pseudo-inverts.  Eigenvalues below
-    -psd_tol raise.
+    -PSD_TOL raise.
     """
     w, v = herm_eig(p)
-    return _fn_from_spectrum(w, v, fn, cutoff, alpha, psd_tol)
+    return _fn_from_spectrum(w, v, fn, cutoff, alpha)
 
 
-def _fn_from_spectrum(w, v, fn, cutoff, alpha=None, psd_tol=PSD_TOL):
+def _fn_from_spectrum(w, v, fn, cutoff, alpha=None):
     """mat_fn_psd of the matrix whose herm_eig is (w, v)."""
     f = _fn_table(fn, alpha)
     if fn == "exp2":
         # exp2 is total on Hermitian input; no PSD gate, no support cut.
         fw = np.exp2(w)
     else:
-        if w[0] < -psd_tol:
+        if w[0] < -PSD_TOL:
             raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
         w = np.clip(w, 0.0, None)
         on_support = w > cutoff
@@ -196,7 +196,7 @@ def trace_norm(x):
     return norms(x)["trace_norm"]
 
 
-def fidelity(rho, sigma, psd_tol=PSD_TOL):
+def fidelity(rho, sigma):
     """Fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2 of PSD operators."""
     a = mat_sqrt_psd(rho, cutoff=0.0)
     b = mat_sqrt_psd(sigma, cutoff=0.0)
@@ -215,15 +215,15 @@ def _psd_from_spectrum(w, tol=PSD_TOL):
     return PsdCheck(bool(mn >= -tol), mn)
 
 
-def check_density(rho, trace_tol=1e-8, psd_tol=PSD_TOL):
+def check_density(rho):
     """Raise unless rho is a density operator (Hermitian, PSD, unit trace)."""
     rho = check_hermitian(rho)
-    chk = psd_check(rho, psd_tol)
+    chk = psd_check(rho)
     if not chk.is_psd:
         raise ValueError(f"state is not PSD: min eigenvalue {chk.min_eig:.3e}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"state trace {tr} deviates from 1 beyond {trace_tol:.1e}")
+    if abs(tr - 1.0) > 1e-8:
+        raise ValueError(f"state trace {tr} deviates from 1 beyond 1.0e-08")
     return rho
 
 

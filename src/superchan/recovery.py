@@ -97,10 +97,10 @@ def _petz_ingredients(sigma, n):
     return sigma, nsig, base
 
 
-def _imaginary_power(p, t, cutoff=SUPPORT_CUTOFF):
+def _imaginary_power(p, t):
     """p^{it} on the support of p, zero elsewhere (a partial isometry)."""
     w, v = herm_eig(p)
-    on = w > cutoff
+    on = w > SUPPORT_CUTOFF
     phases = np.zeros(len(w), dtype=complex)
     phases[on] = np.exp(1j * t * np.log(w[on]))
     return (v * phases) @ dagger(v)

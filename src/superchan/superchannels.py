@@ -26,7 +26,7 @@ from .channels import (
     is_cptp,
     tensor_channels,
 )
-from .divergences import RANK_CUTOFF, PureBipartiteState
+from .divergences import PureBipartiteState
 from .linalg import (
     SUPPORT_CUTOFF,
     dagger,
@@ -93,7 +93,7 @@ class GeneralizedRepMap:
     t_frak_adjoint: Channel
 
 
-def certify_tp_preserving(rep, dims, tol=TP_PRESERVING_TOL):
+def certify_tp_preserving(rep, dims):
     """Certificate that the supermap sends trace-preserving maps to such maps.
 
     Holds iff T*(e_kl (x) 1_D) = Z_kl (x) 1_B with tr Z_kl = delta_kl for all
@@ -108,7 +108,7 @@ def certify_tp_preserving(rep, dims, tol=TP_PRESERVING_TOL):
     residual = np.linalg.norm(off_product.reshape(c, c, -1), axis=2)
     trace_err = np.abs(np.einsum("klaa->kl", z) - np.eye(c))
     worst = float(max(residual.max(), trace_err.max()))
-    return Flag("yes" if worst <= tol else "no", worst)
+    return Flag("yes" if worst <= TP_PRESERVING_TOL else "no", worst)
 
 
 def _flags_for(rep, dims):
@@ -251,13 +251,13 @@ def sct_membership(theta):
     return SctVerdict("member" if fix.is_cptp else "undecided", fix)
 
 
-def is_r_subpreserving(theta, tol=1e-8):
+def is_r_subpreserving(theta):
     """PSD check of the Choi of (depolarize_CD - Theta(depolarize_AB))."""
     a, b, c, d = theta.dims
     diff = np.eye(c * d) - apply(theta.rep, np.eye(a * b))
     chk = psd_check(diff)
     residual = float(np.linalg.norm(diff))
-    return RSubReport(chk.is_psd, chk.min_eig, residual <= tol, residual)
+    return RSubReport(chk.is_psd, chk.min_eig, residual <= 1e-8, residual)
 
 
 def random_isometry_super(probs, isometries_pre, isometries_post):
@@ -288,7 +288,7 @@ def generalized_rep(theta, psi, phi):
     a, b, c, d = theta.dims
     if psi.a_psi.shape != (a, a) or phi.a_psi.shape != (c, c):
         raise ValueError("witness amplitude shapes must match the input slots")
-    if psi.min_sv <= RANK_CUTOFF or phi.min_sv <= RANK_CUTOFF:
+    if not (psi.full_rank and phi.full_rank):
         raise ValueError("witnesses must have full-rank marginals")
     t_psi_inv = channel_from_kraus([np.kron(np.linalg.inv(psi.a_psi), np.eye(b))])
     t_phi = channel_from_kraus([np.kron(phi.a_psi, np.eye(d))])

@@ -1,4 +1,6 @@
+import copy
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -242,13 +244,36 @@ def test_report_rejects_non_report_input(tmp_path):
     assert cli.main(["report", plain]) == 2
 
 
-def test_config_validation(tmp_path):
+def test_config_validation(tmp_path, capsys):
     bad_tol = write_json(tmp_path, "c1.json", {"tolerances": {"ineq_tol": -1.0}})
     assert cli.main(["verify", "petz", "--trials", "1", "--config", bad_tol]) == 2
     unknown = write_json(tmp_path, "c2.json", {"optimizer": {"restartz": 3}})
     assert cli.main(["verify", "petz", "--trials", "1", "--config", unknown]) == 2
     assert cli.main(["verify", "petz", "--trials", "0"]) == 2
     assert cli.main(["verify", "petz", "--trials", "1", "--seed", "-4"]) == 2
+    # Each bad value exits 2 before any suite runs, and the message names its key.
+    bad_values = [
+        ("quadrature", "nodes", 801.0),
+        ("quadrature", "half_width", float("inf")),
+        ("quadrature", "half_width", 10**400),
+        (None, "seed", 1.5),
+        ("optimizer", "restarts", 2.5),
+        ("optimizer", "max_evals", True),
+        ("tolerances", "ineq_tol", True),
+        ("tolerances", "ineq_tol", float("nan")),
+        ("tolerances", "psd_tol", 1e-9),
+        ("tolerances", "support_cutoff", 1e-10),
+        ("tolerances", "herm_tol", 1e-9),
+        ("optimizer", "rank_cutoff", 1e-6),
+        (None, "output_path", 1),
+    ]
+    capsys.readouterr()
+    for group, key, value in bad_values:
+        cfg = {key: value} if group is None else {group: {key: value}}
+        path = write_json(tmp_path, "bad.json", cfg)
+        for suite in ("refined-dpi", "entropy-nondecrease"):
+            assert cli.main(["verify", suite, "--trials", "1", "--config", path]) == 2
+            assert key in capsys.readouterr().err
 
 
 def test_config_hash_tracks_semantics_not_output_path(tmp_path):
@@ -256,3 +281,37 @@ def test_config_hash_tracks_semantics_not_output_path(tmp_path):
     c2 = cli.RunConfig(output_path="b.json")
     assert cli.config_hash(c1) == cli.config_hash(c2)
     assert cli.config_hash(c1) != cli.config_hash(cli.RunConfig(seed=3))
+    hashed = {"seed"}.union(*cli._CONFIG_GROUPS.values())
+    assert hashed == {f.name for f in dataclasses.fields(cli.RunConfig)} - {"output_path"}
+
+
+@pytest.mark.parametrize(
+    "suite, group, key, value",
+    [
+        ("refined-dpi", "tolerances", "ineq_tol", 0.5),
+        ("refined-dpi", "quadrature", "half_width", 5.0),
+        ("refined-dpi", "quadrature", "nodes", 101),
+        ("dpi", "optimizer", "restarts", 3),
+        ("dpi", "optimizer", "max_evals", 80),
+        ("dpi", None, "seed", 1),
+    ],
+)
+def test_config_knob_moves_report(tmp_path, suite, group, key, value):
+    """Every config knob changes some report byte besides config_hash."""
+    # The optimizer base stays small so each one-trial run takes well under a second.
+    base = {"optimizer": {"restarts": 2, "max_evals": 40}}
+    moved = copy.deepcopy(base)
+    if group is None:
+        moved[key] = value
+    else:
+        moved.setdefault(group, {})[key] = value
+    reports = []
+    for name, cfg in (("base", base), ("moved", moved)):
+        path = write_json(tmp_path, f"{name}.json", cfg)
+        out = tmp_path / f"{name}-report.json"
+        argv = ["verify", suite, "--trials", "1", "--jobs", "1", "--config", path, "--out", str(out)]
+        assert cli.main(argv) == 0
+        blob = json.loads(out.read_text())
+        del blob["summary"]["config_hash"]
+        reports.append(blob)
+    assert reports[0] != reports[1]

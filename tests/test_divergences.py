@@ -298,9 +298,7 @@ def test_optimizer_dominates_supplied_witnesses():
 def test_optimizer_beats_dense_grid():
     n = channels.random_channel(2, 2, 2, seed=13)
     m = channels.random_channel(2, 2, 2, seed=14)
-    res = dv.channel_divergence(
-        n, m, dv.OptimizerOpts(restarts=4, max_evals=500, seed=2, grid_check=True)
-    )
+    res = dv.channel_divergence(n, m, dv.OptimizerOpts(restarts=4, max_evals=500, seed=2))
     rng = np.random.default_rng(15)
     grid_max = 0.0
     for _ in range(10_000):
