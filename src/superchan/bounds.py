@@ -15,6 +15,7 @@ import numpy as np
 from .channels import (
     COVARIANCE_TOL,
     Channel,
+    _try_attach_telecov,
     apply,
     apply_adjoint,
     channel_from_kraus,
@@ -52,16 +53,16 @@ from .linalg import (
 )
 from .recovery import Quadrature, tilde_recovery, universal_recovery
 from .superchannels import (
+    alpha_norm,
     apply_super,
     choi_witness,
     extend_super_with_identity,
     generalized_rep,
     is_r_subpreserving,
-    sct_membership,
     super_from_rep,
     tensor_supermaps,  # also re-exported as bounds.tensor_supermaps
+    tp_fix,
     tp_fix_map,
-    tp_fixed_channel,
 )
 
 INEQ_TOL = 1e-3
@@ -206,16 +207,9 @@ def _witness_json(**states):
     return out
 
 
-def _try_attach_telecov(ch, spec):
-    """Return the channel tagged covariant when the residual certifies it."""
-    if spec is not None and covariance_residual(spec, ch) <= COVARIANCE_TOL:
-        return Channel(ch.dim_in, ch.dim_out, ch.choi, ch.kraus, ch.flags, telecov=spec)
-    return ch
-
-
 def _alpha_remainder(f, rho):
     """alpha = ||F*(1)||, the reference alpha^-alpha (F* F rho)^alpha, and D."""
-    alpha = float(np.linalg.norm(apply_adjoint(f, np.eye(f.dim_out)), ord=2))
+    alpha = alpha_norm(f)
     pushed = _hermitian(apply_adjoint(f, apply(f, rho)))
     ref = mat_pow_psd(pushed, alpha) / alpha**alpha
     return alpha, ref, rel_entropy(rho, ref)
@@ -321,9 +315,9 @@ def verify_entropy_gain_remainder(theta, n, opts=OptimizerOpts(), psi=None, phi=
     full_rank = bool(psi0.full_rank and phi0.full_rank)
     psi0, phi0 = nudge_full_rank(psi0), nudge_full_rank(phi0)
 
-    g = generalized_rep(theta, psi0, phi0)
+    t_frak = generalized_rep(theta, psi0, phi0)
     c_state = _hermitian(choi_witness(n, psi0))
-    alpha, c_alpha, rho_alpha_term = _alpha_remainder(g.t_frak, c_state)
+    alpha, c_alpha, rho_alpha_term = _alpha_remainder(t_frak, c_state)
     delta_prime = vn_entropy(psi0.marginal_ref) - vn_entropy(phi0.marginal_ref)
     gamma_term = None
     if a == c:
@@ -370,8 +364,7 @@ def verify_refined_dpi(
         raise ValueError("both channels must be certified CPTP")
     a, _, c, d = theta.dims
     base_params = {"dims": list(theta.dims)}
-    verdict = sct_membership(theta)
-    if verdict.status != "member":
+    if not tp_fix(theta).is_cptp:
         return _skipped_record(
             "refined-dpi",
             "no trace-preserving completion found for the representing map",
@@ -381,8 +374,7 @@ def verify_refined_dpi(
         )
     psi0 = psi if psi is not None else maximally_entangled(a)
     phi0 = phi if phi is not None else maximally_entangled(c)
-    g = generalized_rep(theta, psi0, phi0)
-    fix = tp_fix_map(g.t_frak)
+    fix = tp_fix_map(generalized_rep(theta, psi0, phi0))
     if not fix.is_cptp:
         return _skipped_record(
             "refined-dpi",
@@ -391,7 +383,7 @@ def verify_refined_dpi(
             opts.seed,
             base_params,
         )
-    t_prime = tp_fixed_channel(g.t_frak, fix.sigma0)
+    t_prime = fix.channel
 
     tn, tm = apply_super(theta, n), apply_super(theta, m)
     if (c, d) == (n.dim_in, n.dim_out):
@@ -604,9 +596,9 @@ def verify_telecov_entropy_gain(theta, n, tolerance=INEQ_TOL, xi=None, opts=None
     _require_superchannel(theta)
     _require_input_slot(theta, n)
     a, b, c, d = theta.dims
-    g = generalized_rep(theta, maximally_entangled(a), maximally_entangled(c))
-    tp_res = float(np.linalg.norm(apply_adjoint(g.t_frak, np.eye(c * d)) - np.eye(a * b)))
-    sub = psd_check(np.eye(c * d) - _hermitian(apply(g.t_frak, np.eye(a * b))))
+    t_frak = generalized_rep(theta, maximally_entangled(a), maximally_entangled(c))
+    tp_res = float(np.linalg.norm(apply_adjoint(t_frak, np.eye(c * d)) - np.eye(a * b)))
+    sub = psd_check(np.eye(c * d) - _hermitian(apply(t_frak, np.eye(a * b))))
     params = {"dims": list(theta.dims), "tp_residual": tp_res, "subunital_min_eig": float(sub.min_eig)}
     if tp_res > EXACT_TOL:
         return _skipped_record(
@@ -625,9 +617,9 @@ def verify_telecov_entropy_gain(theta, n, tolerance=INEQ_TOL, xi=None, opts=None
             params,
         )
 
-    rec = tilde_recovery(g, xi)
+    rec = tilde_recovery(t_frak, xi)
     c_state = _hermitian(choi_witness(n, maximally_entangled(a)))
-    recovered = _hermitian(apply(rec.rec, _hermitian(apply(g.t_frak, c_state))))
+    recovered = _hermitian(apply(rec.rec, _hermitian(apply(t_frak, c_state))))
     bound = rel_entropy(c_state, recovered) + float(np.log2(a / c))
 
     tn = apply_super(theta, n)

@@ -4,7 +4,7 @@ Choi operators are unnormalized, Chat = sum_ij e_ij (x) N(e_ij), and live on
 input (x) output; the normalized variant Chat/dim_in is exposed separately.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -19,7 +19,6 @@ from .linalg import (
     matrix_to_json,
     partial_trace,
     permute_systems,
-    psd_check,
 )
 
 TP_TOL = 1e-10
@@ -38,11 +37,9 @@ class ChannelFlags(NamedTuple):
     cp: Flag
     tp: Flag
     unital: Flag
-    subunital: Flag
 
 
 UNVERIFIED = ChannelFlags(
-    Flag("unverified", np.nan),
     Flag("unverified", np.nan),
     Flag("unverified", np.nan),
     Flag("unverified", np.nan),
@@ -80,7 +77,7 @@ class ThermalMap(NamedTuple):
 
 
 def certify_flags(choi, dim_in, dim_out):
-    """Certify cp/tp/unital/subunital from the unnormalized Choi operator."""
+    """Certify cp/tp/unital from the unnormalized Choi operator."""
     w = herm_eig(choi).eigenvalues
     return _flags_from_spectrum(choi, w, dim_in, dim_out)
 
@@ -95,9 +92,7 @@ def _flags_from_spectrum(choi, w, dim_in, dim_out):
     tr_in = partial_trace(choi, (dim_in, dim_out), "second")
     un_res = float(np.linalg.norm(tr_in - np.eye(dim_out)))
     unital = Flag("yes" if un_res <= TP_TOL else "no", un_res)
-    sub_chk = psd_check(np.eye(dim_out) - tr_in)
-    subunital = Flag("yes" if sub_chk.is_psd else "no", sub_chk.min_eig)
-    return ChannelFlags(cp, tp, unital, subunital)
+    return ChannelFlags(cp, tp, unital)
 
 
 def _choi_from_kraus(kraus, dim_in, dim_out):
@@ -283,7 +278,14 @@ def telecov_channel(spec, base):
     res = covariance_residual(spec, out)
     if res > COVARIANCE_TOL:
         raise ValueError(f"twirled channel fails covariance: residual {res:.3e}")
-    return Channel(out.dim_in, out.dim_out, out.choi, out.kraus, out.flags, telecov=spec)
+    return replace(out, telecov=spec)
+
+
+def _try_attach_telecov(ch, spec):
+    """Return the channel tagged covariant when the residual certifies it."""
+    if spec is not None and covariance_residual(spec, ch) <= COVARIANCE_TOL:
+        return replace(ch, telecov=spec)
+    return ch
 
 
 def covariance_residual(spec, n):
@@ -396,10 +398,10 @@ def channel_from_json(obj):
             raise ValueError("declared dimensions do not match Kraus shapes")
         return n
     if "choi" in obj:
+        normalized = obj.get("normalized", False)
+        if not isinstance(normalized, bool):
+            raise ValueError("'normalized' must be a JSON boolean")
         return channel_from_choi(
-            matrix_from_json(obj["choi"]),
-            obj["dim_in"],
-            obj["dim_out"],
-            normalized=bool(obj.get("normalized", False)),
+            matrix_from_json(obj["choi"]), obj["dim_in"], obj["dim_out"], normalized=normalized
         )
     raise ValueError("channel JSON needs either 'kraus' or 'choi'")

@@ -33,15 +33,13 @@ from .bounds import (
     verify_refined_dpi,
 )
 from .channels import (
-    COVARIANCE_TOL,
-    Channel,
     ThermalMap,
+    _try_attach_telecov,
     apply,
     apply_adjoint,
     channel_from_json,
     channel_from_kraus,
     channel_to_json,
-    covariance_residual,
     depolarizing_r,
     haar_isometry,
     is_cptp,
@@ -73,7 +71,6 @@ from .superchannels import (
     random_isometry_super,
     super_from_json,
     tp_fix_map,
-    tp_fixed_channel,
 )
 
 EXIT_OK = 0
@@ -253,10 +250,7 @@ def _with_telecov(n):
     """Tag a square channel certified covariant for the closed entropy form."""
     if n.telecov is not None or n.dim_in != n.dim_out:
         return n
-    spec = weyl_heisenberg_spec(n.dim_in)
-    if covariance_residual(spec, n) <= COVARIANCE_TOL:
-        return Channel(n.dim_in, n.dim_out, n.choi, n.kraus, n.flags, telecov=spec)
-    return n
+    return _try_attach_telecov(n, weyl_heisenberg_spec(n.dim_in))
 
 
 def cmd_entropy(args, cfg):
@@ -264,10 +258,11 @@ def cmd_entropy(args, cfg):
     _require_cptp(n, args.channel)
     if "thermal" in obj:
         try:
-            thermal = ThermalMap(
-                matrix_from_json(obj["thermal"]["hamiltonian"]),
-                float(obj["thermal"]["beta"]),
-            )
+            beta = obj["thermal"]["beta"]
+            numeric = isinstance(beta, (int, float)) and not isinstance(beta, bool)
+            if not (numeric and np.isfinite(beta)):
+                raise ValueError("'beta' must be a finite number")
+            thermal = ThermalMap(matrix_from_json(obj["thermal"]["hamiltonian"]), float(beta))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_USAGE, f"{args.channel}: invalid thermal block: {exc}")
         res = channel_entropy_beta(n, thermal, _opts(cfg, cfg.seed))
@@ -484,8 +479,7 @@ def _suite_tp_completion(index, seed, cfg):
     sigma = np.diag([1.99, -0.2]).astype(complex)
     sigma0 = sigma / np.trace(sigma).real
     fix = tp_fix_map(base, sigma0)
-    fixed = tp_fixed_channel(base, sigma0)
-    tp_res = float(np.linalg.norm(apply_adjoint(fixed, np.eye(2)) - np.eye(2)))
+    tp_res = float(np.linalg.norm(apply_adjoint(fix.channel, np.eye(2)) - np.eye(2)))
     min_eig = float(fix.choi_min_eig)
     worst = max(max(0.0, -min_eig), tp_res)
     params = {

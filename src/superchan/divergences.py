@@ -181,7 +181,7 @@ def _same_telecov(n, m):
     if n.telecov.group_size != m.telecov.group_size:
         return False
     return all(
-        np.allclose(a, b, atol=1e-12)
+        np.allclose(a, b, rtol=0, atol=1e-12)
         for pair in (
             zip(n.telecov.reps_in, m.telecov.reps_in),
             zip(n.telecov.reps_out, m.telecov.reps_out),

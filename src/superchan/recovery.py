@@ -12,13 +12,13 @@ import numpy as np
 
 from .linalg import (
     SUPPORT_CUTOFF,
+    _projector_from_spectrum,
     check_density,
     dagger,
     herm_eig,
     mat_inv_sqrt_psd,
     mat_sqrt_psd,
     matrix_to_json,
-    support_projector,
     trace_norm,
 )
 from .channels import (
@@ -32,9 +32,7 @@ from .channels import (
 )
 from .divergences import PureBipartiteState
 from .superchannels import (
-    GeneralizedRepMap,
     Superchannel,
-    TpFixedMap,
     apply_super,
     choi_witness,
     generalized_rep,
@@ -50,18 +48,12 @@ class Quadrature(NamedTuple):
 
 @dataclass(frozen=True)
 class RecoveryMap:
-    """A recovery construction together with the map it reverses."""
+    """A recovery channel and the parameters it was built with."""
 
     kind: str
-    channel: Channel
     rec: Channel
-    sigma: Optional[np.ndarray] = None
-    support_projector: Optional[np.ndarray] = None
-    xi: Optional[np.ndarray] = None
     t_param: float = 0.0
     quadrature: Optional[Quadrature] = None
-    nodes_t: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -69,11 +61,9 @@ class RecoverySupermap:
     """Channel-level recovery: exact on the anchor, reported elsewhere."""
 
     theta: Superchannel
-    m_anchor: Channel
     psi: PureBipartiteState
     phi: PureBipartiteState
     inner_recovery: RecoveryMap
-    rep_fix: TpFixedMap
     anchor_residual: float
 
 
@@ -108,9 +98,8 @@ def _imaginary_power(p, t):
 
 def petz(sigma, n):
     """Petz map of (sigma, n): CP, trace nonincreasing, recovers sigma."""
-    sigma, nsig, base = _petz_ingredients(sigma, n)
-    rec = channel_from_kraus(base)
-    return RecoveryMap("petz", n, rec, sigma, support_projector(nsig))
+    _, _, base = _petz_ingredients(sigma, n)
+    return RecoveryMap("petz", channel_from_kraus(base))
 
 
 def rotated_petz(sigma, n, t):
@@ -119,7 +108,7 @@ def rotated_petz(sigma, n, t):
     u = _imaginary_power(sigma, -t)
     w = _imaginary_power(nsig, t)
     rec = channel_from_kraus([u @ b @ w for b in base])
-    return RecoveryMap("rotated", n, rec, sigma, support_projector(nsig), t_param=float(t))
+    return RecoveryMap("rotated", rec, float(t))
 
 
 def quadrature_weights(quad):
@@ -164,17 +153,15 @@ def universal_recovery(sigma, n, quad=Quadrature(), xi=None):
     rotated = np.einsum("ip,jpq,iq->ijpq", left, core, right)
     kraus_nodes = np.einsum("xp,ijpq,yq->ijxy", sv, rotated, mv.conj())
     choi4 = np.einsum("i,ijxy,ijuv->yxvu", ws, kraus_nodes, kraus_nodes.conj())
-    pi = support_projector(nsig)
+    pi = _projector_from_spectrum(mw, mv, SUPPORT_CUTOFF)
     choi = choi4.reshape(dy * dx, dy * dx) + np.kron((np.eye(dy) - pi).T, xi)
     choi = (choi + dagger(choi)) / 2
     rec = channel_from_choi(choi, dy, dx)
-    return RecoveryMap("universal", n, rec, sigma, pi, xi, 0.0, quad, ts, ws)
+    return RecoveryMap("universal", rec, 0.0, quad)
 
 
 def tilde_recovery(t_frak, xi=None):
     """Adjoint-based recovery X -> T*(X) + (tr X - tr T*(X)) xi; always TP."""
-    if isinstance(t_frak, GeneralizedRepMap):
-        t_frak = t_frak.t_frak
     dx = t_frak.dim_in
     if xi is None:
         xi = np.eye(dx) / dx
@@ -183,7 +170,7 @@ def tilde_recovery(t_frak, xi=None):
         if xi.shape != (dx, dx):
             raise ValueError("xi must live on the recovery output space")
     rec = tp_fixed_channel(adjoint(t_frak), xi)
-    return RecoveryMap("tilde", t_frak, rec, xi=xi)
+    return RecoveryMap("tilde", rec)
 
 
 def recovery_supermap(theta, m, psi, phi, quad=Quadrature()):
@@ -198,18 +185,16 @@ def recovery_supermap(theta, m, psi, phi, quad=Quadrature()):
         raise ValueError("anchor dimensions do not match the superchannel input slot")
     if not is_cptp(m):
         raise ValueError("anchor channel must be CPTP")
-    g = generalized_rep(theta, psi, phi)
-    fix = tp_fix_map(g.t_frak)
+    fix = tp_fix_map(generalized_rep(theta, psi, phi))
     if not fix.is_cptp:
         raise ValueError("no trace-preserving completion found for the representing map")
-    t_prime = tp_fixed_channel(g.t_frak, fix.sigma0)
     anchor_state = choi_witness(m, psi)
     anchor_state = (anchor_state + dagger(anchor_state)) / 2
-    inner = universal_recovery(anchor_state, t_prime, quad)
-    out = RecoverySupermap(theta, m, psi, phi, inner, fix, np.nan)
+    inner = universal_recovery(anchor_state, fix.channel, quad)
+    out = RecoverySupermap(theta, psi, phi, inner, np.nan)
     recovered = recover_channel(out, apply_super(theta, m))
     residual = trace_norm(recovered.choi - m.choi)
-    return RecoverySupermap(theta, m, psi, phi, inner, fix, float(residual))
+    return RecoverySupermap(theta, psi, phi, inner, float(residual))
 
 
 def recover_channel(rsm, n_tilde):

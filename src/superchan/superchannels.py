@@ -14,7 +14,6 @@ import numpy as np
 from .channels import (
     Channel,
     Flag,
-    adjoint,
     apply,
     apply_adjoint,
     channel_from_choi,
@@ -26,7 +25,6 @@ from .channels import (
     is_cptp,
     tensor_channels,
 )
-from .divergences import PureBipartiteState
 from .linalg import (
     SUPPORT_CUTOFF,
     dagger,
@@ -61,36 +59,25 @@ class Superchannel:
     flags: SuperFlags = SuperFlags(Flag("unverified", np.nan), Flag("unverified", np.nan))
 
 
-@dataclass(frozen=True)
-class TpFixedMap:
+class TpFixedMap(NamedTuple):
     """Trace-preserving completion T'(X) = T(X) + (tr X - tr T(X)) sigma0."""
 
-    base: Channel
     sigma0: np.ndarray
-    choi_min_eig: float
-    is_cptp: bool
+    channel: Channel
 
+    @property
+    def choi_min_eig(self):
+        return self.channel.flags.cp.certificate
 
-class SctVerdict(NamedTuple):
-    status: str
-    fix: TpFixedMap
+    @property
+    def is_cptp(self):
+        return self.channel.flags.cp.status == "yes"
 
 
 class RSubReport(NamedTuple):
     verdict: bool
     min_eig: float
     is_r_preserving: bool
-    residual: float
-
-
-@dataclass(frozen=True)
-class GeneralizedRepMap:
-    """Representing map conjugated into normalized-Choi coordinates."""
-
-    psi: PureBipartiteState
-    phi: PureBipartiteState
-    t_frak: Channel
-    t_frak_adjoint: Channel
 
 
 def certify_tp_preserving(rep, dims):
@@ -156,10 +143,6 @@ def apply_super_dilation(theta, n):
     return compose(post, compose(tensor_channels(n, identity_channel(r)), pre))
 
 
-def representing_adjoint(theta):
-    return adjoint(theta.rep)
-
-
 def tp_fixed_channel(base, sigma0):
     """The completion T' as a Channel; its Choi adds (1 - T*(1))^t (x) sigma0."""
     g = apply_adjoint(base, np.eye(base.dim_out))
@@ -199,8 +182,7 @@ def tp_fix_map(base, sigma0=None):
         sigma0 = np.asarray(sigma0, dtype=complex)
         if abs(np.trace(sigma0) - 1.0) > 1e-8:
             raise ValueError("sigma0 must have unit trace")
-        fixed = tp_fixed_channel(base, sigma0)
-        return TpFixedMap(base, sigma0, fixed.flags.cp.certificate, fixed.flags.cp.status == "yes")
+        return TpFixedMap(sigma0, tp_fixed_channel(base, sigma0))
 
     din, dout = base.dim_in, base.dim_out
     g_tilde = apply_adjoint(base, np.eye(dout)).T - np.eye(din)
@@ -208,8 +190,7 @@ def tp_fix_map(base, sigma0=None):
     if psd_check(-g_tilde).is_psd:
         # Trace-nonincreasing base: any PSD sigma0 works, take maximally mixed.
         sigma0 = np.eye(dout) / dout
-        fixed = tp_fixed_channel(base, sigma0)
-        return TpFixedMap(base, sigma0, fixed.flags.cp.certificate, fixed.flags.cp.status == "yes")
+        return TpFixedMap(sigma0, tp_fixed_channel(base, sigma0))
 
     w, v = herm_eig(g_tilde)
     scale = np.where(np.abs(w) > SUPPORT_CUTOFF, 1.0 / np.sqrt(np.abs(w)), 1.0)
@@ -225,10 +206,9 @@ def tp_fix_map(base, sigma0=None):
             break
         count += 1
         cand = (basis * lam) @ dagger(basis)
-        fixed = tp_fixed_channel(base, cand)
-        min_eig = fixed.flags.cp.certificate
-        if best is None or min_eig > best.choi_min_eig:
-            best = TpFixedMap(base, cand, min_eig, fixed.flags.cp.status == "yes")
+        fix = TpFixedMap(cand, tp_fixed_channel(base, cand))
+        if best is None or fix.choi_min_eig > best.choi_min_eig:
+            best = fix
         if best.is_cptp:
             break
     return best
@@ -240,24 +220,12 @@ def tp_fix(theta, sigma0=None):
     return tp_fix_map(theta.rep, sigma0)
 
 
-def tp_fix_adjoint(t):
-    """Adjoint of the completion; equals T* + tr(. sigma0)(1 - T*(1))."""
-    return adjoint(tp_fixed_channel(t.base, t.sigma0))
-
-
-def sct_membership(theta):
-    """Bounded-search verdict: "member" on success, else "undecided"."""
-    fix = tp_fix(theta)
-    return SctVerdict("member" if fix.is_cptp else "undecided", fix)
-
-
 def is_r_subpreserving(theta):
     """PSD check of the Choi of (depolarize_CD - Theta(depolarize_AB))."""
     a, b, c, d = theta.dims
     diff = np.eye(c * d) - apply(theta.rep, np.eye(a * b))
     chk = psd_check(diff)
-    residual = float(np.linalg.norm(diff))
-    return RSubReport(chk.is_psd, chk.min_eig, residual <= 1e-8, residual)
+    return RSubReport(chk.is_psd, chk.min_eig, float(np.linalg.norm(diff)) <= 1e-8)
 
 
 def random_isometry_super(probs, isometries_pre, isometries_post):
@@ -292,15 +260,12 @@ def generalized_rep(theta, psi, phi):
         raise ValueError("witnesses must have full-rank marginals")
     t_psi_inv = channel_from_kraus([np.kron(np.linalg.inv(psi.a_psi), np.eye(b))])
     t_phi = channel_from_kraus([np.kron(phi.a_psi, np.eye(d))])
-    t_frak = compose(t_phi, compose(theta.rep, t_psi_inv))
-    return GeneralizedRepMap(psi, phi, t_frak, adjoint(t_frak))
+    return compose(t_phi, compose(theta.rep, t_psi_inv))
 
 
-def alpha_norm(g):
-    """Operator norm of t_frak_adjoint applied to the identity."""
-    cd = g.t_frak.dim_out
-    w = apply_adjoint(g.t_frak, np.eye(cd))
-    return float(np.linalg.norm(w, ord=2))
+def alpha_norm(f):
+    """alpha = ||F*(1)||, the operator norm of the adjoint map on the identity."""
+    return float(np.linalg.norm(apply_adjoint(f, np.eye(f.dim_out)), ord=2))
 
 
 def choi_witness(n, psi):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchan import channels, linalg
+from superchan import channels, divergences as dv, linalg, recovery as rc, superchannels as sc
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -260,8 +260,44 @@ def test_channel_from_choi_matches_separate_certify_and_kraus(dims, cp, seed):
         assert ch.kraus is None
 
 
-def test_channel_from_choi_decomposes_the_choi_once(monkeypatch):
+def _from_choi():
     choi = channels.random_channel(2, 3, 2, seed=5).choi
+    return lambda: channels.channel_from_choi(choi, 2, 3)
+
+
+def _from_kraus():
+    kraus = channels.random_channel(2, 2, 2, seed=5).kraus
+    return lambda: channels.channel_from_kraus(kraus)
+
+
+def _generalized_rep():
+    pre = channels.random_channel(2, 2, 2, seed=6)
+    post = channels.random_channel(2, 2, 2, seed=7)
+    theta = sc.super_from_dilation(pre, post)
+    mes = dv.maximally_entangled(2)
+    return lambda: sc.generalized_rep(theta, mes, mes)
+
+
+def _petz():
+    n = channels.random_channel(2, 2, 2, seed=8)
+    sigma = np.diag([0.3, 0.7]).astype(complex)
+    return lambda: rc.petz(sigma, n)
+
+
+# One decomposition per built channel's Choi: generalized_rep builds two
+# witness maps and two compositions; petz first decomposes sigma (PSD gate,
+# square root) and n(sigma) (inverse square root).
+@pytest.mark.parametrize(
+    "build, shapes",
+    [
+        pytest.param(_from_choi, [(6, 6)], id="channel_from_choi"),
+        pytest.param(_from_kraus, [(4, 4)], id="channel_from_kraus"),
+        pytest.param(_generalized_rep, [(16, 16)] * 4, id="generalized_rep"),
+        pytest.param(_petz, [(2, 2), (2, 2), (2, 2), (4, 4)], id="petz"),
+    ],
+)
+def test_channel_from_choi_decomposes_the_choi_once(monkeypatch, build, shapes):
+    run = build()
     calls = []
     eigh = np.linalg.eigh
 
@@ -270,9 +306,8 @@ def test_channel_from_choi_decomposes_the_choi_once(monkeypatch):
         return eigh(x)
 
     monkeypatch.setattr(linalg.np.linalg, "eigh", counting)
-    channels.channel_from_choi(choi, 2, 3)
-    # The Choi once, then 1 - tr_in(Choi) for the subunital flag.
-    assert calls == [(6, 6), (3, 3)]
+    run()
+    assert calls == shapes
 
 
 def test_tensor_choi_reshuffle():

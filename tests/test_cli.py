@@ -68,6 +68,27 @@ def test_entropy_thermal_reference_method(tmp_path):
     assert np.isfinite(blob["value"])
 
 
+def _nan_kraus(obj):
+    obj["kraus"][0]["data"][0] = [float("nan"), 0.0]
+
+
+def _as_choi(normalized):
+    def edit(obj):
+        choi = channels.identity_channel(2).choi
+        obj.clear()
+        obj.update(dim_in=2, dim_out=2, choi=linalg.matrix_to_json(choi), normalized=normalized)
+
+    return edit
+
+
+def _thermal(beta):
+    def edit(obj):
+        h = linalg.matrix_to_json(np.diag([0.0, 1.0]).astype(complex))
+        obj["thermal"] = {"hamiltonian": h, "beta": beta}
+
+    return edit
+
+
 def test_entropy_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -78,14 +99,29 @@ def test_entropy_exit_codes(tmp_path):
         {"dim_in": 2, "dim_out": 2, "choi": linalg.matrix_to_json(0.25 * np.eye(4)), "normalized": False},
     )
     assert cli.main(["entropy", sub]) == 3
-
-
-def test_entropy_non_finite_channel_is_usage_error(tmp_path, capsys):
     obj = channels.channel_to_json(channels.identity_channel(2))
-    obj["kraus"][0]["data"][0] = [float("nan"), 0.0]
-    path = write_json(tmp_path, "nan.json", obj)
+    _thermal(-0.5)(obj)
+    assert cli.main(["entropy", write_json(tmp_path, "neg.json", obj)]) == 3
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        pytest.param(_nan_kraus, "non-finite", id="kraus-nan"),
+        pytest.param(_as_choi("false"), "'normalized'", id="normalized-string"),
+        pytest.param(_as_choi(0), "'normalized'", id="normalized-int"),
+        pytest.param(_thermal("NaN"), "'beta'", id="beta-string"),
+        pytest.param(_thermal(float("nan")), "'beta'", id="beta-nan"),
+        pytest.param(_thermal(float("inf")), "'beta'", id="beta-inf"),
+        pytest.param(_thermal(True), "'beta'", id="beta-bool"),
+    ],
+)
+def test_entropy_non_finite_channel_is_usage_error(tmp_path, capsys, edit, named):
+    obj = channels.channel_to_json(channels.identity_channel(2))
+    edit(obj)
+    path = write_json(tmp_path, "bad.json", obj)
     assert cli.main(["entropy", path]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_divergence_value_replays_from_witness(tmp_path):

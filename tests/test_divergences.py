@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,6 +193,17 @@ def test_divergence_telecov_fast_path():
     closed = dv.rel_entropy(n.normalized_choi, m.normalized_choi)
     assert abs(res.value - closed) < 1e-12
     assert not res.is_lower_bound
+
+
+def test_divergence_telecov_fast_path_needs_equal_groups():
+    spec = channels.weyl_heisenberg_spec(2)
+    scaled = channels.TeleCovariantSpec(
+        tuple((1 + 1e-9) * u for u in spec.reps_in), tuple((1 + 1e-9) * v for v in spec.reps_out)
+    )
+    n = channels.telecov_channel(spec, dephasing(0.1))
+    m = dataclasses.replace(channels.telecov_channel(spec, dephasing(0.3)), telecov=scaled)
+    res = dv.channel_divergence(n, m, dv.OptimizerOpts(restarts=1, max_evals=50))
+    assert res.is_lower_bound
 
 
 def test_divergence_errors():
