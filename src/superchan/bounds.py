@@ -2,9 +2,11 @@
 
 Each check compares two numerically estimated sides of a proven inequality and
 returns a VerificationRecord carrying the slack plus enough context (seed,
-witnesses, parameters) to replay it.  Optimized quantities guard against
-spurious violations by evaluating each side's best witness on the other side
-as a feasible point before comparing.
+witnesses, parameters) to replay it.  Entropies are certified intervals, and
+a check reads the end of each that cannot make it pass spuriously; its record
+names the ends read.  One-sided divergence searches guard against spurious
+violations by evaluating each side's best witness on the other side as a
+feasible point before comparing.
 """
 
 from dataclasses import dataclass
@@ -87,10 +89,14 @@ class VerificationRecord:
 
 @dataclass(frozen=True)
 class EntropyGainReport:
-    """Channel-entropy gain under a supermap against its remainder bound."""
+    """Channel-entropy gain under a supermap against its remainder bound.
 
-    entropy_before: float
-    entropy_after: float
+    The entropies are (lower, upper) intervals; slack reads the lower end of
+    the gain, entropy_after[0] - entropy_before[1].
+    """
+
+    entropy_before: tuple
+    entropy_after: tuple
     alpha: float
     rho_alpha_term: float
     delta_prime: float
@@ -199,6 +205,11 @@ def _state_witnesses(*results):
     return tuple(out)
 
 
+def _interval(res):
+    """[lower, upper] of a result, JSON-safe: a one-sided end becomes None."""
+    return [float(x) if np.isfinite(x) else None for x in (res.value, res.upper)]
+
+
 def _witness_json(**states):
     out = {}
     for name, psi in states.items():
@@ -213,19 +224,6 @@ def _alpha_remainder(f, rho):
     pushed = _hermitian(apply_adjoint(f, apply(f, rho)))
     ref = mat_pow_psd(pushed, alpha) / alpha**alpha
     return alpha, ref, rel_entropy(rho, ref)
-
-
-def _entropy_pair(n, tn, opts, share):
-    """S[N] and S[Theta(N)], each tightened with the other's best witness.
-
-    The witnesses are shared only when share holds (equal input slots): before,
-    then after seeded with before's witness, then before again with after's.
-    """
-    before = channel_entropy(n, opts)
-    after = channel_entropy(tn, opts, witnesses=_state_witnesses(before) if share else ())
-    if share:
-        before = channel_entropy(n, opts, witnesses=_state_witnesses(after))
-    return before, after
 
 
 def _divergence_pair(n, m, tn, tm, opts, share):
@@ -297,8 +295,8 @@ def verify_entropy_gain_remainder(theta, n, opts=OptimizerOpts(), psi=None, phi=
         # Exact zeros: the identity supermap leaves every quantity unchanged.
         before = channel_entropy(n, opts)
         return EntropyGainReport(
-            entropy_before=before.value,
-            entropy_after=before.value,
+            entropy_before=(before.value, before.upper),
+            entropy_after=(before.value, before.upper),
             alpha=1.0,
             rho_alpha_term=0.0,
             delta_prime=0.0,
@@ -308,7 +306,7 @@ def verify_entropy_gain_remainder(theta, n, opts=OptimizerOpts(), psi=None, phi=
             witness_full_rank=True,
         )
 
-    before, after = _entropy_pair(n, apply_super(theta, n), opts, a == c)
+    before, after = channel_entropy(n, opts), channel_entropy(apply_super(theta, n), opts)
 
     psi0 = psi if psi is not None else before.optimizer_state
     phi0 = phi if phi is not None else after.optimizer_state
@@ -325,10 +323,10 @@ def verify_entropy_gain_remainder(theta, n, opts=OptimizerOpts(), psi=None, phi=
             [mat_sqrt_psd(psi0.marginal_ref) @ mat_inv_sqrt_psd(phi0.marginal_ref)]
         )
         gamma_term = _alpha_remainder(connect, phi0.marginal_ref)[2]
-    slack = (after.value - before.value) - (rho_alpha_term + delta_prime)
+    slack = (after.value - before.upper) - (rho_alpha_term + delta_prime)
     return EntropyGainReport(
-        entropy_before=before.value,
-        entropy_after=after.value,
+        entropy_before=(before.value, before.upper),
+        entropy_after=(after.value, after.upper),
         alpha=alpha,
         rho_alpha_term=rho_alpha_term,
         delta_prime=delta_prime,
@@ -416,8 +414,8 @@ def verify_refined_dpi(
 def verify_entropy_gain_rsub(theta, n, opts=OptimizerOpts(), tolerance=INEQ_TOL):
     """Channel entropy never decreases under a depolarize-subpreserving supermap.
 
-    slack = S[Theta(N)] - S[N].  Both entropy estimates are tightened with the
-    other side's witness whenever the input slots have equal dimension.
+    slack = S[Theta(N)] - S[N], read from the lower end of S[Theta(N)] and
+    the upper end of S[N].
     """
     _require_superchannel(theta)
     _require_input_slot(theta, n)
@@ -427,16 +425,19 @@ def verify_entropy_gain_rsub(theta, n, opts=OptimizerOpts(), tolerance=INEQ_TOL)
             f"supermap does not subpreserve the depolarizing map: "
             f"min eigenvalue {report.min_eig:.3e}"
         )
-    a, _, c, _ = theta.dims
-    before, after = _entropy_pair(n, apply_super(theta, n), opts, a == c)
+    before, after = channel_entropy(n, opts), channel_entropy(apply_super(theta, n), opts)
     params = {
         "dims": list(theta.dims),
         "r_preserving": bool(report.is_r_preserving),
         "diff_min_eig": float(report.min_eig),
+        "before": _interval(before),
+        "after": _interval(after),
+        "lhs_end": "lower",
+        "rhs_end": "upper",
     }
     wit = _witness_json(before=before.optimizer_state, after=after.optimizer_state)
     return _record(
-        "entropy-nondecrease", after.value, before.value, tolerance, opts.seed, params, wit
+        "entropy-nondecrease", after.value, before.upper, tolerance, opts.seed, params, wit
     )
 
 
@@ -553,35 +554,37 @@ def verify_entropy_additivity(n, m, opts=None, tolerance=None):
 
     The record encodes |S[N (x) M] - S[N] - S[M]| <= tolerance through
     lhs = 0 and rhs = residual.  Covariance-tagged pairs use the closed form
-    at tolerance 1e-8; otherwise both directions rest on optimized estimates
-    with a product-witness feasible point, at the looser default tolerance.
+    at tolerance 1e-8; otherwise the entropies are certified intervals, the
+    residual is the worst corner of the three, and the tolerance is the
+    looser default.  params holds each entropy as [lower, upper].
     """
     joint = tensor_channels(n, m)
     if n.telecov is not None and m.telecov is not None and joint.telecov is not None:
-        s_n, s_m = channel_entropy_telecov(n), channel_entropy_telecov(m)
-        s_joint = channel_entropy_telecov(joint)
+        s_n, s_m = [channel_entropy_telecov(n)] * 2, [channel_entropy_telecov(m)] * 2
+        s_joint = [channel_entropy_telecov(joint)] * 2
         tol = EXACT_TOL if tolerance is None else tolerance
         path, seed = "telecov", 0
         wit = {}
     else:
         o = OptimizerOpts() if opts is None else opts
-        r_n, r_m = channel_entropy(n, o), channel_entropy(m, o)
-        inject = ()
-        if r_n.optimizer_state is not None and r_m.optimizer_state is not None:
-            inject = (
-                pure_bipartite(np.kron(r_n.optimizer_state.a_psi, r_m.optimizer_state.a_psi)),
-            )
-        r_joint = channel_entropy(joint, o, witnesses=inject)
-        s_n, s_m, s_joint = r_n.value, r_m.value, r_joint.value
+        r_n, r_m, r_joint = channel_entropy(n, o), channel_entropy(m, o), channel_entropy(joint, o)
+        s_n, s_m, s_joint = _interval(r_n), _interval(r_m), _interval(r_joint)
         tol = INEQ_TOL if tolerance is None else tolerance
         path, seed = "optimized", o.seed
         wit = _witness_json(
             left=r_n.optimizer_state, right=r_m.optimizer_state, joint=r_joint.optimizer_state
         )
-    params = {"path": path, "joint": float(s_joint), "left": float(s_n), "right": float(s_m)}
-    return _record(
-        "entropy-additivity", 0.0, abs(s_joint - s_n - s_m), tol, seed, params, wit
+    residual = max(
+        abs(s_joint[1] - s_n[0] - s_m[0]), abs(s_joint[0] - s_n[1] - s_m[1])
     )
+    params = {
+        "path": path,
+        "joint": s_joint,
+        "left": s_n,
+        "right": s_m,
+        "rhs_end": "worst corner",
+    }
+    return _record("entropy-additivity", 0.0, residual, tol, seed, params, wit)
 
 
 def verify_telecov_entropy_gain(theta, n, tolerance=INEQ_TOL, xi=None, opts=None):
@@ -638,8 +641,9 @@ def verify_telecov_entropy_gain(theta, n, tolerance=INEQ_TOL, xi=None, opts=None
     if s_before is None or s_after is None:
         o = OptimizerOpts() if opts is None else opts
         seed = o.seed
-        before, after = _entropy_pair(n, tn, o, a == c)
-        s_before, s_after = before.value, after.value
+        before, after = channel_entropy(n, o), channel_entropy(tn, o)
+        # The lower end of the gain: lower S[Theta(N)] against upper S[N].
+        s_before, s_after = before.upper, after.value
         params["path"] = "optimized"
     else:
         params["path"] = "telecov"

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -21,6 +22,7 @@ import numpy as np
 from .bounds import (
     INEQ_TOL,
     VerificationRecord,
+    _interval,
     _record,
     depolarizing_supermap,
     entropy_gain_positive_map,
@@ -54,7 +56,6 @@ from .divergences import (
     channel_entropy_beta,
     channel_entropy_telecov,
     maximally_entangled,
-    pure_bipartite,
 )
 from .linalg import (
     check_density,
@@ -77,6 +78,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 SUITES = (
     "dpi",
@@ -268,14 +270,17 @@ def cmd_entropy(args, cfg):
         res = channel_entropy_beta(n, thermal, _opts(cfg, cfg.seed))
         payload = {
             "value": _scalar(res.value),
+            "upper": _scalar(res.upper),
             "method": "beta",
             "witness": matrix_to_json(res.optimizer_state.a_psi),
         }
     else:
         tagged = _with_telecov(n)
         if tagged.telecov is not None:
+            value = _scalar(channel_entropy_telecov(tagged))
             payload = {
-                "value": _scalar(channel_entropy_telecov(tagged)),
+                "value": value,
+                "upper": value,
                 "method": "telecov",
                 "witness": matrix_to_json(maximally_entangled(n.dim_in).a_psi),
             }
@@ -283,6 +288,7 @@ def cmd_entropy(args, cfg):
             res = channel_entropy(n, _opts(cfg, cfg.seed))
             payload = {
                 "value": _scalar(res.value),
+                "upper": _scalar(res.upper),
                 "method": "opt",
                 "witness": matrix_to_json(res.optimizer_state.a_psi),
             }
@@ -301,6 +307,7 @@ def cmd_divergence(args, cfg):
     res = channel_divergence(n, m, _opts(cfg, cfg.seed))
     payload = {
         "value": _scalar(res.value),
+        "upper": _scalar(res.upper),
         "witness": matrix_to_json(res.optimizer_state.a_psi),
     }
     _emit(_dump_json(payload), args.out or cfg.output_path)
@@ -416,6 +423,9 @@ def _suite_entropy_gain_super(index, seed, cfg):
     rep = verify_entropy_gain_remainder(theta, n, _opts(cfg, ts), psi=mes, phi=mes)
     params = {
         "trial": index,
+        "entropy_before": [_scalar(x) for x in rep.entropy_before],
+        "entropy_after": [_scalar(x) for x in rep.entropy_after],
+        "lhs_end": "lower",
         "alpha": _scalar(rep.alpha),
         "delta_prime": _scalar(rep.delta_prime),
         "gamma_term": None if rep.gamma_term is None else _scalar(rep.gamma_term),
@@ -423,7 +433,7 @@ def _suite_entropy_gain_super(index, seed, cfg):
     }
     return _record(
         "entropy-gain-super",
-        rep.entropy_after - rep.entropy_before,
+        rep.entropy_after[0] - rep.entropy_before[1],
         rep.rho_alpha_term + rep.delta_prime,
         cfg.ineq_tol,
         ts,
@@ -513,22 +523,26 @@ def _suite_super_div(index, seed, cfg):
     opts = _opts(cfg, ts)
     base = channel_divergence(n0, depolarizing_r(2, 2), opts)
     witness = random_channel(4, 4, 2, (seed, index, 5))
-    product = pure_bipartite(
-        np.kron(maximally_entangled(2).a_psi, base.optimizer_state.a_psi)
-    )
-    value = channel_divergence(
+    heavy = channel_divergence(
         apply_super(extend_super_with_identity(theta, 2), witness),
         apply_super(extend_super_with_identity(gamma, 2), witness),
         opts,
-        witnesses=(product,),
-    ).value
+    )
+    params = {
+        "trial": index,
+        "ref_dim": 2,
+        "divergence": _interval(heavy),
+        "base_divergence": _interval(base),
+        "lhs_end": "lower",
+        "rhs_end": "upper",
+    }
     return _record(
         "super-div-lb",
-        value,
-        base.value - 1.0,
+        heavy.value,
+        base.upper - 1.0,
         cfg.ineq_tol,
         ts,
-        {"trial": index, "ref_dim": 2, "base_divergence": _scalar(base.value)},
+        params,
         {"witness": channel_to_json(witness)},
     )
 
@@ -684,6 +698,11 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        # Any other exception is a defect in the program, not a failed check.
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,20 +1,30 @@
 """Entropic functionals: relative entropy, channel divergence, channel entropy.
 
-All logarithms are base 2.  Channel divergences are estimated by restarted
-derivative-free ascent over pure bipartite inputs with reference dimension
-equal to the channel input dimension; replacer pairs and channels sharing a
-tele-covariance group get exact closed forms instead.
+All logarithms are base 2.  A channel divergence D[N||M] is returned as an
+interval [value, upper] with a witness that attains `value`:
+
+- replacer pairs and channels sharing a tele-covariance group get exact
+  closed forms (value == upper);
+- conditional-replacer references, M(X) = tr_B N(X) (x) gamma, which include
+  the depolarizing map behind the channel entropy and the thermal map, get a
+  certified concave ascent: D is then a concave function of the input state,
+  maximized by Blahut-Arimoto mirror steps and bounded above by the
+  Frank-Wolfe duality gap (upper - value <= ASCENT_GAP, up to rounding);
+- every other pair gets a restarted derivative-free search over pure
+  bipartite inputs with reference dimension equal to the channel input
+  dimension, a one-sided lower bound (upper = +inf).
 """
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .channels import (
     COVARIANCE_TOL,
+    _kraus_from_spectrum,
     channel_from_choi,
     covariance_residual,
     is_cptp,
@@ -34,6 +44,11 @@ LEAK_TOL = 1e-8
 RANK_CUTOFF = 1e-6
 STEP_INIT = 0.1
 REPLACER_TOL = 1e-10
+# The certified ascent stops once its Frank-Wolfe gap, in bits, is this small,
+# or after ASCENT_MAX_ITERS unit mirror steps; the interval is sound either way.
+ASCENT_GAP = 1e-10
+ASCENT_MAX_ITERS = 5000
+TINY = np.finfo(float).tiny
 # Finite stand-in for +inf inside the simplex search; exact values are
 # recomputed at the final witness.
 CAP = 1e9
@@ -77,7 +92,18 @@ class OptimizerOpts:
 
 @dataclass(frozen=True)
 class DivergenceResult:
+    """The interval [value, upper] holding the quantity; value is its lower end.
+
+    For a divergence, value is the objective at optimizer_state, and upper is
+    +inf when the search is one-sided.  The certified path evaluates the
+    objective without rel_entropy's support cutoff, so divergence_at at its
+    witness agrees to rounding while no eigenvalue of the reference state
+    falls below SUPPORT_CUTOFF.  An entropy negates the interval: its value is
+    -upper of the divergence, and its upper end is the value at the witness.
+    """
+
     value: float
+    upper: float
     optimizer_state: Optional[PureBipartiteState]
     restarts_used: int
     per_restart_values: tuple
@@ -119,6 +145,16 @@ def _psd_eig(x, name):
     return w, v
 
 
+def _sum_xlogx(w):
+    """sum of w log2 w over the positive eigenvalues w, with 0 log 0 = 0.
+
+    No cutoff: dropping small positive eigenvalues would drop negative terms
+    and bias a divergence upward.
+    """
+    on = w > 0
+    return float(np.sum(w[on] * np.log2(w[on])))
+
+
 def rel_entropy(rho, sigma):
     """Quantum relative entropy D(rho||sigma) in bits, +inf on support leakage."""
     rho = np.asarray(rho, dtype=complex)
@@ -133,8 +169,7 @@ def rel_entropy(rho, sigma):
     leak = np.trace(rho @ (np.eye(rho.shape[0]) - proj)).real
     if leak > LEAK_TOL:
         return np.inf
-    on = w > SUPPORT_CUTOFF
-    first = float(np.sum(w[on] * np.log2(w[on])))
+    first = _sum_xlogx(w)
     second = float(np.trace(rho @ _fn_from_spectrum(mu, u, "log2", SUPPORT_CUTOFF)).real)
     return first - second
 
@@ -143,8 +178,7 @@ def vn_entropy(rho):
     """von Neumann entropy -tr(rho log2 rho) of a PSD operator, in bits."""
     rho = np.asarray(rho, dtype=complex)
     w, _ = _psd_eig(rho, "operator")
-    on = w > SUPPORT_CUTOFF
-    return float(-np.sum(w[on] * np.log2(w[on])))
+    return -_sum_xlogx(w)
 
 
 def apply_extended(n, psi_density, dim_ref):
@@ -193,6 +227,7 @@ def _same_telecov(n, m):
 def _closed_form_result(value, dim):
     return DivergenceResult(
         value=value,
+        upper=value,
         optimizer_state=maximally_entangled(dim),
         restarts_used=0,
         per_restart_values=(value,),
@@ -210,11 +245,124 @@ def _params_to_state(x, dim):
     return pure_bipartite(a / nrm)
 
 
-def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
-    """Channel relative entropy D[N||M] as a restarted-optimization estimate.
+def _conditional_replacer(n, m):
+    """(b, herm_eig(gamma)) when M(X) = tr_B N(X) (x) gamma, else None.
 
-    Extra pure bipartite states in `witnesses` are evaluated alongside the
-    restarts, so the returned value dominates every supplied feasible point.
+    The output of N splits as R' (x) B with dim_out = r' * b and b > 1; r' = 1
+    is tried first.  gamma = tr_{A R'} Choi_M / dim_in must have full rank.
+    """
+    din, dout = n.dim_in, n.dim_out
+    for b in range(dout, 1, -1):
+        if dout % b:
+            continue
+        head = din * dout // b
+        gamma = partial_trace(m.choi, (head, b), "second") / din
+        marginal = partial_trace(n.choi, (head, b), "first")
+        if np.linalg.norm(m.choi - np.kron(marginal, gamma)) > REPLACER_TOL:
+            continue
+        w, v = herm_eig(gamma)
+        if w[0] > SUPPORT_CUTOFF:
+            return b, w, v
+    return None
+
+
+class _BlockMap(NamedTuple):
+    """The CP map x -> sum_q B_q x B_q^dagger of a stack of blocks B_q."""
+
+    blocks: np.ndarray
+    daggers: np.ndarray
+
+    @classmethod
+    def of(cls, blocks):
+        return cls(blocks, blocks.conj().swapaxes(-1, -2))
+
+    def apply(self, x):
+        return (self.blocks @ x @ self.daggers).sum(axis=0)
+
+    def adjoint(self, y):
+        return (self.daggers @ y @ self.blocks).sum(axis=0)
+
+
+def _ln_and_entropy(x):
+    """(ln x, von Neumann entropy in bits) of an operator PSD by construction.
+
+    The log floors eigenvalues at the smallest normal float so that it stays
+    finite; the entropy has no cutoff.
+    """
+    w, v = np.linalg.eigh((x + dagger(x)) / 2)
+    ln_x = (v * np.log(np.maximum(w, TINY))) @ dagger(v)
+    return ln_x, -_sum_xlogx(w)
+
+
+def _certified_divergence(n, b, gamma_w, gamma_v):
+    """D[N||M] for M(X) = tr_B N(X) (x) gamma, as a certified interval.
+
+    With the Stinespring isometry V of N into R' (x) B (x) E and
+    tau = tr_R' V rho V^dagger, the divergence at input state rho is
+    f(rho) = H(B|E)_tau - tr N_B(rho) log2 gamma, concave in rho by strong
+    subadditivity; D[N||M] = max_rho f.  The unit mirror step
+    rho <- exp(ln rho + grad)/Z, with grad the gradient of f in nats, is the
+    Blahut-Arimoto iteration: f is 1-smooth relative to the von Neumann
+    entropy, so every step raises f.  Concavity bounds the maximum by
+    f(rho) + lambda_max(grad) - tr rho grad at every iterate; the loop stops
+    on that gap, never on f, which flattens to rounding noise first.
+    """
+    din, dout = n.dim_in, n.dim_out
+    rp = dout // b
+    # Linearly independent Kraus operators keep N^c(rho) full rank.
+    kraus = np.array(_kraus_from_spectrum(*herm_eig(n.choi), din, dout))
+    r = len(kraus)
+    # iso[p, c, k] = (<p| (x) <c|) K_k: one block per basis state of R'.
+    iso = kraus.reshape(r, rp, b, din).transpose(1, 2, 0, 3)
+    to_be = _BlockMap.of(iso.reshape(rp, b * r, din))
+    to_e = _BlockMap.of(iso.reshape(rp * b, r, din))
+    ln_gamma = (gamma_v * np.log(gamma_w)) @ dagger(gamma_v)
+    linear = to_be.adjoint(np.kron(ln_gamma, np.eye(r)))
+    # tau stays inside the support of T(1), of dimension at most din * r';
+    # compressed onto it, tau has full rank for every full-rank rho.
+    t_w, t_v = herm_eig(to_be.apply(np.eye(din)))
+    to_be = _BlockMap.of(dagger(t_v[:, t_w > SUPPORT_CUTOFF]) @ to_be.blocks)
+    eye = np.eye(din)
+
+    ln_rho = np.zeros((din, din), dtype=complex)  # up to a multiple of 1
+    for _ in range(ASCENT_MAX_ITERS):
+        h_w, h_v = np.linalg.eigh(ln_rho)
+        p = np.exp(h_w - h_w[-1])
+        p /= p.sum()
+        rho = (h_v * p) @ dagger(h_v)
+        ln_tau, s_tau = _ln_and_entropy(to_be.apply(rho))
+        ln_e, s_e = _ln_and_entropy(to_e.apply(rho))
+        grad = to_e.adjoint(ln_e) - to_be.adjoint(ln_tau) - linear
+        grad = (grad + dagger(grad)) / 2
+        top = np.linalg.eigvalsh(grad)[-1]
+        # Nonnegative in exact arithmetic: tr rho grad is an average of its spectrum.
+        gap = max(top - np.trace(rho @ grad).real, 0.0) / np.log(2)
+        if gap <= ASCENT_GAP:
+            break
+        ln_rho = ln_rho + grad - top * eye
+    f = s_tau - s_e - np.trace(rho @ linear).real / np.log(2)
+
+    # rho is the input marginal of the pure state with amplitude sqrt(rho)^T.
+    state = pure_bipartite(((h_v * np.sqrt(p)) @ dagger(h_v)).T)
+    return DivergenceResult(
+        value=float(f),
+        upper=float(f + gap),
+        optimizer_state=state,
+        restarts_used=0,
+        per_restart_values=(float(f),),
+        converged=bool(gap <= ASCENT_GAP),
+        is_lower_bound=False,
+    )
+
+
+def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
+    """Channel relative entropy D[N||M] as an interval [value, upper].
+
+    Closed forms and conditional-replacer references are exact or certified
+    (see the module docstring).  Other pairs get the restarted search, whose
+    value is a lower bound; extra pure bipartite states in `witnesses` are
+    evaluated alongside its restarts, so the value dominates every supplied
+    feasible point.
     """
     if (n.dim_in, n.dim_out) != (m.dim_in, m.dim_out):
         raise ValueError("channel dimensions do not match")
@@ -230,7 +378,14 @@ def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
         return _closed_form_result(
             rel_entropy(n.normalized_choi, m.normalized_choi), n.dim_in
         )
+    conditional = _conditional_replacer(n, m)
+    if conditional is not None:
+        return _certified_divergence(n, *conditional)
+    return _restarted_search(n, m, opts, witnesses)
 
+
+def _restarted_search(n, m, opts, witnesses=()):
+    """Nelder-Mead over pure bipartite amplitudes: a lower bound on D[N||M]."""
     dim = n.dim_in
     nparams = 2 * dim * dim
 
@@ -266,6 +421,7 @@ def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
 
     return DivergenceResult(
         value=best_val,
+        upper=np.inf,
         optimizer_state=best_state,
         restarts_used=opts.restarts,
         per_restart_values=tuple(per_restart),
@@ -275,22 +431,28 @@ def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
 
 
 def _negated(div):
-    """The entropy estimate -D[N||reference] from a divergence result."""
+    """The entropy interval [-upper, -value] from a divergence result."""
     return replace(
         div,
-        value=-div.value,
+        value=-div.upper,
+        upper=-div.value,
         per_restart_values=tuple(-v for v in div.per_restart_values),
     )
 
 
-def channel_entropy(n, opts=OptimizerOpts(), witnesses=()):
-    """Channel entropy, the negated divergence to the depolarizing map."""
+def channel_entropy(n, opts=OptimizerOpts()):
+    """Channel entropy, the negated divergence to the depolarizing map.
+
+    The depolarizing map is a conditional replacer, so the result is a
+    certified interval (or exact); opts reaches only the restarted search,
+    which this reference never takes.
+    """
     if not is_cptp(n):
         raise ValueError("channel must be certified CPTP")
     r = channel_from_choi(
         np.eye(n.dim_in * n.dim_out), n.dim_in, n.dim_out
     )
-    return _negated(channel_divergence(n, r, opts, witnesses=witnesses))
+    return _negated(channel_divergence(n, r, opts))
 
 
 def channel_entropy_telecov(n):
@@ -303,9 +465,13 @@ def channel_entropy_telecov(n):
     return vn_entropy(n.normalized_choi) - np.log2(n.dim_in)
 
 
-def channel_entropy_beta(n, thermal, opts=OptimizerOpts(), witnesses=()):
-    """Entropy against the completely thermalizing reference exp(-beta H)."""
+def channel_entropy_beta(n, thermal, opts=OptimizerOpts()):
+    """Entropy against the completely thermalizing reference exp(-beta H).
+
+    Certified whenever exp(-beta H) has full rank; otherwise the restarted
+    search under opts gives the upper end only.
+    """
     if not is_cptp(n):
         raise ValueError("channel must be certified CPTP")
     m = thermal_map(thermal)
-    return _negated(channel_divergence(n, m, opts, witnesses=witnesses))
+    return _negated(channel_divergence(n, m, opts))

@@ -485,3 +485,16 @@ def test_supermap_constructor_flags():
         sc.apply_super(rep, n).choi,
         channels.random_channel(2, 2, 4, 321).choi, atol=1e-12,
     )
+
+
+def test_entropy_nondecrease_reads_sound_ends():
+    rng = np.random.default_rng(133)
+    us = [channels.haar_isometry(2, 2, rng) for _ in range(2)]
+    vs = [channels.haar_isometry(2, 2, rng) for _ in range(2)]
+    theta = sc.random_isometry_super([0.5, 0.5], us, vs)
+    rec = bd.verify_entropy_gain_rsub(theta, channels.random_channel(2, 2, 2, 134))
+    before, after = rec.params["before"], rec.params["after"]
+    assert 0.0 <= before[1] - before[0] <= 1e-9
+    assert 0.0 <= after[1] - after[0] <= 1e-9
+    assert (rec.lhs, rec.rhs) == (after[0], before[1])
+    assert (rec.params["lhs_end"], rec.params["rhs_end"]) == ("lower", "upper")

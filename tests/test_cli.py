@@ -351,3 +351,36 @@ def test_config_knob_moves_report(tmp_path, suite, group, key, value):
         del blob["summary"]["config_hash"]
         reports.append(blob)
     assert reports[0] != reports[1]
+
+
+def test_verify_unexpected_exception_is_internal_error(tmp_path, monkeypatch, capsys):
+    def boom(index, seed, cfg):
+        raise RuntimeError("suite exploded")
+
+    monkeypatch.setitem(cli._SUITE_FNS, "petz", boom)
+    out = str(tmp_path / "rep.json")
+    assert cli.main(["verify", "petz", "--trials", "1", "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert "internal error" in err and "RuntimeError: suite exploded" in err
+
+
+def test_entropy_reports_certified_interval(tmp_path):
+    n = channels.random_channel(2, 3, 3, 41)
+    path = write_json(tmp_path, "n.json", channels.channel_to_json(n))
+    out = str(tmp_path / "out.json")
+    assert cli.main(["entropy", path, "--out", out]) == 0
+    blob = json.loads((tmp_path / "out.json").read_text())
+    assert 0.0 <= blob["upper"] - blob["value"] <= 1e-9
+    psi = dv.pure_bipartite(linalg.matrix_from_json(blob["witness"]))
+    at_witness = -dv.divergence_at(n, channels.depolarizing_r(2, 3), psi)
+    np.testing.assert_allclose(at_witness, blob["upper"], atol=1e-12)
+
+
+def test_super_div_reads_upper_end_of_base():
+    rec = cli._suite_super_div(0, 3, cli.RunConfig())
+    lo, hi = rec.params["base_divergence"]
+    assert 0.0 <= hi - lo <= 1e-9
+    assert rec.rhs == hi - 1.0
+    lo, hi = rec.params["divergence"]
+    assert rec.lhs == lo and 0.0 <= hi - lo <= 1e-9
+    assert (rec.params["lhs_end"], rec.params["rhs_end"]) == ("lower", "upper")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchan import channels, divergences as dv, linalg
+from superchan import channels, cli, divergences as dv, linalg, superchannels as sc
 
 SMALL = dv.OptimizerOpts(restarts=4, max_evals=500, seed=0)
 
@@ -54,7 +54,7 @@ def rel_entropy_five_eig(rho, sigma, leak_tol=dv.LEAK_TOL, cutoff=linalg.SUPPORT
     if leak > leak_tol:
         return np.inf
     w, _ = linalg.herm_eig(rho)
-    on = w > cutoff
+    on = w > 0
     first = float(np.sum(w[on] * np.log2(w[on])))
     second = float(np.trace(rho @ linalg.mat_log2_psd(sigma, cutoff)).real)
     return first - second
@@ -344,3 +344,100 @@ def test_entropy_additivity_telecov():
     lhs = dv.channel_entropy_telecov(nm)
     rhs = dv.channel_entropy_telecov(n) + dv.channel_entropy_telecov(m)
     assert abs(lhs - rhs) <= 1e-8
+
+
+def test_rel_entropy_keeps_terms_below_support_cutoff():
+    # Nelder-Mead witness of the entropy-nondecrease seed-30, trial-0 "after"
+    # channel at 2 restarts.  Its input state has an eigenvalue near 1e-10, and
+    # dropping the output eigenvalues below SUPPORT_CUTOFF put the objective
+    # 4.5e-9 above the certified maximum.
+    theta = cli._haar_mixture_super(np.random.default_rng((30, 0)))
+    tn = sc.apply_super(theta, channels.random_channel(2, 2, 2, (30, 0, 2)))
+    data = [
+        (-0.6081624240580967, -0.1289094891626094),
+        (0.5910218179370046, 0.33732263356176867),
+        (-0.23786776335425727, -0.10883593765728532),
+        (0.21168833351250735, 0.1928449544655134),
+    ]
+    psi = dv.pure_bipartite(np.array([complex(*z) for z in data]).reshape(2, 2))
+    r = channels.depolarizing_r(2, 2)
+    cert = dv.channel_divergence(tn, r)
+    assert dv.divergence_at(tn, r, psi) <= cert.upper + 1e-12
+    # The same value from the input state and the complementary channel.
+    rho_in = psi.a_psi.T @ psi.a_psi.conj()
+    comp = np.array([[np.trace(k @ rho_in @ l.conj().T) for l in tn.kraus] for k in tn.kraus])
+    exact = dv.vn_entropy(rho_in) - dv.vn_entropy(comp)
+    assert abs(dv.divergence_at(tn, r, psi) - exact) <= 1e-12
+
+
+CERTIFIED = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+def random_psd(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g @ g.conj().T + 0.1 * np.eye(d)
+
+
+def conditional_replacer(n, b, gamma):
+    """The map X -> tr_B N(X) (x) gamma, with B the last factor of dimension b."""
+    head = n.dim_in * n.dim_out // b
+    marginal = linalg.partial_trace(n.choi, (head, b), "first")
+    return channels.channel_from_choi(np.kron(marginal, gamma), n.dim_in, n.dim_out)
+
+
+@CERTIFIED
+@given(d=st.integers(2, 3), env=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_certified_entropy_contains_telecov_closed_form(d, env, seed):
+    spec = channels.weyl_heisenberg_spec(d)
+    n = channels.telecov_channel(spec, channels.random_channel(d, d, env, seed))
+    res = dv.channel_entropy(n)
+    exact = dv.channel_entropy_telecov(n)
+    assert res.value - 1e-12 <= exact <= res.upper + 1e-12
+    assert res.upper - res.value <= 1e-9
+
+
+@CERTIFIED
+@given(
+    d=st.integers(2, 3),
+    env=st.integers(1, 3),
+    reference=st.sampled_from(["depolarizing", "thermal", "split"]),
+    seed=st.integers(0, 2**16),
+)
+def test_certified_divergence_interval_and_witness(d, env, reference, seed):
+    rng = np.random.default_rng(seed)
+    dout = 4 if reference == "split" else d
+    n = channels.random_channel(d, dout, env, seed)
+    if reference == "depolarizing":
+        m = channels.depolarizing_r(d, d)
+    elif reference == "thermal":
+        h = random_psd(rng, d)
+        m = channels.thermal_map(channels.ThermalMap(h - np.linalg.eigvalsh(h)[0] * np.eye(d), 0.7))
+    else:
+        m = conditional_replacer(n, 2, random_psd(rng, 2))
+    res = dv.channel_divergence(n, m)
+    assert res.restarts_used == 0 and not res.is_lower_bound and res.converged
+    assert 0.0 <= res.upper - res.value <= 1e-9
+    # Two routes to the same objective: they agree to rounding, relative to
+    # the value (thermal references reach about 12 bits here).
+    at_witness = dv.divergence_at(n, m, res.optimizer_state)
+    assert abs(at_witness - res.value) <= 1e-12 * max(1.0, abs(res.value))
+
+
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(env=st.integers(2, 3), seed=st.integers(0, 2**16))
+def test_nelder_mead_stays_below_certified_upper(env, seed):
+    n = channels.random_channel(2, 2, env, seed)
+    r = channels.depolarizing_r(2, 2)
+    searched = dv._restarted_search(n, r, dv.OptimizerOpts())
+    assert searched.value <= dv.channel_divergence(n, r).upper + 1e-12
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(env=st.integers(1, 3), env2=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_certified_entropy_is_additive(env, env2, seed):
+    n = channels.random_channel(2, 2, env, (seed, 0))
+    m = channels.random_channel(2, 2, env2, (seed, 1))
+    joint = dv.channel_entropy(channels.tensor_channels(n, m))
+    s_n, s_m = dv.channel_entropy(n), dv.channel_entropy(m)
+    assert joint.value <= s_n.upper + s_m.upper + 1e-12
+    assert joint.upper >= s_n.value + s_m.value - 1e-12
