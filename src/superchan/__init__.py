@@ -9,7 +9,7 @@ from .divergences import (
     rel_entropy,
     vn_entropy,
 )
-from .recovery import Quadrature, petz, universal_recovery
+from .recovery import petz, universal_recovery
 from .superchannels import Superchannel, apply_super, super_from_rep
 
 __version__ = "0.1.0"

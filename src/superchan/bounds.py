@@ -53,7 +53,7 @@ from .linalg import (
     matrix_to_json,
     psd_check,
 )
-from .recovery import Quadrature, tilde_recovery, universal_recovery
+from .recovery import tilde_recovery, universal_recovery
 from .superchannels import (
     alpha_norm,
     apply_super,
@@ -342,7 +342,6 @@ def verify_refined_dpi(
     n,
     m,
     opts=OptimizerOpts(),
-    quad=Quadrature(),
     tolerance=INEQ_TOL,
     psi=None,
     phi=None,
@@ -390,7 +389,7 @@ def verify_refined_dpi(
     before, after, _ = _divergence_pair(n, m, tn, tm, opts, a == c)
 
     sigma = _hermitian(choi_witness(m, psi0))
-    rec = universal_recovery(sigma, t_prime, quad)
+    rec = universal_recovery(sigma, t_prime)
     c_state = _hermitian(choi_witness(n, psi0))
     recovered = _hermitian(apply(rec.rec, apply(t_prime, c_state)))
     fid = max(fidelity(c_state, recovered), np.finfo(float).tiny)
@@ -570,7 +569,8 @@ def verify_entropy_additivity(n, m, opts=None, tolerance=None):
         r_n, r_m, r_joint = channel_entropy(n, o), channel_entropy(m, o), channel_entropy(joint, o)
         s_n, s_m, s_joint = _interval(r_n), _interval(r_m), _interval(r_joint)
         tol = INEQ_TOL if tolerance is None else tolerance
-        path, seed = "optimized", o.seed
+        certified = all(r.certified for r in (r_n, r_m, r_joint))
+        path, seed = "concave-certified" if certified else "optimized", o.seed
         wit = _witness_json(
             left=r_n.optimizer_state, right=r_m.optimizer_state, joint=r_joint.optimizer_state
         )
@@ -644,7 +644,8 @@ def verify_telecov_entropy_gain(theta, n, tolerance=INEQ_TOL, xi=None, opts=None
         before, after = channel_entropy(n, o), channel_entropy(tn, o)
         # The lower end of the gain: lower S[Theta(N)] against upper S[N].
         s_before, s_after = before.upper, after.value
-        params["path"] = "optimized"
+        certified = before.certified and after.certified
+        params["path"] = "concave-certified" if certified else "optimized"
     else:
         params["path"] = "telecov"
     params["recovery_term"] = float(bound)

@@ -65,7 +65,7 @@ from .linalg import (
     matrix_to_json,
     trace_norm,
 )
-from .recovery import Quadrature, petz, universal_recovery
+from .recovery import petz, universal_recovery
 from .superchannels import (
     apply_super,
     extend_super_with_identity,
@@ -108,8 +108,6 @@ class RunConfig:
     ineq_tol: float = INEQ_TOL
     restarts: int = OptimizerOpts().restarts
     max_evals: int = OptimizerOpts().max_evals
-    half_width: float = Quadrature().half_width
-    nodes: int = Quadrature().nodes
     seed: int = 0
     output_path: Optional[str] = None
 
@@ -117,7 +115,6 @@ class RunConfig:
 _CONFIG_GROUPS = {
     "tolerances": ("ineq_tol",),
     "optimizer": ("restarts", "max_evals"),
-    "quadrature": ("half_width", "nodes"),
 }
 
 
@@ -148,24 +145,21 @@ def load_config(path):
 
 def validate_config(cfg):
     # bool is an int subclass, so true/false would otherwise pass as 1/0.
-    for name in ("restarts", "max_evals", "nodes", "seed"):
+    for name in ("restarts", "max_evals", "seed"):
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, int):
             raise CliError(EXIT_USAGE, f"config {name} must be an integer, got {value!r}")
-    for name in ("ineq_tol", "half_width"):
-        value = getattr(cfg, name)
-        real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        # Fails for NaN, +-Inf and integers too large for a float.
-        if not (real and abs(value) <= sys.float_info.max):
-            raise CliError(EXIT_USAGE, f"config {name} must be a finite number, got {value!r}")
+    value = cfg.ineq_tol
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # Fails for NaN, +-Inf and integers too large for a float.
+    if not (real and abs(value) <= sys.float_info.max):
+        raise CliError(EXIT_USAGE, f"config ineq_tol must be a finite number, got {value!r}")
     if cfg.output_path is not None and not isinstance(cfg.output_path, str):
         raise CliError(EXIT_USAGE, f"config output_path must be a string, got {cfg.output_path!r}")
     if cfg.ineq_tol <= 0:
         raise CliError(EXIT_USAGE, "config tolerance ineq_tol must be > 0")
     if cfg.restarts < 1 or cfg.max_evals < 1:
         raise CliError(EXIT_USAGE, "optimizer restarts and max_evals must be >= 1")
-    if cfg.nodes < 3 or cfg.nodes % 2 == 0 or cfg.half_width <= 0:
-        raise CliError(EXIT_USAGE, "quadrature needs odd nodes >= 3 and half_width > 0")
     if cfg.seed < 0:
         raise CliError(EXIT_USAGE, "seed must be a nonnegative integer")
     return cfg
@@ -289,7 +283,7 @@ def cmd_entropy(args, cfg):
             payload = {
                 "value": _scalar(res.value),
                 "upper": _scalar(res.upper),
-                "method": "opt",
+                "method": "concave-certified" if res.certified else "opt",
                 "witness": matrix_to_json(res.optimizer_state.a_psi),
             }
     _emit(_dump_json(payload), args.out or cfg.output_path)
@@ -334,10 +328,9 @@ def cmd_recover(args, cfg):
     sigma = _load_state(args.sigma, dim=n.dim_in)
     y = _load_state(args.input, dim=n.dim_out)
     reference = sigma if args.original is None else _load_state(args.original, dim=n.dim_in)
-    quad = Quadrature(cfg.half_width, cfg.nodes)
     builders = {
         "petz": lambda: petz(sigma, n),
-        "universal": lambda: universal_recovery(sigma, n, quad),
+        "universal": lambda: universal_recovery(sigma, n),
     }
     wanted = ("petz", "universal") if args.mode == "both" else (args.mode,)
     payload = {
@@ -451,7 +444,6 @@ def _suite_refined_dpi(index, seed, cfg):
         n,
         m,
         _opts(cfg, _trial_seed(seed, index)),
-        quad=Quadrature(cfg.half_width, cfg.nodes),
         tolerance=cfg.ineq_tol,
     )
 

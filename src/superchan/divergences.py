@@ -110,6 +110,11 @@ class DivergenceResult:
     converged: bool
     is_lower_bound: bool
 
+    @property
+    def certified(self):
+        """True when [value, upper] came from a closed form or the certified ascent."""
+        return self.restarts_used == 0 and bool(np.isfinite(self.upper))
+
 
 def pure_bipartite(a_psi):
     """Normalize an amplitude matrix into a PureBipartiteState."""

@@ -125,6 +125,24 @@ def _projector_from_spectrum(w, v, cutoff):
     return (out + dagger(out)) / 2
 
 
+def schur_sinh_ratio(x, lam):
+    """x multiplied entrywise by kappa(lam_i - lam_j), kappa(w) = w / sinh w, kappa(0) = 1.
+
+    kappa is the Fourier transform of the density (pi/2) / (cosh(pi t) + 1).
+    With lam = (ln s_p - ln m_q) / 2 over eigenvalue pairs of two operators,
+    the product averages their imaginary-power rotations under that density.
+    With lam = (ln w) / 2 over one spectrum, kappa(lam_i - lam_j) / sqrt(w_i w_j)
+    is the divided difference of log, so the Daleckii-Krein derivative of log
+    is a product of this shape.
+    """
+    lam = np.asarray(lam, dtype=float)
+    diff = lam[:, None] - lam[None, :]
+    kappa = np.ones_like(diff)
+    moved = diff != 0
+    kappa[moved] = diff[moved] / np.sinh(diff[moved])
+    return kappa * x
+
+
 def partial_trace(x, dims, keep):
     """Partial trace of an operator on a bipartite space with factor dims (d1, d2).
 

@@ -1,24 +1,23 @@
 """Recovery maps that reverse a channel's action on a reference state.
 
-Provides the Petz map, its rotated family, the quadrature-averaged universal
-recovery channel, the adjoint-based tilde recovery, and the channel-level
-recovery supermap built from all of these.
+Provides the Petz map, its rotated family, the universal recovery channel
+(the closed-form beta_0-average of rotated Petz maps), the adjoint-based tilde
+recovery, and the channel-level recovery supermap built from all of these.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .linalg import (
     SUPPORT_CUTOFF,
+    _fn_from_spectrum,
     _projector_from_spectrum,
     check_density,
     dagger,
     herm_eig,
-    mat_inv_sqrt_psd,
-    mat_sqrt_psd,
     matrix_to_json,
+    schur_sinh_ratio,
     trace_norm,
 )
 from .channels import (
@@ -41,11 +40,6 @@ from .superchannels import (
 )
 
 
-class Quadrature(NamedTuple):
-    half_width: float = 20.0
-    nodes: int = 801
-
-
 @dataclass(frozen=True)
 class RecoveryMap:
     """A recovery channel and the parameters it was built with."""
@@ -53,7 +47,6 @@ class RecoveryMap:
     kind: str
     rec: Channel
     t_param: float = 0.0
-    quadrature: Optional[Quadrature] = None
 
 
 @dataclass(frozen=True)
@@ -74,6 +67,7 @@ def _kraus_of(n):
 
 
 def _petz_ingredients(sigma, n):
+    """Spectra of sigma and n(sigma), and the Petz Kraus operators."""
     sigma = check_density(np.asarray(sigma, dtype=complex))
     if sigma.shape != (n.dim_in, n.dim_in):
         raise ValueError("sigma dimension must match the channel input")
@@ -81,18 +75,22 @@ def _petz_ingredients(sigma, n):
         raise ValueError("recovery needs a CP channel")
     nsig = apply(n, sigma)
     nsig = (nsig + dagger(nsig)) / 2
-    sig_sqrt = mat_sqrt_psd(sigma)
-    nsig_isqrt = mat_inv_sqrt_psd(nsig)
+    s_spec, m_spec = herm_eig(sigma), herm_eig(nsig)
+    sig_sqrt = _fn_from_spectrum(*s_spec, "sqrt", SUPPORT_CUTOFF)
+    nsig_isqrt = _fn_from_spectrum(*m_spec, "inv_sqrt", SUPPORT_CUTOFF)
     base = tuple(sig_sqrt @ dagger(k) @ nsig_isqrt for k in _kraus_of(n))
-    return sigma, nsig, base
+    return s_spec, m_spec, base
 
 
-def _imaginary_power(p, t):
+def _support_log(w):
+    """ln w on the support, 0 off it."""
+    return np.log(w, out=np.zeros_like(w), where=w > SUPPORT_CUTOFF)
+
+
+def _imaginary_power(spec, t):
     """p^{it} on the support of p, zero elsewhere (a partial isometry)."""
-    w, v = herm_eig(p)
-    on = w > SUPPORT_CUTOFF
-    phases = np.zeros(len(w), dtype=complex)
-    phases[on] = np.exp(1j * t * np.log(w[on]))
+    w, v = spec
+    phases = np.where(w > SUPPORT_CUTOFF, np.exp(1j * t * _support_log(w)), 0.0)
     return (v * phases) @ dagger(v)
 
 
@@ -104,36 +102,27 @@ def petz(sigma, n):
 
 def rotated_petz(sigma, n, t):
     """Petz map conjugated by imaginary powers of sigma and n(sigma)."""
-    sigma, nsig, base = _petz_ingredients(sigma, n)
-    u = _imaginary_power(sigma, -t)
-    w = _imaginary_power(nsig, t)
+    s_spec, m_spec, base = _petz_ingredients(sigma, n)
+    u = _imaginary_power(s_spec, -t)
+    w = _imaginary_power(m_spec, t)
     rec = channel_from_kraus([u @ b @ w for b in base])
     return RecoveryMap("rotated", rec, float(t))
 
 
-def quadrature_weights(quad):
-    """Simpson nodes and weights for the cosh averaging density."""
-    if quad.nodes < 3 or quad.nodes % 2 == 0:
-        raise ValueError("quadrature needs an odd node count >= 3")
-    if quad.half_width <= 0:
-        raise ValueError("quadrature half width must be positive")
-    ts = np.linspace(-quad.half_width, quad.half_width, quad.nodes)
-    h = 2.0 * quad.half_width / (quad.nodes - 1)
-    simpson = np.ones(quad.nodes)
-    simpson[1:-1:2] = 4.0
-    simpson[2:-1:2] = 2.0
-    density = 0.5 * np.pi / (np.cosh(np.pi * ts) + 1.0)
-    return ts, (h / 3.0) * simpson * density
-
-
-def universal_recovery(sigma, n, quad=Quadrature(), xi=None):
+def universal_recovery(sigma, n, xi=None):
     """Average of rotated Petz maps plus an off-support completion onto xi.
 
-    The quadrature part is assembled in the eigenbases of sigma and n(sigma)
-    with one phase array per node, so all nodes share one einsum.
+    The Choi is the integral of rotated_petz(sigma, n, t / 2) against
+    beta_0(t) = (pi/2) / (cosh(pi t) + 1) (Junge, Renner, Sutter, Wilde &
+    Winter, AHP 19, 2018), plus (1 - Pi).T (x) xi for the support projector
+    Pi of n(sigma).  In the eigenbases {s_p} of sigma and {m_q} of n(sigma)
+    the rotation multiplies Kraus entry (p, q) by exp(-i t lam_qp), with
+    lam_qp = (ln s_p - ln m_q) / 2, so the average is the Petz Choi times the
+    Fourier transform of beta_0, omega / sinh omega at
+    omega = lam_qp - lam_q'p'.  Off the supports ln 0 reads as 0; the Petz
+    entries vanish there, so the factor does not matter.
     """
-    ts, ws = quadrature_weights(quad)
-    sigma, nsig, base = _petz_ingredients(sigma, n)
+    (sw, sv), (mw, mv), base = _petz_ingredients(sigma, n)
     dx, dy = n.dim_in, n.dim_out
     if xi is None:
         xi = np.eye(dx) / dx
@@ -142,22 +131,15 @@ def universal_recovery(sigma, n, quad=Quadrature(), xi=None):
         if xi.shape != (dx, dx):
             raise ValueError("xi must live on the recovery output space")
 
-    sw, sv = herm_eig(sigma)
-    mw, mv = herm_eig(nsig)
-    log_s = np.where(sw > SUPPORT_CUTOFF, np.log(np.clip(sw, 1e-300, None)), 0.0)
-    log_m = np.where(mw > SUPPORT_CUTOFF, np.log(np.clip(mw, 1e-300, None)), 0.0)
-    # Rotation angle t/2 per node; off-support rows/columns of core are zero.
-    left = np.exp(-0.5j * np.outer(ts, log_s))
-    right = np.exp(0.5j * np.outer(ts, log_m))
-    core = np.stack([dagger(sv) @ b @ mv for b in base])
-    rotated = np.einsum("ip,jpq,iq->ijpq", left, core, right)
-    kraus_nodes = np.einsum("xp,ijpq,yq->ijxy", sv, rotated, mv.conj())
-    choi4 = np.einsum("i,ijxy,ijuv->yxvu", ws, kraus_nodes, kraus_nodes.conj())
+    # Row k holds <s_p| base_k |m_q> at (q, p), the Choi's (input, output) order.
+    core = np.stack([(dagger(sv) @ b @ mv).T.reshape(-1) for b in base])
+    lam = 0.5 * (_support_log(sw)[None, :] - _support_log(mw)[:, None]).reshape(-1)
+    basis = np.kron(mv.conj(), sv)
+    choi = basis @ schur_sinh_ratio(core.T @ core.conj(), lam) @ dagger(basis)
     pi = _projector_from_spectrum(mw, mv, SUPPORT_CUTOFF)
-    choi = choi4.reshape(dy * dx, dy * dx) + np.kron((np.eye(dy) - pi).T, xi)
+    choi = choi + np.kron((np.eye(dy) - pi).T, xi)
     choi = (choi + dagger(choi)) / 2
-    rec = channel_from_choi(choi, dy, dx)
-    return RecoveryMap("universal", rec, 0.0, quad)
+    return RecoveryMap("universal", channel_from_choi(choi, dy, dx))
 
 
 def tilde_recovery(t_frak, xi=None):
@@ -173,7 +155,7 @@ def tilde_recovery(t_frak, xi=None):
     return RecoveryMap("tilde", rec)
 
 
-def recovery_supermap(theta, m, psi, phi, quad=Quadrature()):
+def recovery_supermap(theta, m, psi, phi):
     """Recovery supermap anchored at m: undo theta exactly on m.
 
     The representing map in witness coordinates is completed to a channel,
@@ -190,7 +172,7 @@ def recovery_supermap(theta, m, psi, phi, quad=Quadrature()):
         raise ValueError("no trace-preserving completion found for the representing map")
     anchor_state = choi_witness(m, psi)
     anchor_state = (anchor_state + dagger(anchor_state)) / 2
-    inner = universal_recovery(anchor_state, fix.channel, quad)
+    inner = universal_recovery(anchor_state, fix.channel)
     out = RecoverySupermap(theta, psi, phi, inner, np.nan)
     recovered = recover_channel(out, apply_super(theta, m))
     residual = trace_norm(recovered.choi - m.choi)
@@ -210,16 +192,10 @@ def recover_channel(rsm, n_tilde):
 
 def recovery_to_json(r):
     """JSON-friendly dict with the recovery Choi and its provenance."""
-    out = {
+    return {
         "kind": r.kind,
         "dim_in": r.rec.dim_in,
         "dim_out": r.rec.dim_out,
         "choi": matrix_to_json(r.rec.choi),
         "t_param": r.t_param,
     }
-    if r.quadrature is not None:
-        out["quadrature"] = {
-            "half_width": r.quadrature.half_width,
-            "nodes": r.quadrature.nodes,
-        }
-    return out

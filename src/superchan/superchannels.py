@@ -258,9 +258,12 @@ def generalized_rep(theta, psi, phi):
         raise ValueError("witness amplitude shapes must match the input slots")
     if not (psi.full_rank and phi.full_rank):
         raise ValueError("witnesses must have full-rank marginals")
-    t_psi_inv = channel_from_kraus([np.kron(np.linalg.inv(psi.a_psi), np.eye(b))])
-    t_phi = channel_from_kraus([np.kron(phi.a_psi, np.eye(d))])
-    return compose(t_phi, compose(theta.rep, t_psi_inv))
+    # X -> B T(A X A^dag) B^dag has Choi (A^T (x) B) C_T (A^T (x) B)^dag.
+    pull = np.kron(np.linalg.inv(psi.a_psi), np.eye(b)).T
+    push = np.kron(phi.a_psi, np.eye(d))
+    sandwich = np.kron(pull, push)
+    choi = sandwich @ theta.rep.choi @ dagger(sandwich)
+    return channel_from_choi(choi, a * b, c * d)
 
 
 def alpha_norm(f):

@@ -297,7 +297,7 @@ def test_additivity_optimized_path():
     n = channels.random_channel(2, 2, 4, 211)
     m = channels.random_channel(2, 2, 4, 212)
     rec = bd.verify_entropy_additivity(n, m, opts=LIGHT)
-    assert rec.params["path"] == "optimized"
+    assert rec.params["path"] == "concave-certified"
     assert rec.tolerance == 1e-3
     assert rec.passed
 

@@ -284,15 +284,15 @@ def _petz():
     return lambda: rc.petz(sigma, n)
 
 
-# One decomposition per built channel's Choi: generalized_rep builds two
-# witness maps and two compositions; petz first decomposes sigma (PSD gate,
+# One decomposition per built channel's Choi: generalized_rep builds one
+# channel from the conjugated Choi; petz first decomposes sigma (PSD gate,
 # square root) and n(sigma) (inverse square root).
 @pytest.mark.parametrize(
     "build, shapes",
     [
         pytest.param(_from_choi, [(6, 6)], id="channel_from_choi"),
         pytest.param(_from_kraus, [(4, 4)], id="channel_from_kraus"),
-        pytest.param(_generalized_rep, [(16, 16)] * 4, id="generalized_rep"),
+        pytest.param(_generalized_rep, [(16, 16)], id="generalized_rep"),
         pytest.param(_petz, [(2, 2), (2, 2), (2, 2), (4, 4)], id="petz"),
     ],
 )
@@ -332,6 +332,19 @@ def test_choi_kraus_round_trip():
         kraus = channels.kraus_from_choi(n.choi, 2, 3)
         rebuilt = channels.channel_from_kraus(kraus)
         np.testing.assert_allclose(rebuilt.choi, n.choi, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    env=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_choi_kraus_round_trip_property(dims, env, seed):
+    din, dout = dims
+    n = channels.random_channel(din, dout, max(env, -(-din // dout)), seed)
+    rebuilt = channels.channel_from_kraus(channels.kraus_from_choi(n.choi, din, dout))
+    np.testing.assert_allclose(rebuilt.choi, n.choi, rtol=0, atol=1e-12)
 
 
 def test_apply_kraus_equals_apply_choi():

@@ -48,7 +48,7 @@ def test_entropy_optimized_method(tmp_path):
     out = str(tmp_path / "out.json")
     assert cli.main(["entropy", path, "--config", cfg, "--out", out]) == 0
     blob = json.loads((tmp_path / "out.json").read_text())
-    assert blob["method"] == "opt"
+    assert blob["method"] == "concave-certified"
     assert np.isfinite(blob["value"])
     assert blob["witness"]["rows"] == 2
 
@@ -289,9 +289,6 @@ def test_config_validation(tmp_path, capsys):
     assert cli.main(["verify", "petz", "--trials", "1", "--seed", "-4"]) == 2
     # Each bad value exits 2 before any suite runs, and the message names its key.
     bad_values = [
-        ("quadrature", "nodes", 801.0),
-        ("quadrature", "half_width", float("inf")),
-        ("quadrature", "half_width", 10**400),
         (None, "seed", 1.5),
         ("optimizer", "restarts", 2.5),
         ("optimizer", "max_evals", True),
@@ -310,6 +307,10 @@ def test_config_validation(tmp_path, capsys):
         for suite in ("refined-dpi", "entropy-nondecrease"):
             assert cli.main(["verify", suite, "--trials", "1", "--config", path]) == 2
             assert key in capsys.readouterr().err
+    # The universal recovery is exact, so the old quadrature group is an unknown key.
+    gone = write_json(tmp_path, "gone.json", {"quadrature": {"nodes": 801}})
+    assert cli.main(["verify", "refined-dpi", "--trials", "1", "--config", gone]) == 2
+    assert "quadrature" in capsys.readouterr().err
 
 
 def test_config_hash_tracks_semantics_not_output_path(tmp_path):
@@ -325,8 +326,6 @@ def test_config_hash_tracks_semantics_not_output_path(tmp_path):
     "suite, group, key, value",
     [
         ("refined-dpi", "tolerances", "ineq_tol", 0.5),
-        ("refined-dpi", "quadrature", "half_width", 5.0),
-        ("refined-dpi", "quadrature", "nodes", 101),
         ("dpi", "optimizer", "restarts", 3),
         ("dpi", "optimizer", "max_evals", 80),
         ("dpi", None, "seed", 1),

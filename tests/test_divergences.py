@@ -166,7 +166,7 @@ def test_divergence_of_channel_with_itself():
     n = channels.random_channel(2, 2, 2, seed=3)
     res = dv.channel_divergence(n, n, dv.OptimizerOpts(restarts=2, max_evals=100, seed=0))
     assert abs(res.value) < 1e-9
-    assert res.is_lower_bound
+    assert res.is_lower_bound and not res.certified
 
 
 def test_divergence_replacer_closed_form():
@@ -174,7 +174,7 @@ def test_divergence_replacer_closed_form():
     r = channels.depolarizing_r(2, 2)
     res = dv.channel_divergence(pure, r)
     assert abs(res.value) < 1e-12
-    assert not res.is_lower_bound and res.restarts_used == 0
+    assert not res.is_lower_bound and res.restarts_used == 0 and res.certified
 
 
 def test_divergence_dephasing_matches_closed_form():
@@ -416,6 +416,7 @@ def test_certified_divergence_interval_and_witness(d, env, reference, seed):
         m = conditional_replacer(n, 2, random_psd(rng, 2))
     res = dv.channel_divergence(n, m)
     assert res.restarts_used == 0 and not res.is_lower_bound and res.converged
+    assert res.certified
     assert 0.0 <= res.upper - res.value <= 1e-9
     # Two routes to the same objective: they agree to rounding, relative to
     # the value (thermal references reach about 12 bits here).

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchan import channels, divergences as dv, linalg, recovery as rc, superchannels as sc
 
@@ -86,20 +87,6 @@ def test_rotated_cp_at_t_one():
     assert r.rec.flags.cp.status == "yes"
 
 
-def test_quadrature_weights_sum_to_one():
-    _, ws = rc.quadrature_weights(rc.Quadrature())
-    assert abs(ws.sum() - 1.0) <= 1e-8
-
-
-def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        rc.quadrature_weights(rc.Quadrature(20.0, 800))
-    with pytest.raises(ValueError):
-        rc.quadrature_weights(rc.Quadrature(20.0, 1))
-    with pytest.raises(ValueError):
-        rc.quadrature_weights(rc.Quadrature(-1.0, 801))
-
-
 def test_universal_recovers_sigma():
     rng = np.random.default_rng(6)
     n = channels.random_channel(2, 2, 2, seed=17)
@@ -123,29 +110,50 @@ def test_universal_trace_preserving():
     assert r.rec.flags.tp.certificate <= 1e-6
 
 
+def simpson_universal(sig, n):
+    """The universal recovery's Choi by Simpson's rule over rotated Petz maps.
+
+    Sums rotated_petz(sig, n, t / 2) against the density
+    (pi/2) / (cosh(pi t) + 1) at 801 nodes on [-20, 20], then adds the
+    completion (1 - Pi).T (x) 1/d off the support of n(sig).
+    """
+    ts = np.linspace(-20.0, 20.0, 801)
+    simpson = np.ones(len(ts))
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
+    ws = (ts[1] - ts[0]) / 3.0 * simpson * 0.5 * np.pi / (np.cosh(np.pi * ts) + 1.0)
+    choi = sum(w * rc.rotated_petz(sig, n, t / 2).rec.choi for t, w in zip(ts, ws))
+    nsig = channels.apply(n, sig)
+    comp = np.eye(n.dim_out) - linalg.support_projector((nsig + nsig.conj().T) / 2)
+    return choi + np.kron(comp.T, np.eye(n.dim_in) / n.dim_in)
+
+
 def test_universal_matches_rotated_average():
     rng = np.random.default_rng(8)
-    n = channels.random_channel(2, 2, 2, seed=19)
-    sig = rand_state(rng, 2)
-    quad = rc.Quadrature(20.0, 201)
-    r = rc.universal_recovery(sig, n, quad)
-    ts, ws = rc.quadrature_weights(quad)
-    expect = np.zeros_like(r.rec.choi)
-    for t, w in zip(ts, ws):
-        expect = expect + w * rc.rotated_petz(sig, n, t / 2).rec.choi
-    nsig = channels.apply(n, sig)
-    comp = np.eye(2) - linalg.support_projector((nsig + nsig.conj().T) / 2)
-    expect = expect + np.kron(comp.T, np.eye(2) / 2)
-    np.testing.assert_allclose(r.rec.choi, expect, atol=1e-10)
+    # (d, rank of sigma, dim_out, env); the last case has a rank-one n(sigma).
+    cases = ((2, 2, 2, 2), (2, 1, 2, 2), (3, 3, 2, 3), (3, 2, 3, 2), (2, 1, 2, 1))
+    for d, rank, dim_out, env in cases:
+        n = channels.random_channel(d, dim_out, env, seed=19 + d * rank)
+        sig = rand_state(rng, d, rank=rank)
+        r = rc.universal_recovery(sig, n)
+        np.testing.assert_allclose(r.rec.choi, simpson_universal(sig, n), rtol=0, atol=1e-12)
 
 
-def test_universal_node_doubling_converged():
-    rng = np.random.default_rng(9)
-    n = channels.random_channel(2, 2, 2, seed=23)
-    sig = rand_state(rng, 2)
-    c1 = rc.universal_recovery(sig, n, rc.Quadrature(20.0, 801)).rec.choi
-    c2 = rc.universal_recovery(sig, n, rc.Quadrature(20.0, 1601)).rec.choi
-    assert np.linalg.norm(c1 - c2) <= 1e-6
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 3),
+    dim_out=st.integers(2, 3),
+    env=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_universal_closed_form_is_cptp_and_recovers_sigma(d, dim_out, env, seed):
+    rng = np.random.default_rng(seed)
+    n = channels.random_channel(d, dim_out, max(env, -(-d // dim_out)), seed=seed)
+    sig = rand_state(rng, d)
+    rec = rc.universal_recovery(sig, n).rec
+    assert channels.is_cptp(rec)
+    out = channels.apply(rec, channels.apply(n, sig))
+    assert linalg.trace_norm(out - sig) <= 1e-9
 
 
 def test_universal_refined_dpi():
@@ -244,5 +252,5 @@ def test_recovery_to_json():
     r = rc.universal_recovery(rand_state(rng, 2), n)
     obj = rc.recovery_to_json(r)
     assert obj["kind"] == "universal"
-    assert obj["quadrature"] == {"half_width": 20.0, "nodes": 801}
+    assert "quadrature" not in obj
     np.testing.assert_allclose(linalg.matrix_from_json(obj["choi"]), r.rec.choi)

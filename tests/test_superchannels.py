@@ -128,6 +128,24 @@ def test_dilation_and_choi_paths_agree():
         assert np.linalg.norm(via_rep.choi - via_dil.choi) <= 1e-8
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    dims=bounded_dims(4, 16),
+    ref_dim=st.integers(1, 2),
+    env=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_apply_super_matches_dilation_property(dims, ref_dim, env, seed):
+    a, b, c, d = dims
+    pre = channels.random_channel(c, a * ref_dim, -(-c // (a * ref_dim)) + 1, seed)
+    post = channels.random_channel(b * ref_dim, d, -(-(b * ref_dim) // d) + 1, seed + 1)
+    theta = sc.super_from_dilation(pre, post, ref_dim=ref_dim)
+    n = channels.random_channel(a, b, max(env, -(-a // b)), seed + 2)
+    np.testing.assert_allclose(
+        sc.apply_super(theta, n).choi, sc.apply_super_dilation(theta, n).choi, rtol=0, atol=1e-12
+    )
+
+
 def test_representing_adjoint_duality():
     theta = random_dilation_super(seed=9)
     ident = sc.super_from_dilation(
