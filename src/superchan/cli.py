@@ -266,6 +266,7 @@ def cmd_entropy(args, cfg):
             "value": _scalar(res.value),
             "upper": _scalar(res.upper),
             "method": "beta",
+            "evaluations": res.evaluations,
             "witness": matrix_to_json(res.optimizer_state.a_psi),
         }
     else:
@@ -276,6 +277,7 @@ def cmd_entropy(args, cfg):
                 "value": value,
                 "upper": value,
                 "method": "telecov",
+                "evaluations": 1,
                 "witness": matrix_to_json(maximally_entangled(n.dim_in).a_psi),
             }
         else:
@@ -284,6 +286,7 @@ def cmd_entropy(args, cfg):
                 "value": _scalar(res.value),
                 "upper": _scalar(res.upper),
                 "method": "concave-certified" if res.certified else "opt",
+                "evaluations": res.evaluations,
                 "witness": matrix_to_json(res.optimizer_state.a_psi),
             }
     _emit(_dump_json(payload), args.out or cfg.output_path)
@@ -302,6 +305,7 @@ def cmd_divergence(args, cfg):
     payload = {
         "value": _scalar(res.value),
         "upper": _scalar(res.upper),
+        "evaluations": res.evaluations,
         "witness": matrix_to_json(res.optimizer_state.a_psi),
     }
     _emit(_dump_json(payload), args.out or cfg.output_path)

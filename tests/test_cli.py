@@ -375,6 +375,27 @@ def test_entropy_reports_certified_interval(tmp_path):
     np.testing.assert_allclose(at_witness, blob["upper"], atol=1e-12)
 
 
+def test_entropy_and_divergence_print_evaluations(tmp_path):
+    out = str(tmp_path / "out.json")
+    n = channels.random_channel(2, 3, 3, 41)
+    path = write_json(tmp_path, "n.json", channels.channel_to_json(n))
+    assert cli.main(["entropy", path, "--out", out]) == 0
+    blob = json.loads((tmp_path / "out.json").read_text())
+    assert blob["evaluations"] == dv.channel_entropy(n).evaluations >= 1
+    rt = channels.channel_to_json(channels.depolarizing_r_tilde(2, 2))
+    assert cli.main(["entropy", write_json(tmp_path, "rt.json", rt), "--out", out]) == 0
+    assert json.loads((tmp_path / "out.json").read_text())["evaluations"] == 1
+    # A general pair takes the restarted search under write_config's opts.
+    cfg = write_config(tmp_path)
+    n, m = channels.random_channel(2, 2, 4, 51), channels.random_channel(2, 2, 4, 52)
+    np_ = write_json(tmp_path, "n2.json", channels.channel_to_json(n))
+    mp = write_json(tmp_path, "m.json", channels.channel_to_json(m))
+    assert cli.main(["divergence", np_, mp, "--config", cfg, "--out", out]) == 0
+    blob = json.loads((tmp_path / "out.json").read_text())
+    opts = dv.OptimizerOpts(restarts=2, max_evals=200, seed=0)
+    assert blob["evaluations"] == dv.channel_divergence(n, m, opts).evaluations > 2 * 200
+
+
 def test_super_div_reads_upper_end_of_base():
     rec = cli._suite_super_div(0, 3, cli.RunConfig())
     lo, hi = rec.params["base_divergence"]

@@ -442,3 +442,80 @@ def test_certified_entropy_is_additive(env, env2, seed):
     s_n, s_m = dv.channel_entropy(n), dv.channel_entropy(m)
     assert joint.value <= s_n.upper + s_m.upper + 1e-12
     assert joint.upper >= s_n.value + s_m.value - 1e-12
+
+
+# D[Theta(N) || R] for the entropy-nondecrease seed-30, trial-0 "after" channel,
+# whose maximum lies on the boundary of the state space.  With R(X) = tr(X) 1
+# the objective is S(rho) - S(N^c(rho)).  Reference value from unit
+# Blahut-Arimoto steps ln rho <- N^c^dagger(ln N^c(rho)) from rho = 1/2, run
+# in mpmath at 60 digits with the channel's Kraus operators taken as exact and
+# mp.eighe for every spectrum, until the Frank-Wolfe gap fell below 1e-25
+# (703 steps; the smallest eigenvalue of rho was then 4e-24).
+SEED30_AFTER_DIVERGENCE = -0.35189632975978638
+
+
+def seed30_after_channel():
+    theta = cli._haar_mixture_super(np.random.default_rng((30, 0)))
+    return sc.apply_super(theta, channels.random_channel(2, 2, 2, (30, 0, 2)))
+
+
+@pytest.mark.parametrize("evaluations", [300, 1000, 3000])
+def test_certified_interval_stays_sound_on_forced_long_runs(monkeypatch, evaluations):
+    # Unfloored, unit steps drove an eigenvalue of rho to rounding level,
+    # and the interval excluded the maximum: [-0.895026, -0.895002] after
+    # 300 steps, an upper end of 969 after 1000.
+    monkeypatch.setattr(dv, "ASCENT_GAP", -1.0)
+    monkeypatch.setattr(dv, "ASCENT_MAX_ITERS", evaluations)
+    res = dv.channel_divergence(seed30_after_channel(), channels.depolarizing_r(2, 2))
+    assert res.evaluations == evaluations and not res.converged
+    assert res.value - 1e-12 <= SEED30_AFTER_DIVERGENCE <= res.upper + 1e-12
+    # As tight as the default stopping rule, whose gap bound is 1e-10.
+    assert res.upper - res.value <= 1e-10
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(d=st.integers(2, 3), env=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_forced_long_ascent_overlaps_default_interval(d, env, seed):
+    n = channels.random_channel(d, d, env, seed)
+    r = channels.depolarizing_r(d, d)
+    default = dv.channel_divergence(n, r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dv, "ASCENT_GAP", -1.0)
+        mp.setattr(dv, "ASCENT_MAX_ITERS", 300)
+        forced = dv.channel_divergence(n, r)
+    assert forced.evaluations == 300
+    assert forced.value <= default.upper + 1e-12
+    assert default.value <= forced.upper + 1e-12
+
+
+def test_certified_ascent_evaluation_budget(monkeypatch):
+    # The 32 certified calls of entropy-nondecrease at seeds 0-15 took 328
+    # evaluations with the accelerated ascent (3865 with unit steps alone).
+    used = []
+    certified = dv._certified_divergence
+
+    def counting(*args):
+        res = certified(*args)
+        used.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(dv, "_certified_divergence", counting)
+    for seed in range(16):
+        cli._suite_entropy_nondecrease(0, seed, cli.RunConfig())
+    assert len(used) == 32
+    assert sum(used) <= 2 * 328
+
+
+def test_evaluation_counts_by_path(monkeypatch):
+    r = channels.depolarizing_r(2, 2)
+    replacer = channels.replacer_channel(np.diag([0.3, 0.7]), 2)
+    assert dv.channel_divergence(replacer, r).evaluations == 1
+    # The restarted search counts every objective evaluation it makes.
+    calls = []
+    at = dv.divergence_at
+    monkeypatch.setattr(dv, "divergence_at", lambda *args: calls.append(1) or at(*args))
+    n = channels.random_channel(2, 2, 2, seed=3)
+    m = channels.random_channel(2, 2, 2, seed=4)
+    opts = dv.OptimizerOpts(restarts=2, max_evals=50, seed=0)
+    res = dv.channel_divergence(n, m, opts, witnesses=(dv.maximally_entangled(2),))
+    assert res.evaluations == len(calls) > 2 * 50
