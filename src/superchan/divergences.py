@@ -7,14 +7,17 @@ number of objective evaluations it took:
 - replacer pairs and channels sharing a tele-covariance group get exact
   closed forms (value == upper);
 - conditional-replacer references, M(X) = tr_B N(X) (x) gamma, which include
-  the depolarizing map behind the channel entropy and the thermal map, get a
-  certified concave ascent: D is then a concave function of the input state,
-  maximized by Blahut-Arimoto mirror steps on ln rho with safeguarded
-  Anderson acceleration and an eigenvalue floor, and bounded above by the
-  Frank-Wolfe duality gap (upper - value <= ASCENT_GAP, up to rounding);
+  the depolarizing and the thermal map, get a certified concave ascent: D is
+  then a concave function of the input state, maximized by Blahut-Arimoto
+  mirror steps on ln rho with safeguarded Anderson acceleration and an
+  eigenvalue floor, and bounded above by the Frank-Wolfe duality gap
+  (upper - value <= ASCENT_GAP, up to rounding);
 - every other pair gets a restarted derivative-free search over pure
   bipartite inputs with reference dimension equal to the channel input
   dimension, a one-sided lower bound (upper = +inf).
+
+The channel entropy is the negated divergence to the depolarizing map, a
+conditional replacer with gamma = 1, so it always takes the certified ascent.
 """
 
 from collections import deque
@@ -28,7 +31,6 @@ from scipy.optimize import minimize
 from .channels import (
     COVARIANCE_TOL,
     _kraus_from_spectrum,
-    channel_from_choi,
     covariance_residual,
     is_cptp,
     thermal_map,
@@ -522,19 +524,17 @@ def _negated(div):
     )
 
 
-def channel_entropy(n, opts=OptimizerOpts()):
+def channel_entropy(n):
     """Channel entropy, the negated divergence to the depolarizing map.
 
-    The depolarizing map is a conditional replacer, so the result is a
-    certified interval (or exact); opts reaches only the restarted search,
-    which this reference never takes.
+    The depolarizing map R(X) = tr(X) 1 is the conditional replacer with B
+    the whole output and gamma = 1, so every certified CPTP channel takes the
+    certified ascent and the result is a certified interval.
     """
     if not is_cptp(n):
         raise ValueError("channel must be certified CPTP")
-    r = channel_from_choi(
-        np.eye(n.dim_in * n.dim_out), n.dim_in, n.dim_out
-    )
-    return _negated(channel_divergence(n, r, opts))
+    d = n.dim_out
+    return _negated(_certified_divergence(n, d, np.ones(d), np.eye(d)))
 
 
 def channel_entropy_telecov(n):

@@ -76,7 +76,7 @@ def test_channel_dpi_rejects_uncertified():
 
 
 def test_entropy_gain_identity_saturates_exactly():
-    rep = bd.verify_entropy_gain_remainder(identity_super(), pauli_channel(51), opts=LIGHT)
+    rep = bd.verify_entropy_gain_remainder(identity_super(), pauli_channel(51))
     assert rep.slack == 0.0
     assert rep.alpha == 1.0
     assert rep.rho_alpha_term == 0.0
@@ -89,7 +89,7 @@ def test_entropy_gain_identity_saturates_exactly():
 def test_entropy_gain_unitary_super_telecov():
     mes = dv.maximally_entangled(2)
     rep = bd.verify_entropy_gain_remainder(
-        unitary_super(61), pauli_channel(62), opts=LIGHT, psi=mes, phi=mes
+        unitary_super(61), pauli_channel(62), psi=mes, phi=mes
     )
     assert rep.delta_prime == 0.0
     np.testing.assert_allclose(rep.alpha, 1.0, atol=1e-8)
@@ -102,7 +102,7 @@ def test_entropy_gain_reference_dim_drop():
     trace_channel = channels.channel_from_choi(np.eye(4, dtype=complex), 4, 1)
     theta = bd.replacer_supermap(pauli_channel(71), 4, 1)
     rep = bd.verify_entropy_gain_remainder(
-        theta, trace_channel, opts=LIGHT, psi=dv.maximally_entangled(4), phi=dv.maximally_entangled(2)
+        theta, trace_channel, psi=dv.maximally_entangled(4), phi=dv.maximally_entangled(2)
     )
     np.testing.assert_allclose(rep.delta_prime, 1.0, atol=1e-12)
     assert rep.gamma_term is None
@@ -191,9 +191,25 @@ def test_refined_dpi_telecov_sweep():
         assert rec.slack >= -1e-3
 
 
+def test_refined_dpi_skips_without_a_witness_coordinate_completion():
+    # The completion of theta.rep exists, but in the coordinates of a
+    # non-maximally entangled witness the representing map has none.
+    theta = pauli_mixture_super(114)
+    assert sc.tp_fix(theta).is_cptp
+    psi = dv.pure_bipartite(np.diag([1.0, 0.5]))
+    fix = sc.tp_fix_map(sc.generalized_rep(theta, psi, dv.maximally_entangled(2)))
+    np.testing.assert_allclose(fix.choi_min_eig, -0.375, atol=1e-12)
+    n, m = pauli_channel((115, 0)), pauli_channel((115, 1))
+    rec = bd.verify_refined_dpi(theta, n, m, opts=LIGHT, psi=psi)
+    assert rec.skipped and not rec.passed
+    assert rec.params["reason"] == (
+        "witness-coordinate representing map has no trace-preserving completion"
+    )
+
+
 def test_entropy_nondecrease_replacer_to_rtilde():
     theta = bd.replacer_supermap(channels.depolarizing_r_tilde(2, 2), 2, 2)
-    rec = bd.verify_entropy_gain_rsub(theta, channels.random_channel(2, 2, 4, 121), opts=LIGHT)
+    rec = bd.verify_entropy_gain_rsub(theta, channels.random_channel(2, 2, 4, 121))
     np.testing.assert_allclose(rec.lhs, 1.0, atol=1e-12)
     assert rec.slack >= -1e-9
     assert rec.params["r_preserving"] in (True, False)
@@ -206,7 +222,7 @@ def test_entropy_nondecrease_isometry_sweep():
         vs = [channels.haar_isometry(2, 2, rng) for _ in range(2)]
         theta = sc.random_isometry_super([0.5, 0.5], us, vs)
         n = channels.random_channel(2, 2, 2, (132, seed))
-        rec = bd.verify_entropy_gain_rsub(theta, n, opts=LIGHT)
+        rec = bd.verify_entropy_gain_rsub(theta, n)
         assert rec.slack >= -1e-3
 
 
@@ -215,7 +231,7 @@ def test_entropy_nondecrease_precondition():
     theta = bd.replacer_supermap(n0, 2, 2)
     assert not sc.is_r_subpreserving(theta).verdict
     with pytest.raises(ValueError):
-        bd.verify_entropy_gain_rsub(theta, channels.random_channel(2, 2, 4, 141), opts=LIGHT)
+        bd.verify_entropy_gain_rsub(theta, channels.random_channel(2, 2, 4, 141))
 
 
 def test_ordering_equal_references():
@@ -296,14 +312,14 @@ def test_additivity_pauli_sweep():
 def test_additivity_optimized_path():
     n = channels.random_channel(2, 2, 4, 211)
     m = channels.random_channel(2, 2, 4, 212)
-    rec = bd.verify_entropy_additivity(n, m, opts=LIGHT)
+    rec = bd.verify_entropy_additivity(n, m)
     assert rec.params["path"] == "concave-certified"
     assert rec.tolerance == 1e-3
     assert rec.passed
 
 
 def test_telecov_gain_identity_theta():
-    rec = bd.verify_telecov_entropy_gain(identity_super(), pauli_channel(221), opts=LIGHT)
+    rec = bd.verify_telecov_entropy_gain(identity_super(), pauli_channel(221))
     assert not rec.skipped
     assert rec.params["path"] == "telecov"
     assert rec.lhs == 0.0
@@ -313,7 +329,7 @@ def test_telecov_gain_identity_theta():
 def test_telecov_gain_replacer_to_rtilde():
     rep = channels.tensor_channels(channels.identity_channel(2), channels.depolarizing_r_tilde(2, 2))
     theta = sc.super_from_rep(rep.choi, (2, 2, 2, 2))
-    rec = bd.verify_telecov_entropy_gain(theta, pauli_channel(231), opts=LIGHT)
+    rec = bd.verify_telecov_entropy_gain(theta, pauli_channel(231))
     assert not rec.skipped
     assert np.isfinite(rec.params["recovery_term"])
     assert rec.slack >= -1e-9
@@ -323,7 +339,7 @@ def test_telecov_gain_replacer_to_rtilde():
 def test_telecov_gain_mixture_sweep():
     for seed in range(5):
         rec = bd.verify_telecov_entropy_gain(
-            pauli_mixture_super((241, seed)), pauli_channel((242, seed)), opts=LIGHT
+            pauli_mixture_super((241, seed)), pauli_channel((242, seed))
         )
         assert not rec.skipped
         assert rec.params["path"] == "telecov"
@@ -332,7 +348,7 @@ def test_telecov_gain_mixture_sweep():
 
 def test_telecov_gain_hypothesis_violation_skips():
     theta = bd.replacer_supermap(channels.channel_from_kraus([np.eye(2, dtype=complex)]), 2, 2)
-    rec = bd.verify_telecov_entropy_gain(theta, pauli_channel(251), opts=LIGHT)
+    rec = bd.verify_telecov_entropy_gain(theta, pauli_channel(251))
     assert rec.skipped
     assert not rec.passed
     assert np.isnan(rec.slack)

@@ -222,7 +222,7 @@ def test_channel_entropy_examples():
     pure = channels.replacer_channel(np.diag([1.0, 0.0]), 2)
     assert abs(dv.channel_entropy(pure).value) < 1e-10
     ident = channels.channel_from_kraus([np.eye(2)])
-    res = dv.channel_entropy(ident, SMALL)
+    res = dv.channel_entropy(ident)
     assert abs(res.value + 1.0) < 1e-6
 
 
@@ -519,3 +519,39 @@ def test_evaluation_counts_by_path(monkeypatch):
     opts = dv.OptimizerOpts(restarts=2, max_evals=50, seed=0)
     res = dv.channel_divergence(n, m, opts, witnesses=(dv.maximally_entangled(2),))
     assert res.evaluations == len(calls) > 2 * 50
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(terms=st.integers(1, 3), env=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_channel_dpi_under_isometry_superchannels(terms, env, seed):
+    # D[N||R_gamma] >= D[Theta(N)||Theta(R_gamma)] for a superchannel Theta.
+    # With gamma of full rank both sides take the certified ascent, so the
+    # upper end before must dominate the lower end after.
+    rng = np.random.default_rng(seed)
+    pre = [channels.haar_isometry(2, 2, rng) for _ in range(terms)]
+    post = [channels.haar_isometry(2, 2, rng) for _ in range(terms)]
+    theta = sc.random_isometry_super(rng.dirichlet(np.ones(terms)), pre, post)
+    gamma = random_psd(rng, 2)
+    r = channels.replacer_channel(gamma / np.trace(gamma).real, 2)
+    n = channels.random_channel(2, 2, env, seed)
+    before = dv.channel_divergence(n, r)
+    after = dv.channel_divergence(sc.apply_super(theta, n), sc.apply_super(theta, r))
+    assert before.certified and after.certified
+    assert before.upper >= after.value - 1e-12
+
+
+def test_entropy_of_a_channel_near_the_tp_tolerance_is_certified():
+    # The perturbation leaves a TP residual of 8.49e-11, under TP_TOL, so the
+    # channel is certified CPTP, but sqrt(d_out) times that residual exceeds
+    # REPLACER_TOL: the entropy must not depend on detecting its reference.
+    base = channels.random_channel(2, 2, 2, 7)
+    choi = base.choi + 6e-11 * np.kron(np.diag([1.0, 0.0]), np.eye(2)) / np.sqrt(2)
+    n = channels.channel_from_choi(choi, 2, 2)
+    assert channels.is_cptp(n)
+    res = dv.channel_entropy(n)
+    assert res.certified and np.isfinite(res.value) and np.isfinite(res.upper)
+    assert 0.0 <= res.upper - res.value <= 1e-9
+    assert res.evaluations <= 50
+    # The unperturbed entropy, an interval 3e-16 wide.
+    exact = -0.36346938466949
+    assert res.value - 1e-8 <= exact <= res.upper + 1e-8
