@@ -30,7 +30,6 @@ from .channels import (
     weyl_heisenberg_spec,
 )
 from .divergences import (
-    STEP_INIT,
     OptimizerOpts,
     channel_divergence,
     channel_entropy,
@@ -68,6 +67,7 @@ from .superchannels import (
 
 INEQ_TOL = 1e-3
 EXACT_TOL = 1e-8
+STEP_INIT = 0.1  # scale of super_divergence_lb's Gaussian proposals
 
 
 @dataclass(frozen=True)
@@ -196,25 +196,17 @@ def _require_input_slot(theta, *chans):
             raise ValueError("channel dimensions do not match the supermap input slot")
 
 
-def _state_witnesses(*results):
-    out = []
-    for res in results:
-        if res is not None and res.optimizer_state is not None:
-            out.append(res.optimizer_state)
-    return tuple(out)
-
-
 def _interval(res):
     """[lower, upper] of a result, JSON-safe: a one-sided end becomes None."""
     return [float(x) if np.isfinite(x) else None for x in (res.value, res.upper)]
 
 
 def _witness_json(**states):
-    out = {}
-    for name, psi in states.items():
-        if psi is not None:
-            out[name] = matrix_to_json(psi.a_psi)
-    return out
+    return {name: matrix_to_json(psi.a_psi) for name, psi in states.items()}
+
+
+def _replay_params(opts):  # the record's seed is opts.seed
+    return {"restarts": opts.restarts, "max_evals": opts.max_evals}
 
 
 def _alpha_remainder(f, rho):
@@ -231,7 +223,7 @@ def _divergence_pair(n, m, tn, tm, opts, share):
     Returns the two results and the number of injected witnesses.
     """
     after = channel_divergence(tn, tm, opts)
-    cross = _state_witnesses(after) if share else ()
+    cross = (after.optimizer_state,) if share else ()
     before = channel_divergence(n, m, opts, witnesses=cross)
     return before, after, len(cross)
 
@@ -253,7 +245,7 @@ def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
     before, after, injected = _divergence_pair(
         n, m, apply_super(theta, n), apply_super(theta, m), opts, a == c
     )
-    params = {"dims": list(theta.dims), "restarts": opts.restarts, "injected": injected}
+    params = {"dims": list(theta.dims), **_replay_params(opts), "injected": injected}
     wit = _witness_json(before=before.optimizer_state, after=after.optimizer_state)
     return _record("channel-dpi", before.value, after.value, tolerance, opts.seed, params, wit)
 
@@ -475,8 +467,8 @@ def _ordering_record(inst, opts, tolerance):
     if not diff.is_psd:
         raise ValueError(f"reference ordering fails: min eigenvalue {diff.min_eig:.3e}")
     with_big = channel_divergence(n, m_tilde, opts)
-    with_small = channel_divergence(n, m, opts, witnesses=_state_witnesses(with_big))
-    shared = _state_witnesses(with_small, with_big)
+    with_small = channel_divergence(n, m, opts, witnesses=(with_big.optimizer_state,))
+    shared = (with_small.optimizer_state, with_big.optimizer_state)
     pointwise = min(
         (divergence_at(n, m, s) - divergence_at(n, m_tilde, s) for s in shared),
         default=np.inf,
@@ -484,7 +476,7 @@ def _ordering_record(inst, opts, tolerance):
     params = {
         "pointwise_min_slack": float(pointwise),
         "ordering_min_eig": float(diff.min_eig),
-        "restarts": opts.restarts,
+        **_replay_params(opts),
     }
     wit = _witness_json(small=with_small.optimizer_state, big=with_big.optimizer_state)
     return _record(
@@ -502,13 +494,11 @@ def _product_record(inst, opts, tolerance):
     n1, m1, n2, m2 = inst
     d1 = channel_divergence(n1, m1, opts)
     d2 = channel_divergence(n2, m2, opts)
-    inject = ()
-    if d1.optimizer_state is not None and d2.optimizer_state is not None:
-        inject = (pure_bipartite(np.kron(d1.optimizer_state.a_psi, d2.optimizer_state.a_psi)),)
+    inject = pure_bipartite(np.kron(d1.optimizer_state.a_psi, d2.optimizer_state.a_psi))
     joint = channel_divergence(
-        tensor_channels(n1, n2), tensor_channels(m1, m2), opts, witnesses=inject
+        tensor_channels(n1, n2), tensor_channels(m1, m2), opts, witnesses=(inject,)
     )
-    params = {"left": float(d1.value), "right": float(d2.value), "restarts": opts.restarts}
+    params = {"left": float(d1.value), "right": float(d2.value), **_replay_params(opts)}
     wit = _witness_json(
         left=d1.optimizer_state, right=d2.optimizer_state, joint=joint.optimizer_state
     )

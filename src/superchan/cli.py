@@ -261,7 +261,7 @@ def cmd_entropy(args, cfg):
             thermal = ThermalMap(matrix_from_json(obj["thermal"]["hamiltonian"]), float(beta))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_USAGE, f"{args.channel}: invalid thermal block: {exc}")
-        res = channel_entropy_beta(n, thermal, _opts(cfg, cfg.seed))
+        res = channel_entropy_beta(n, thermal)
         payload = {
             "value": _scalar(res.value),
             "upper": _scalar(res.upper),
@@ -633,11 +633,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, optimizer=False):
         p.add_argument("--config", help="JSON run configuration file")
         p.add_argument("--out", help="output file (default: config output_path or stdout)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--restarts", type=int, help="override optimizer restarts")
+        if optimizer:
+            p.add_argument("--seed", type=int, help="override the config seed")
+            p.add_argument("--restarts", type=int, help="override optimizer restarts")
 
     p = sub.add_parser("entropy", help="channel entropy of a channel JSON file")
     p.add_argument("channel")
@@ -647,7 +648,7 @@ def build_parser():
     p = sub.add_parser("divergence", help="channel divergence against a CP reference")
     p.add_argument("channel")
     p.add_argument("reference")
-    common(p)
+    common(p, optimizer=True)
     p.set_defaults(fn=cmd_divergence)
 
     p = sub.add_parser("apply-super", help="apply a supermap JSON file to a channel")
@@ -671,7 +672,7 @@ def build_parser():
     p.add_argument(
         "--jobs", type=int, default=1, help="worker threads (default 1); never affects output bytes"
     )
-    common(p)
+    common(p, optimizer=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", help="project a JSON report to CSV")
@@ -685,10 +686,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg = validate_config(replace(cfg, seed=args.seed))
-        if args.restarts is not None:
-            cfg = validate_config(replace(cfg, restarts=args.restarts))
+        for name in ("seed", "restarts"):
+            if getattr(args, name, None) is not None:
+                cfg = validate_config(replace(cfg, **{name: getattr(args, name)}))
         return args.fn(args, cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,27 +6,23 @@ number of objective evaluations it took:
 
 - replacer pairs and channels sharing a tele-covariance group get exact
   closed forms (value == upper);
-- conditional-replacer references, M(X) = tr_B N(X) (x) gamma, which include
-  the depolarizing and the thermal map, get a certified concave ascent: D is
-  then a concave function of the input state, maximized by Blahut-Arimoto
-  mirror steps on ln rho with safeguarded Anderson acceleration and an
-  eigenvalue floor, and bounded above by the Frank-Wolfe duality gap
+- conditional-replacer references, M(X) = tr_B N(X) (x) gamma, make D a
+  concave function of the input state, maximized by a mirror ascent on
+  ln rho and bounded above by its Frank-Wolfe duality gap
   (upper - value <= ASCENT_GAP, up to rounding);
-- every other pair gets a restarted derivative-free search over pure
-  bipartite inputs with reference dimension equal to the channel input
-  dimension, a one-sided lower bound (upper = +inf).
+- every other pair gets the same ascent on a general objective from several
+  starts, a lower bound (upper = +inf), or +inf when the supports leak.
 
-The channel entropy is the negated divergence to the depolarizing map, a
-conditional replacer with gamma = 1, so it always takes the certified ascent.
+Channel entropies negate the divergence to X -> tr(X) 1 or to
+X -> tr(X) exp(-beta H), both conditional replacers, so they are certified.
 """
 
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (
     COVARIANCE_TOL,
@@ -47,15 +43,18 @@ from .linalg import (
 
 LEAK_TOL = 1e-8
 RANK_CUTOFF = 1e-6
-STEP_INIT = 0.1
 REPLACER_TOL = 1e-10
-# The certified ascent stops once its Frank-Wolfe gap, in bits, is this small,
-# or after ASCENT_MAX_ITERS objective evaluations; the interval is sound either
-# way.  Before each evaluation, the eigenvalues of rho are floored at
-# ASCENT_FLOOR times the largest, which keeps the gap a bound on long runs.
+# The mirror ascent stops once its Frank-Wolfe gap, in bits, is this small, or
+# after ASCENT_MAX_ITERS evaluations when certified (max_evals per start
+# otherwise).  Before each evaluation the eigenvalues of rho are floored at
+# ASCENT_FLOOR times the largest: unfloored, steps toward a boundary maximum
+# reach rounding level, where the gradient cancels and the gap is no bound.
 ASCENT_GAP = 1e-10
 ASCENT_MAX_ITERS = 5000
 ASCENT_FLOOR = 1e-12
+# Off the certified path nothing proves f concave: a unit step that lowers it
+# by more than ASCENT_DROP * max(1, |f|) is retried at half length.
+ASCENT_DROP = 1e-13
 # Anderson acceleration of the ascent keeps the last ANDERSON_DEPTH steps; an
 # accelerated point is kept only while rho's smallest eigenvalue is at least
 # ANDERSON_MIN_EIG.
@@ -63,9 +62,6 @@ ANDERSON_DEPTH = 3
 ANDERSON_MIN_EIG = 1e-6
 LN2 = np.log(2)
 TINY = np.finfo(float).tiny
-# Finite stand-in for +inf inside the simplex search; exact values are
-# recomputed at the final witness.
-CAP = 1e9
 
 
 @dataclass(frozen=True)
@@ -109,20 +105,20 @@ class DivergenceResult:
     """The interval [value, upper] holding the quantity; value is its lower end.
 
     For a divergence, value is the objective at optimizer_state, and upper is
-    +inf when the search is one-sided.  The certified path evaluates the
-    objective without rel_entropy's support cutoff, so divergence_at at its
-    witness agrees to rounding while no eigenvalue of the reference state
-    falls below SUPPORT_CUTOFF.  An entropy negates the interval: its value is
+    +inf when the ascent is one-sided.  The ascent evaluates the objective
+    without rel_entropy's support cutoff, so divergence_at at its witness
+    agrees to rounding while no eigenvalue of the reference state falls
+    below SUPPORT_CUTOFF.  An entropy negates the interval: its value is
     -upper of the divergence, and its upper end is the value at the witness.
 
-    evaluations counts objective evaluations: 1 for a closed form, the
-    ascent's evaluations on the certified path, and for the restarted search
-    the simplex evaluations plus one at each restart's end and each witness.
+    restarts_used counts ascent starts (0 when certified); per_restart_values
+    holds each start's value, then each witness's.  evaluations counts
+    objective evaluations, the leak check and the witnesses included.
     """
 
     value: float
     upper: float
-    optimizer_state: Optional[PureBipartiteState]
+    optimizer_state: PureBipartiteState
     restarts_used: int
     per_restart_values: tuple
     converged: bool
@@ -261,17 +257,8 @@ def _closed_form_result(value, dim):
     )
 
 
-def _params_to_state(x, dim):
-    a = (x[: dim * dim] + 1j * x[dim * dim :]).reshape(dim, dim)
-    nrm = np.linalg.norm(a)
-    if nrm < 1e-12:
-        a = np.eye(dim)
-        nrm = np.linalg.norm(a)
-    return pure_bipartite(a / nrm)
-
-
 def _conditional_replacer(n, m):
-    """(b, herm_eig(gamma)) when M(X) = tr_B N(X) (x) gamma, else None.
+    """(b, ln gamma) when M(X) = tr_B N(X) (x) gamma, else None.
 
     The output of N splits as R' (x) B with dim_out = r' * b and b > 1; r' = 1
     is tried first.  gamma = tr_{A R'} Choi_M / dim_in must have full rank.
@@ -287,7 +274,7 @@ def _conditional_replacer(n, m):
             continue
         w, v = herm_eig(gamma)
         if w[0] > SUPPORT_CUTOFF:
-            return b, w, v
+            return b, (v * np.log(w)) @ dagger(v)
     return None
 
 
@@ -309,7 +296,7 @@ class _BlockMap(NamedTuple):
 
 
 class _AscentPoint(NamedTuple):
-    """One evaluation of the certified ascent at rho = exp(x) / Z."""
+    """One evaluation of the mirror ascent at rho = exp(x) / Z."""
 
     x: np.ndarray  # ln rho, floored and traceless, as a real vector: the iterate
     p: np.ndarray  # eigenvalues of rho, ascending
@@ -324,33 +311,84 @@ def _flat(x):
     return x.reshape(-1).view(float)
 
 
-def _certified_divergence(n, b, gamma_w, gamma_v):
+def _floored(x, d):
+    """Spectrum of ln rho for the real vector x, floored and traceless, and rho's."""
+    h_w, h_v = np.linalg.eigh(x.view(complex).reshape(d, d))
+    h_w = np.maximum(h_w, h_w[-1] + np.log(ASCENT_FLOOR))
+    h_w -= h_w.mean()
+    p = np.exp(h_w - h_w[-1])
+    return h_w, h_v, p / p.sum()
+
+
+def _witness(point):
+    """The pure state with amplitude sqrt(rho)^T, whose input marginal is rho."""
+    return pure_bipartite(((point.v * np.sqrt(point.p)) @ dagger(point.v)).T)
+
+
+def _ascend(objective, d, x, max_evals, backtrack=False):
+    """Mirror ascent from the real vector x = ln rho: the last point and its evaluations.
+
+    objective(rho) returns f ln 2 and its gradient grad in nats, up to a
+    multiple of 1.  The unit step x <- x + grad has the stationary points of
+    f as fixed points, so type-II Anderson acceleration (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011) proposes points, kept only if f rises.  The ascent
+    stops once the Frank-Wolfe gap lambda_max(grad) - tr rho grad is at most
+    ASCENT_GAP bits, or after max_evals evaluations.
+    """
+    eye = np.eye(d)
+
+    def evaluate(h_w, h_v, p):
+        rho = (h_v * p) @ dagger(h_v)
+        f, grad = objective(rho)
+        grad = (grad + dagger(grad)) / 2
+        # Nonnegative in exact arithmetic: tr rho grad is an average of its spectrum.
+        gap = max(np.linalg.eigvalsh(grad)[-1] - np.vdot(rho, grad).real, 0.0)
+        step = grad - (np.trace(grad).real / d) * eye
+        x = (h_v * h_w) @ dagger(h_v)
+        return _AscentPoint(_flat(x), p, h_v, f / LN2, gap / LN2, _flat(step))
+
+    point = evaluate(*_floored(x, d))
+    evaluations, length = 1, 1.0
+    dxs, dsteps = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
+    while point.gap > ASCENT_GAP and evaluations < max_evals:
+        cand = point.x + length * point.step
+        if dxs:
+            dx, dstep = np.array(dxs).T, np.array(dsteps).T
+            cand -= (dx + dstep) @ np.linalg.lstsq(dstep, point.step)[0]
+        h_w, h_v, p = _floored(cand, d)
+        # An accelerated point too close to the boundary is dropped unevaluated.
+        new = None
+        if not dxs or p[0] >= ANDERSON_MIN_EIG:
+            new = evaluate(h_w, h_v, p)
+            evaluations += 1
+        if dxs and (new is None or not new.f > point.f):
+            dxs.clear()
+            dsteps.clear()
+            continue
+        if backtrack and new.f < point.f - ASCENT_DROP * max(1.0, abs(point.f)):
+            length /= 2
+            continue
+        length = 1.0
+        # Near the boundary no accelerated point would be kept, so unit steps
+        # follow without proposals.
+        if new.p[0] >= ANDERSON_MIN_EIG:
+            dxs.append(new.x - point.x)
+            dsteps.append(new.step - point.step)
+        point = new
+    return point, evaluations
+
+
+def _certified_divergence(n, b, ln_gamma):
     """D[N||M] for M(X) = tr_B N(X) (x) gamma, as a certified interval.
 
     With the Stinespring isometry V of N into R' (x) B (x) E and
     tau = tr_R' V rho V^dagger, the divergence at input state rho is
     f(rho) = H(B|E)_tau - tr N_B(rho) log2 gamma, concave in rho by strong
-    subadditivity; D[N||M] = max_rho f.  Concavity bounds the maximum by
-    f(rho) + lambda_max(grad) - tr rho grad at every rho, with grad the
-    gradient of f; the loop stops on that gap, never on f, which flattens to
-    rounding noise first.  Value and gap are read at one evaluated rho, so
-    the interval is sound wherever the loop stops.
-
-    The iterate is x = ln rho up to a multiple of 1.  The unit mirror step
-    x <- x + grad (nats) is the Blahut-Arimoto iteration: f is 1-smooth
-    relative to the von Neumann entropy (He, Saunderson & Fawzi, IEEE TIT
-    2024), so it raises f, and it is always accepted.  Its fixed point is the
-    maximum, so type-II Anderson acceleration (Walker & Ni, SIAM J. Numer.
-    Anal. 49, 2011) over the last ANDERSON_DEPTH steps proposes a point;
-    the proposal is kept only if f rises and rho's smallest eigenvalue stays
-    at least ANDERSON_MIN_EIG, and otherwise the history is cleared and the
-    next evaluation is a unit step.  While rho's smallest eigenvalue is below
-    ANDERSON_MIN_EIG, only unit steps are taken.  Where the maximum lies on
-    the boundary, unit steps drive an eigenvalue of rho to 0; once it reaches
-    rounding level, -ln tau and +ln N^c(rho) cancel catastrophically in grad
-    and the gap is no longer a bound.  So before each evaluation the
-    eigenvalues of x are floored at max + ln ASCENT_FLOOR.  ASCENT_MAX_ITERS
-    counts evaluations.
+    subadditivity; D[N||M] = max_rho f <= f + gap at every rho, and value and
+    gap are read at one evaluated rho, so the interval is sound wherever the
+    ascent stops.  f is 1-smooth relative to the von Neumann entropy (He,
+    Saunderson & Fawzi, IEEE TIT 2024), so each unit step, a Blahut-Arimoto
+    iteration, raises f.  gamma enters only as ln gamma, so no cutoff applies.
     """
     din, dout = n.dim_in, n.dim_out
     rp = dout // b
@@ -361,25 +399,13 @@ def _certified_divergence(n, b, gamma_w, gamma_v):
     iso = kraus.reshape(r, rp, b, din).transpose(1, 2, 0, 3)
     to_be = _BlockMap.of(iso.reshape(rp, b * r, din))
     to_e = _BlockMap.of(iso.reshape(rp * b, r, din))
-    ln_gamma = (gamma_v * np.log(gamma_w)) @ dagger(gamma_v)
     linear = to_be.adjoint(np.kron(ln_gamma, np.eye(r)))
     # tau stays inside the support of T(1), of dimension at most din * r';
     # compressed onto it, tau has full rank for every full-rank rho.
     t_w, t_v = herm_eig(to_be.apply(np.eye(din)))
     to_be = _BlockMap.of(dagger(t_v[:, t_w > SUPPORT_CUTOFF]) @ to_be.blocks)
-    eye = np.eye(din)
-    ln_floor = np.log(ASCENT_FLOOR)
 
-    def floored(x):
-        """Spectrum of ln rho for the real vector x, floored and traceless."""
-        h_w, h_v = np.linalg.eigh(x.view(complex).reshape(din, din))
-        h_w = np.maximum(h_w, h_w[-1] + ln_floor)
-        h_w -= h_w.mean()
-        p = np.exp(h_w - h_w[-1])
-        return h_w, h_v, p / p.sum()
-
-    def evaluate(h_w, h_v, p):
-        rho = (h_v * p) @ dagger(h_v)
+    def objective(rho):
         # f ln 2 = tr N^c(rho) ln N^c(rho) - tr tau ln tau - tr rho linear,
         # and grad is its derivative up to a multiple of 1.
         grad = -linear
@@ -389,50 +415,86 @@ def _certified_divergence(n, b, gamma_w, gamma_v):
             ln_w = np.log(np.maximum(w, TINY))
             grad = grad + sign * part.adjoint((v * ln_w) @ dagger(v))
             f += sign * np.dot(np.maximum(w, 0.0), ln_w)
-        grad = (grad + dagger(grad)) / 2
-        # Nonnegative in exact arithmetic: tr rho grad is an average of its spectrum.
-        gap = max(np.linalg.eigvalsh(grad)[-1] - np.vdot(rho, grad).real, 0.0)
-        step = grad - (np.trace(grad).real / din) * eye
-        x = (h_v * h_w) @ dagger(h_v)
-        return _AscentPoint(_flat(x), p, h_v, f / LN2, gap / LN2, _flat(step))
+        return f, grad
 
-    point = evaluate(*floored(np.zeros(2 * din * din)))
-    evaluations = 1
-    dxs, dsteps = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
-    while point.gap > ASCENT_GAP and evaluations < ASCENT_MAX_ITERS:
-        cand = point.x + point.step
-        if dxs:
-            dx, dstep = np.array(dxs).T, np.array(dsteps).T
-            cand -= (dx + dstep) @ np.linalg.lstsq(dstep, point.step)[0]
-        h_w, h_v, p = floored(cand)
-        # An accelerated point too close to the boundary is dropped unevaluated.
-        new = None
-        if not dxs or p[0] >= ANDERSON_MIN_EIG:
-            new = evaluate(h_w, h_v, p)
-            evaluations += 1
-        if dxs and (new is None or not new.f > point.f):
-            dxs.clear()
-            dsteps.clear()
-            continue
-        # Near the boundary no accelerated point would be kept, so unit steps
-        # follow without proposals.
-        if new.p[0] >= ANDERSON_MIN_EIG:
-            dxs.append(new.x - point.x)
-            dsteps.append(new.step - point.step)
-        point = new
-
+    point, evaluations = _ascend(objective, din, np.zeros(2 * din * din), ASCENT_MAX_ITERS)
     f, gap = float(point.f), float(point.gap)
-    # rho is the input marginal of the pure state with amplitude sqrt(rho)^T.
-    state = pure_bipartite(((point.v * np.sqrt(point.p)) @ dagger(point.v)).T)
     return DivergenceResult(
-        value=f,
-        upper=f + gap,
-        optimizer_state=state,
-        restarts_used=0,
-        per_restart_values=(f,),
-        converged=gap <= ASCENT_GAP,
-        is_lower_bound=False,
+        value=f, upper=f + gap, optimizer_state=_witness(point), restarts_used=0,
+        per_restart_values=(f,), converged=gap <= ASCENT_GAP, is_lower_bound=False,
         evaluations=evaluations,
+    )
+
+
+def _general_objective(n, m):
+    """objective(rho) = (f ln 2, gradient in nats) for D[N||M] when supp C_N <= supp C_M.
+
+    With C_N = A A^dagger, C_M = B B^dagger (eigenvalues above SUPPORT_CUTOFF),
+    P = rho^T (x) 1, Phi = A^dagger P A, G = B^dagger P B = V diag(g) V^dagger
+    and Q = B^+ C_N B^+dagger, f = [tr Phi ln Phi - tr Q G ln G] / ln 2.  The
+    gradient is tr_out[A (ln Phi + 1) A^dagger - B V (Gam o V^dagger Q V) V^dagger B^dagger]^T,
+    Gam_ij = ln(g_i g_j) / 2 + w coth w with w = ln(g_i / g_j) / 2 being the
+    divided differences of x ln x (ln g_i + 1 on the diagonal).
+    """
+    d, dout = n.dim_in, n.dim_out
+
+    def factor(choi):
+        w, v = herm_eig(choi)
+        on = w > SUPPORT_CUTOFF
+        return v[:, on] * np.sqrt(w[on]), w[on]
+
+    a, _ = factor(n.choi)
+    b, b_w = factor(m.choi)
+    q = (dagger(b) @ n.choi @ b) / np.outer(b_w, b_w)
+
+    def objective(rho):
+        p = np.kron(rho.T, np.eye(dout))
+        phi_w, phi_v = np.linalg.eigh(dagger(a) @ p @ a)
+        g_w, g_v = np.linalg.eigh(dagger(b) @ p @ b)
+        ln_phi = np.log(np.maximum(phi_w, TINY))
+        ln_g = np.log(np.maximum(g_w, TINY))
+        qv = dagger(g_v) @ q @ g_v
+        f = np.dot(np.maximum(phi_w, 0.0), ln_phi) - np.dot(qv.diagonal().real, g_w * ln_g)
+        w = (ln_g[:, None] - ln_g) / 2
+        w_coth_w = np.divide(w, np.tanh(w), out=np.ones_like(w), where=w != 0)
+        gam = (ln_g[:, None] + ln_g) / 2 + w_coth_w
+        k = a @ ((phi_v * (ln_phi + 1)) @ dagger(phi_v)) @ dagger(a)
+        k -= b @ (g_v @ (gam * qv) @ dagger(g_v)) @ dagger(b)
+        return f, partial_trace(k, (d, dout), "first").T
+
+    return objective
+
+
+def _searched_divergence(n, m, opts, witnesses):
+    """D[N||M] for any pair: +inf if the supports leak, else a lower bound.
+
+    The backtracking ascent on _general_objective starts at rho = 1/d and, for
+    r >= 1, at the input marginal of the Gaussian pure state drawn from
+    default_rng((seed, r)).  The best start or supplied witness wins.
+    """
+    d = n.dim_in
+    if divergence_at(n, m, maximally_entangled(d)) == np.inf:
+        return _closed_form_result(np.inf, d)
+    objective = _general_objective(n, m)
+
+    def start(r):
+        if r == 0:
+            return np.zeros(2 * d * d)
+        g = np.random.default_rng((opts.seed, r)).normal(size=2 * d * d)
+        amp = (g[: d * d] + 1j * g[d * d :]).reshape(d, d)
+        w, v = np.linalg.eigh(amp.T @ amp.conj())
+        return _flat((v * np.log(np.maximum(w, TINY))) @ dagger(v))
+
+    starts = (start(r) for r in range(opts.restarts))
+    runs = [_ascend(objective, d, x, opts.max_evals, backtrack=True) for x in starts]
+    found = [(float(p.f), _witness(p), p.gap <= ASCENT_GAP) for p, _ in runs]
+    found += [(divergence_at(n, m, psi), psi, True) for psi in witnesses]
+    evaluations = 1 + len(witnesses) + sum(used for _, used in runs)
+    value, state, converged = max(found, key=lambda c: c[0])
+    return DivergenceResult(
+        value=value, upper=np.inf, optimizer_state=state, restarts_used=opts.restarts,
+        per_restart_values=tuple(c[0] for c in found), converged=bool(converged),
+        is_lower_bound=True, evaluations=evaluations,
     )
 
 
@@ -440,9 +502,9 @@ def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
     """Channel relative entropy D[N||M] as an interval [value, upper].
 
     Closed forms and conditional-replacer references are exact or certified
-    (see the module docstring).  Other pairs get the restarted search, whose
+    (see the module docstring).  Other pairs get the restarted ascent, whose
     value is a lower bound; extra pure bipartite states in `witnesses` are
-    evaluated alongside its restarts, so the value dominates every supplied
+    evaluated alongside its starts, so the value dominates every supplied
     feasible point.
     """
     if (n.dim_in, n.dim_out) != (m.dim_in, m.dim_out):
@@ -462,56 +524,7 @@ def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
     conditional = _conditional_replacer(n, m)
     if conditional is not None:
         return _certified_divergence(n, *conditional)
-    return _restarted_search(n, m, opts, witnesses)
-
-
-def _restarted_search(n, m, opts, witnesses=()):
-    """Nelder-Mead over pure bipartite amplitudes: a lower bound on D[N||M]."""
-    dim = n.dim_in
-    nparams = 2 * dim * dim
-
-    def neg_objective(x):
-        val = divergence_at(n, m, _params_to_state(x, dim))
-        return -min(val, CAP)
-
-    best_val = -np.inf
-    best_state = None
-    per_restart = []
-    best_success = False
-    evaluations = opts.restarts + len(witnesses)
-    for r in range(opts.restarts):
-        rng = np.random.default_rng((opts.seed, r))
-        x0 = rng.normal(size=nparams)
-        simplex = np.vstack([x0] + [x0 + STEP_INIT * np.eye(nparams)[i] for i in range(nparams)])
-        res = minimize(
-            neg_objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": opts.max_evals, "initial_simplex": simplex},
-        )
-        evaluations += res.nfev
-        state = _params_to_state(res.x, dim)
-        val = divergence_at(n, m, state)
-        per_restart.append(val)
-        if val > best_val:
-            best_val, best_state, best_success = val, state, bool(res.success)
-
-    for psi in witnesses:
-        val = divergence_at(n, m, psi)
-        per_restart.append(val)
-        if val > best_val:
-            best_val, best_state, best_success = val, psi, True
-
-    return DivergenceResult(
-        value=best_val,
-        upper=np.inf,
-        optimizer_state=best_state,
-        restarts_used=opts.restarts,
-        per_restart_values=tuple(per_restart),
-        converged=best_success,
-        is_lower_bound=True,
-        evaluations=evaluations,
-    )
+    return _searched_divergence(n, m, opts, witnesses)
 
 
 def _negated(div):
@@ -534,7 +547,7 @@ def channel_entropy(n):
     if not is_cptp(n):
         raise ValueError("channel must be certified CPTP")
     d = n.dim_out
-    return _negated(_certified_divergence(n, d, np.ones(d), np.eye(d)))
+    return _negated(_certified_divergence(n, d, np.zeros((d, d))))
 
 
 def channel_entropy_telecov(n):
@@ -547,13 +560,15 @@ def channel_entropy_telecov(n):
     return vn_entropy(n.normalized_choi) - np.log2(n.dim_in)
 
 
-def channel_entropy_beta(n, thermal, opts=OptimizerOpts()):
+def channel_entropy_beta(n, thermal):
     """Entropy against the completely thermalizing reference exp(-beta H).
 
-    Certified whenever exp(-beta H) has full rank; otherwise the restarted
-    search under opts gives the upper end only.
+    The reference is the conditional replacer with B the whole output and
+    ln gamma = -beta H, so the result is a certified interval at every beta.
     """
     if not is_cptp(n):
         raise ValueError("channel must be certified CPTP")
-    m = thermal_map(thermal)
-    return _negated(channel_divergence(n, m, opts))
+    if thermal_map(thermal).dim_out != n.dim_out:  # also rejects beta < 0 and H < 0
+        raise ValueError("hamiltonian dimension does not match the channel output")
+    ln_gamma = -thermal.beta * np.asarray(thermal.hamiltonian, dtype=complex)
+    return _negated(_certified_divergence(n, n.dim_out, ln_gamma))

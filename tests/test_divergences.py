@@ -123,7 +123,7 @@ def test_objective_decomposes_each_operand_once(monkeypatch):
     rho, sigma = rand_state(rng, 4), rand_state(rng, 4)
     eighs = counting(monkeypatch, "eigh")
     svds = counting(monkeypatch, "svd")
-    psi = dv._params_to_state(x, 2)
+    psi = dv.pure_bipartite((x[:4] + 1j * x[4:]).reshape(2, 2))
     assert svds == [] and eighs == []
     dv.divergence_at(n, m, psi)
     assert eighs == ["eigh"] * 2
@@ -426,11 +426,88 @@ def test_certified_divergence_interval_and_witness(d, env, reference, seed):
 
 @settings(max_examples=2, deadline=None, derandomize=True)
 @given(env=st.integers(2, 3), seed=st.integers(0, 2**16))
-def test_nelder_mead_stays_below_certified_upper(env, seed):
+def test_searched_ascent_stays_below_certified_upper(env, seed):
     n = channels.random_channel(2, 2, env, seed)
     r = channels.depolarizing_r(2, 2)
-    searched = dv._restarted_search(n, r, dv.OptimizerOpts())
+    searched = dv._searched_divergence(n, r, dv.OptimizerOpts(), ())
+    assert searched.is_lower_bound and searched.restarts_used == dv.OptimizerOpts().restarts
     assert searched.value <= dv.channel_divergence(n, r).upper + 1e-12
+
+
+def general_reference(kind, n, rng, seed):
+    """A CP map M of n's shape with supp C_N inside supp C_M, by kind."""
+    din, dout = n.dim_in, n.dim_out
+    if kind == "full-rank":
+        return channels.random_channel(din, dout, din * dout, (seed, 1))
+    if kind == "mixture":
+        other = channels.random_channel(din, dout, 2, (seed, 1))
+        t = rng.uniform(0.1, 0.9)
+        return channels.channel_from_choi((1 - t) * n.choi + t * other.choi, din, dout)
+    if kind == "rank-deficient":
+        # N's Kraus operators plus one more: CP, not TP, and of rank env + 1.
+        extra = rng.normal(size=(dout, din)) + 1j * rng.normal(size=(dout, din))
+        return channels.channel_from_kraus(list(n.kraus) + [0.5 * extra])
+    base = channels.random_channel(din, dout, din * dout, (seed, 1))
+    return channels.channel_from_kraus([np.sqrt(1.7) * k for k in base.kraus])
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(
+    din=st.integers(2, 3),
+    dout=st.integers(2, 3),
+    kind=st.sampled_from(["full-rank", "mixture", "rank-deficient", "non-tp"]),
+    seed=st.integers(0, 2**16),
+)
+def test_general_objective_gradient_matches_central_differences(din, dout, kind, seed):
+    rng = np.random.default_rng(seed)
+    n = channels.random_channel(din, dout, 2, seed)
+    m = general_reference(kind, n, rng, seed)
+    objective = dv._general_objective(n, m)
+    rho = rand_state(rng, din)
+    f, grad = objective(rho)
+    # The objective at rho is the divergence at the purification of rho.
+    amp = linalg.mat_sqrt_psd(rho).T
+    at = dv.divergence_at(n, m, dv.pure_bipartite(amp))
+    assert abs(f / np.log(2) - at) <= 1e-10 * max(1.0, abs(at))
+    # Central differences along a Hermitian basis, against tr(h grad).
+    eps = 1e-6
+    numeric, analytic = [], []
+    for j in range(din):
+        for k in range(din):
+            h = np.zeros((din, din), dtype=complex)
+            if j == k:
+                h[j, j] = 1.0
+            elif j < k:
+                h[j, k] = h[k, j] = 1.0
+            else:
+                h[j, k], h[k, j] = 1j, -1j
+            numeric.append((objective(rho + eps * h)[0] - objective(rho - eps * h)[0]) / (2 * eps))
+            analytic.append(np.vdot(h, grad).real)
+    numeric, analytic = np.array(numeric), np.array(analytic)
+    assert np.linalg.norm(numeric - analytic) <= 1e-6 * np.linalg.norm(analytic)
+
+
+def test_leaking_support_is_infinite_in_one_evaluation():
+    ident = channels.identity_channel(2)
+    onto_zero = channels.replacer_channel(np.diag([1.0, 0.0]), 2)
+    res = dv.channel_divergence(ident, onto_zero)
+    assert res.value == res.upper == np.inf
+    assert res.evaluations == 1
+
+
+def test_thermal_entropy_is_certified_below_the_support_cutoff():
+    # exp(-30) is below SUPPORT_CUTOFF, so a reference built from exp(-beta H)
+    # would lose its excited level; ln gamma = -beta H keeps it.
+    n = channels.random_channel(2, 2, 2, 5)
+    h = np.diag([0.0, 1.0])
+    res = dv.channel_entropy_beta(n, channels.ThermalMap(h, 30.0))
+    assert res.certified and 0.0 <= res.upper - res.value <= 1e-9
+    assert res.value - 1e-9 <= -36.5736171190475 <= res.upper + 1e-9
+    # Above the cutoff the same channel agrees with the thermal reference map.
+    moderate = channels.ThermalMap(h, 15.0)
+    via_map = dv.channel_divergence(n, channels.thermal_map(moderate))
+    entropy = dv.channel_entropy_beta(n, moderate)
+    assert abs(entropy.value + via_map.upper) <= 1e-9
 
 
 @settings(max_examples=4, deadline=None, derandomize=True)
@@ -510,15 +587,24 @@ def test_evaluation_counts_by_path(monkeypatch):
     r = channels.depolarizing_r(2, 2)
     replacer = channels.replacer_channel(np.diag([0.3, 0.7]), 2)
     assert dv.channel_divergence(replacer, r).evaluations == 1
-    # The restarted search counts every objective evaluation it makes.
+    # The restarted ascent counts every objective evaluation it makes: the
+    # leak check and the witness through divergence_at, the rest in its starts.
     calls = []
     at = dv.divergence_at
     monkeypatch.setattr(dv, "divergence_at", lambda *args: calls.append(1) or at(*args))
+    general = dv._general_objective
+
+    def counting(n, m):
+        objective = general(n, m)
+        return lambda rho: calls.append(1) or objective(rho)
+
+    monkeypatch.setattr(dv, "_general_objective", counting)
+    # A full-rank reference: against rank 2, N's support leaks and D = +inf.
     n = channels.random_channel(2, 2, 2, seed=3)
-    m = channels.random_channel(2, 2, 2, seed=4)
+    m = channels.random_channel(2, 2, 4, seed=4)
     opts = dv.OptimizerOpts(restarts=2, max_evals=50, seed=0)
     res = dv.channel_divergence(n, m, opts, witnesses=(dv.maximally_entangled(2),))
-    assert res.evaluations == len(calls) > 2 * 50
+    assert res.restarts_used == 2 and res.evaluations == len(calls) > 2 + 2
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
