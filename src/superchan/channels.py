@@ -5,6 +5,7 @@ input (x) output; the normalized variant Chat/dim_in is exposed separately.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,6 +25,13 @@ from .linalg import (
 TP_TOL = 1e-10
 KRAUS_CHOI_TOL = 1e-10
 COVARIANCE_TOL = 1e-8
+# check_telecov_spec: largest ||u^dag u - 1|| of a representation element, and
+# largest deviation of the input twirl of a basis matrix from its one-design
+# value.
+UNITARY_TOL = 1e-10
+TWIRL_TOL = 1e-8
+# Two specs whose stacked representations agree entrywise to this are one group.
+REP_MATCH_TOL = 1e-12
 
 
 class Flag(NamedTuple):
@@ -47,7 +55,11 @@ UNVERIFIED = ChannelFlags(
 
 
 class TeleCovariantSpec(NamedTuple):
-    """Finite unitary group representations on input and output spaces."""
+    """Finite unitary group representations on input and output spaces.
+
+    Each side is a sequence of g square matrices: a tuple of arrays, or a
+    (g, d, d) stack as the constructors below build.
+    """
 
     reps_in: tuple
     reps_out: tuple
@@ -229,52 +241,80 @@ def thermal_map(spec):
 
 
 def weyl_heisenberg_unitaries(dim):
-    """The dim^2 discrete shift-and-phase unitaries on a dim-level system."""
-    shift = np.roll(np.eye(dim), 1, axis=0).astype(complex)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-    out = []
-    for a in range(dim):
-        for b in range(dim):
-            out.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return tuple(out)
+    """The dim^2 shift-and-phase unitaries X^a Z^b as a (dim^2, dim, dim) stack, index dim a + b."""
+    phase = np.exp(2j * np.pi * np.arange(dim) / dim)
+    eye = np.eye(dim)
+    return np.stack([np.roll(eye, a, axis=0) * phase**b for a in range(dim) for b in range(dim)])
 
 
+@lru_cache(maxsize=None)
 def weyl_heisenberg_spec(dim):
+    """The Weyl-Heisenberg group on both sides, built once per dim; its arrays are read-only."""
     u = weyl_heisenberg_unitaries(dim)
+    u.setflags(write=False)
     return TeleCovariantSpec(u, u)
+
+
+def _rep_stack(reps, side):
+    """reps as a (g, d, d) complex stack; raises naming the side when ragged or not square."""
+    if len(reps) == 0:
+        raise ValueError(f"{side} is empty")
+    if isinstance(reps, np.ndarray):
+        shapes = [reps.shape[1:]]
+    else:
+        shapes = sorted({np.shape(u) for u in reps})
+    if len(shapes) > 1:
+        raise ValueError(f"{side} are ragged: shapes {shapes[0]} and {shapes[1]}")
+    if len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise ValueError(f"{side} must be square matrices, got shape {shapes[0]}")
+    return np.asarray(reps, dtype=complex)
+
+
+def _group_stacks(spec, dim_in=None, dim_out=None):
+    """(U, V), the reps of spec as stacks, checked against the given dimensions."""
+    if len(spec.reps_in) != len(spec.reps_out):
+        raise ValueError("reps_in and reps_out must have equal length")
+    stacks = _rep_stack(spec.reps_in, "reps_in"), _rep_stack(spec.reps_out, "reps_out")
+    for stack, side, want in zip(stacks, ("in", "out"), (dim_in, dim_out)):
+        if want is not None and stack.shape[1] != want:
+            raise ValueError(
+                f"reps_{side} act on dimension {stack.shape[1]} but the channel's "
+                f"dim_{side} is {want}"
+            )
+    return stacks
+
+
+def _kron_stack(a, b):
+    """np.kron of each pair of matrices in two broadcastable stacks."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    shape = out.shape
+    return out.reshape(shape[:-4] + (shape[-4] * shape[-3], shape[-2] * shape[-1]))
 
 
 def check_telecov_spec(spec):
     """Validate unitarity and the one-design twirl condition on the input reps."""
-    if len(spec.reps_in) != len(spec.reps_out):
-        raise ValueError("reps_in and reps_out must have equal length")
-    for u in list(spec.reps_in) + list(spec.reps_out):
-        d = u.shape[0]
-        if np.linalg.norm(dagger(u) @ u - np.eye(d)) > 1e-10:
+    u, v = _group_stacks(spec)
+    for stack in (u, v):
+        gram = np.swapaxes(stack.conj(), 1, 2) @ stack - np.eye(stack.shape[1])
+        if np.linalg.norm(gram, axis=(1, 2)).max() > UNITARY_TOL:
             raise ValueError("representation element is not unitary")
-    dim = spec.reps_in[0].shape[0]
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            tw = sum(u @ e @ dagger(u) for u in spec.reps_in) / spec.group_size
-            target = (1.0 if i == j else 0.0) * np.eye(dim) / dim
-            if np.linalg.norm(tw - target) > 1e-8:
-                raise ValueError("input representation fails the twirl condition")
+    # twirl[i, j] = mean_g u_g e_ij u_g^dag, against delta_ij 1/dim for every basis matrix.
+    dim = u.shape[1]
+    twirl = np.einsum("gai,gbj->ijab", u, u.conj()) / len(u)
+    twirl -= np.einsum("ij,ab->ijab", np.eye(dim), np.eye(dim) / dim)
+    if np.linalg.norm(twirl, axis=(2, 3)).max() > TWIRL_TOL:
+        raise ValueError("input representation fails the twirl condition")
 
 
 def telecov_channel(spec, base):
     """Group-twirl a base channel into a covariant one, N o U_g = V_g o N."""
+    u, v = _group_stacks(spec, base.dim_in, base.dim_out)
     check_telecov_spec(spec)
-    din, dout = base.dim_in, base.dim_out
-    if spec.reps_in[0].shape[0] != din or spec.reps_out[0].shape[0] != dout:
-        raise ValueError("representation dimensions do not match the base channel")
-    choi = np.zeros_like(base.choi)
-    for u, v in zip(spec.reps_in, spec.reps_out):
-        # Choi of V_g^dag o base o U_g; averaging these gives the covariant twirl.
-        twisted = np.kron(u.T, dagger(v)) @ base.choi @ np.kron(u.conj(), v)
-        choi += twisted / spec.group_size
-    out = channel_from_choi(choi, din, dout)
+    # Mean over g of the Choi of V_g^dag o base o U_g, summed in group order.
+    twisted = _kron_stack(np.swapaxes(u, 1, 2), np.swapaxes(v.conj(), 1, 2))
+    twisted = twisted @ base.choi @ _kron_stack(u.conj(), v)
+    choi = (twisted / len(u)).sum(axis=0)
+    out = channel_from_choi(choi, base.dim_in, base.dim_out)
     res = covariance_residual(spec, out)
     if res > COVARIANCE_TOL:
         raise ValueError(f"twirled channel fails covariance: residual {res:.3e}")
@@ -289,13 +329,12 @@ def _try_attach_telecov(ch, spec):
 
 
 def covariance_residual(spec, n):
-    """Max Choi-level residual of N o U_g = V_g o N over the group."""
-    res = 0.0
-    for u, v in zip(spec.reps_in, spec.reps_out):
-        lhs = np.kron(u.T, np.eye(n.dim_out)) @ n.choi @ np.kron(u.conj(), np.eye(n.dim_out))
-        rhs = np.kron(np.eye(n.dim_in), v) @ n.choi @ np.kron(np.eye(n.dim_in), dagger(v))
-        res = max(res, float(np.linalg.norm(lhs - rhs)))
-    return res
+    """Max over g of ||(U_g^T (x) 1) C (U_g^* (x) 1) - (1 (x) V_g) C (1 (x) V_g^dag)||."""
+    u, v = _group_stacks(spec, n.dim_in, n.dim_out)
+    eye_in, eye_out = np.eye(n.dim_in), np.eye(n.dim_out)
+    lhs = _kron_stack(np.swapaxes(u, 1, 2), eye_out) @ n.choi @ _kron_stack(u.conj(), eye_out)
+    rhs = _kron_stack(eye_in, v) @ n.choi @ _kron_stack(eye_in, np.swapaxes(v.conj(), 1, 2))
+    return float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max())
 
 
 def haar_isometry(rows, cols, rng):
@@ -346,10 +385,14 @@ def compose(n2, n1):
 
 
 def tensor_specs(s1, s2):
-    """Product-group tele-covariance spec with elementwise tensor unitaries."""
-    reps_in = tuple(np.kron(u1, u2) for u1 in s1.reps_in for u2 in s2.reps_in)
-    reps_out = tuple(np.kron(v1, v2) for v1 in s1.reps_out for v2 in s2.reps_out)
-    return TeleCovariantSpec(reps_in, reps_out)
+    """Product-group spec; element i * len(s2.reps_in) + j is u1_i (x) u2_j, and so for v."""
+    (u1, v1), (u2, v2) = _group_stacks(s1), _group_stacks(s2)
+
+    def product(a, b):
+        out = _kron_stack(a[:, None], b[None, :])
+        return out.reshape((-1,) + out.shape[2:])
+
+    return TeleCovariantSpec(product(u1, u2), product(v1, v2))
 
 
 def tensor_channels(n, m):

@@ -26,6 +26,8 @@ import numpy as np
 
 from .channels import (
     COVARIANCE_TOL,
+    REP_MATCH_TOL,
+    _group_stacks,
     _kraus_from_spectrum,
     covariance_residual,
     is_cptp,
@@ -232,15 +234,10 @@ def _same_telecov(n, m):
         return False
     if n.telecov is m.telecov:
         return True
-    if n.telecov.group_size != m.telecov.group_size:
-        return False
+    # One comparison per stacked side; specs of different shapes are different groups.
     return all(
-        np.allclose(a, b, rtol=0, atol=1e-12)
-        for pair in (
-            zip(n.telecov.reps_in, m.telecov.reps_in),
-            zip(n.telecov.reps_out, m.telecov.reps_out),
-        )
-        for a, b in pair
+        a.shape == b.shape and np.allclose(a, b, rtol=0, atol=REP_MATCH_TOL)
+        for a, b in zip(_group_stacks(n.telecov), _group_stacks(m.telecov))
     )
 
 

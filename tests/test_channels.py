@@ -162,6 +162,104 @@ def test_telecov_spec_validation():
         channels.check_telecov_spec(bad)
 
 
+def loop_covariance_residual(spec, n):
+    """covariance_residual by one np.kron pair per group element (reference route)."""
+    res = 0.0
+    for u, v in zip(spec.reps_in, spec.reps_out):
+        lhs = np.kron(u.T, np.eye(n.dim_out)) @ n.choi @ np.kron(u.conj(), np.eye(n.dim_out))
+        rhs = np.kron(np.eye(n.dim_in), v) @ n.choi @ np.kron(np.eye(n.dim_in), v.conj().T)
+        res = max(res, float(np.linalg.norm(lhs - rhs)))
+    return res
+
+
+def loop_twirl(spec, base):
+    """Choi of the group average of V_g^dag o base o U_g, one element at a time (reference route)."""
+    choi = np.zeros_like(base.choi)
+    for u, v in zip(spec.reps_in, spec.reps_out):
+        twisted = np.kron(u.T, v.conj().T) @ base.choi @ np.kron(u.conj(), v)
+        choi += twisted / spec.group_size
+    return choi
+
+
+def wh_product_spec():
+    s2 = channels.weyl_heisenberg_spec(2)
+    return channels.tensor_specs(s2, s2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    group=st.sampled_from(("wh2", "wh3", "wh2xwh2")),
+    env=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_telecov_matches_loop_references(group, env, seed):
+    spec = wh_product_spec() if group == "wh2xwh2" else channels.weyl_heisenberg_spec(int(group[2]))
+    d = len(spec.reps_in[0])
+    assert spec.group_size == d * d
+    base = channels.random_channel(d, d, env, seed)
+    tw = channels.telecov_channel(spec, base)
+    assert np.abs(tw.choi - loop_twirl(spec, base)).max() <= 1e-14
+    for n in (base, tw):
+        assert abs(channels.covariance_residual(spec, n) - loop_covariance_residual(spec, n)) <= 1e-12
+
+
+def test_tensor_specs_order_matches_elementwise_kron():
+    s2, s3 = channels.weyl_heisenberg_spec(2), channels.weyl_heisenberg_spec(3)
+    prod = channels.tensor_specs(s2, s3)
+    want = [np.kron(u, w) for u in s2.reps_in for w in s3.reps_in]
+    assert prod.group_size == 36
+    np.testing.assert_array_equal(prod.reps_in, want)
+    np.testing.assert_array_equal(prod.reps_out, want)
+
+
+def test_weyl_heisenberg_spec_is_built_once_and_read_only():
+    spec = channels.weyl_heisenberg_spec(3)
+    assert channels.weyl_heisenberg_spec(3) is spec
+    with pytest.raises(ValueError):
+        spec.reps_in[0][0, 0] = 2.0
+    shift = np.roll(np.eye(3), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    for a in range(3):
+        for b in range(3):
+            want = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            np.testing.assert_allclose(spec.reps_in[3 * a + b], want, rtol=0, atol=1e-15)
+
+
+def test_tuple_specs_are_accepted():
+    spec = channels.weyl_heisenberg_spec(2)
+    as_tuples = channels.TeleCovariantSpec(tuple(spec.reps_in), tuple(spec.reps_out))
+    base = channels.random_channel(2, 2, 2, seed=3)
+    np.testing.assert_array_equal(
+        channels.telecov_channel(as_tuples, base).choi, channels.telecov_channel(spec, base).choi
+    )
+
+
+BAD_SPECS = {
+    "dimension": (channels.weyl_heisenberg_spec(3), r"reps_in act on dimension 3 .* dim_in is 2"),
+    "output-dimension": (
+        channels.TeleCovariantSpec(channels.weyl_heisenberg_spec(2).reps_in, (np.eye(3),) * 4),
+        r"reps_out act on dimension 3 .* dim_out is 2",
+    ),
+    "ragged": (
+        channels.TeleCovariantSpec((np.eye(2), np.eye(3)), (np.eye(2), np.eye(2))),
+        r"reps_in are ragged: shapes \(2, 2\) and \(3, 3\)",
+    ),
+    "not-square": (
+        channels.TeleCovariantSpec((np.eye(2, 3),) * 2, (np.eye(2),) * 2),
+        r"reps_in must be square matrices, got shape \(2, 3\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+@pytest.mark.parametrize("fn", (channels.covariance_residual, channels.telecov_channel))
+def test_bad_spec_fails_at_the_boundary(fn, case):
+    spec, message = BAD_SPECS[case]
+    n = channels.random_channel(2, 2, 2, seed=5)
+    with pytest.raises(ValueError, match=message):
+        fn(spec, n)
+
+
 def test_random_channel_contracts():
     u = channels.random_channel(3, 3, 1, seed=11)
     assert u.flags.unital.status == "yes"
