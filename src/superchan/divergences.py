@@ -46,16 +46,19 @@ from .linalg import (
 LEAK_TOL = 1e-8
 RANK_CUTOFF = 1e-6
 REPLACER_TOL = 1e-10
-# The mirror ascent stops once its Frank-Wolfe gap, in bits, is this small, or
-# after ASCENT_MAX_ITERS evaluations when certified (max_evals per start
-# otherwise).  Before each evaluation the eigenvalues of rho are floored at
-# ASCENT_FLOOR times the largest: unfloored, steps toward a boundary maximum
-# reach rounding level, where the gradient cancels and the gap is no bound.
+# The mirror ascent stops at the first evaluated point whose Frank-Wolfe gap,
+# in bits, is this small, or after ASCENT_MAX_ITERS evaluations when certified
+# (max_evals per start otherwise).  Before each evaluation the eigenvalues of
+# rho are floored at ASCENT_FLOOR times the largest: unfloored, steps toward a
+# boundary maximum reach rounding level, where the gradient cancels and the
+# gap is no bound.
 ASCENT_GAP = 1e-10
 ASCENT_MAX_ITERS = 5000
 ASCENT_FLOOR = 1e-12
 # Off the certified path nothing proves f concave: a unit step that lowers it
-# by more than ASCENT_DROP * max(1, |f|) is retried at half length.
+# by more than ASCENT_DROP * max(1, |f|) is retried at half length.  On both
+# paths a point within ASCENT_GAP that lowers f by no more than this ends the
+# ascent.
 ASCENT_DROP = 1e-13
 # Anderson acceleration of the ascent keeps the last ANDERSON_DEPTH steps; an
 # accelerated point is kept only while rho's smallest eigenvalue is at least
@@ -110,8 +113,10 @@ class DivergenceResult:
     +inf when the ascent is one-sided.  The ascent evaluates the objective
     without rel_entropy's support cutoff, so divergence_at at its witness
     agrees to rounding while no eigenvalue of the reference state falls
-    below SUPPORT_CUTOFF.  An entropy negates the interval: its value is
-    -upper of the divergence, and its upper end is the value at the witness.
+    below SUPPORT_CUTOFF.  It stops at its first point within ASCENT_GAP that
+    lowers f by at most ASCENT_DROP * max(1, |f|).  An entropy negates the
+    interval: its value is -upper of the divergence, and its upper end is the
+    value at the witness.
 
     restarts_used counts ascent starts (0 when certified); per_restart_values
     holds each start's value, then each witness's.  evaluations counts
@@ -276,20 +281,27 @@ def _conditional_replacer(n, m):
 
 
 class _BlockMap(NamedTuple):
-    """The CP map x -> sum_q B_q x B_q^dagger of a stack of blocks B_q."""
+    """The CP map x -> sum_q B_q x B_q^dagger of a stack of blocks B_q.
+
+    forward is its matrix on row-major vec(x), sum_q B_q (x) conj(B_q), and
+    backward that of the adjoint, forward^dagger: one matmul per application.
+    """
 
     blocks: np.ndarray
-    daggers: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
 
     @classmethod
     def of(cls, blocks):
-        return cls(blocks, blocks.conj().swapaxes(-1, -2))
+        _, m, d = blocks.shape
+        forward = np.einsum("qij,qkl->ikjl", blocks, blocks.conj()).reshape(m * m, d * d)
+        return cls(blocks, forward, np.ascontiguousarray(dagger(forward)))
 
     def apply(self, x):
-        return (self.blocks @ x @ self.daggers).sum(axis=0)
+        return (self.forward @ x.reshape(-1)).reshape(self.blocks.shape[1], -1)
 
     def adjoint(self, y):
-        return (self.daggers @ y @ self.blocks).sum(axis=0)
+        return (self.backward @ y.reshape(-1)).reshape(self.blocks.shape[2], -1)
 
 
 class _AscentPoint(NamedTuple):
@@ -329,8 +341,10 @@ def _ascend(objective, d, x, max_evals, backtrack=False):
     multiple of 1.  The unit step x <- x + grad has the stationary points of
     f as fixed points, so type-II Anderson acceleration (Walker & Ni, SIAM J.
     Numer. Anal. 49, 2011) proposes points, kept only if f rises.  The ascent
-    stops once the Frank-Wolfe gap lambda_max(grad) - tr rho grad is at most
-    ASCENT_GAP bits, or after max_evals evaluations.
+    returns the first evaluated point whose Frank-Wolfe gap
+    lambda_max(grad) - tr rho grad is at most ASCENT_GAP bits and whose f is
+    not below the current point's by more than ASCENT_DROP * max(1, |f|), an
+    Anderson proposal included; otherwise it stops after max_evals evaluations.
     """
     eye = np.eye(d)
 
@@ -358,11 +372,16 @@ def _ascend(objective, d, x, max_evals, backtrack=False):
         if not dxs or p[0] >= ANDERSON_MIN_EIG:
             new = evaluate(h_w, h_v, p)
             evaluations += 1
+            dropped = new.f < point.f - ASCENT_DROP * max(1.0, abs(point.f))
+            # Certified and no lower than rounding: f there differs from the
+            # current point's by rounding alone, so stop at it.
+            if new.gap <= ASCENT_GAP and not dropped:
+                return new, evaluations
         if dxs and (new is None or not new.f > point.f):
             dxs.clear()
             dsteps.clear()
             continue
-        if backtrack and new.f < point.f - ASCENT_DROP * max(1.0, abs(point.f)):
+        if backtrack and dropped:
             length /= 2
             continue
         length = 1.0

@@ -120,8 +120,13 @@ def super_from_dilation(pre, post, ref_dim=1):
     c, d = pre.dim_in, post.dim_out
     pk = np.stack([k.reshape(a, ref_dim, c) for k in pre.kraus])
     qk = np.stack([k.reshape(d, b, ref_dim) for k in post.kraus])
-    c8 = np.einsum("parm,pesn,qdbr,qgfs->abmdefng", pk, pk.conj(), qk, qk.conj())
-    rep_choi = c8.reshape(a * b * c * d, a * b * c * d)
+    # Sum over the Kraus pairs of each side, then one matmul over the
+    # reference pair (r, s): c8[abmdefng] = sum_rs pre[armesn] post[dbrgfs].
+    pre_rs = np.tensordot(pk, pk.conj(), axes=(0, 0)).transpose(0, 2, 3, 5, 1, 4)
+    post_rs = np.tensordot(qk, qk.conj(), axes=(0, 0)).transpose(2, 5, 0, 1, 3, 4)
+    c8 = pre_rs.reshape(-1, ref_dim**2) @ post_rs.reshape(ref_dim**2, -1)
+    rep_choi = c8.reshape(a, c, a, c, d, b, d, b).transpose(0, 5, 1, 4, 2, 7, 3, 6)
+    rep_choi = rep_choi.reshape(a * b * c * d, a * b * c * d)
     rep = channel_from_choi(rep_choi, a * b, c * d)
     dims = (a, b, c, d)
     return Superchannel(dims, rep, Dilation(pre, post, ref_dim), _flags_for(rep, dims))
@@ -241,13 +246,12 @@ def random_isometry_super(probs, isometries_pre, isometries_post):
         if np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1])) > 1e-10:
             raise ValueError("input is not an isometry")
     r = len(probs)
-    flags = [np.zeros((r, 1)) for _ in range(r)]
-    for i in range(r):
-        flags[i][i, 0] = 1.0
-    pre = channel_from_kraus(
-        [sum(np.sqrt(probs[i]) * np.kron(us[i], flags[i]) for i in range(r))]
-    )
-    post = channel_from_kraus([np.kron(vs[i], flags[i].T) for i in range(r)])
+    # The flag register is the last factor: pre's one Kraus operator stacks
+    # sqrt(p_i) U_i over its value i, and post's i-th reads V_i at flag i.
+    u_stack = np.stack([np.sqrt(p) * u for p, u in zip(probs, us)], axis=1)
+    v_flagged = np.einsum("ydb,yi->ydbi", np.stack(vs), np.eye(r))
+    pre = channel_from_kraus([u_stack.reshape(-1, u_stack.shape[-1])])
+    post = channel_from_kraus(list(v_flagged.reshape(r, v_flagged.shape[1], -1)))
     return super_from_dilation(pre, post, ref_dim=r)
 
 

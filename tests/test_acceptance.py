@@ -11,6 +11,8 @@ import numpy as np
 
 from superchan import bounds as bd, channels, divergences as dv, linalg, recovery as rc, superchannels as sc
 
+from stacked_grid import dense_grid
+
 LIGHT = dv.OptimizerOpts(restarts=4, max_evals=400, seed=0)
 
 
@@ -26,44 +28,6 @@ def pauli_channel(seed):
     weights = rng.dirichlet(np.ones(4))
     kraus = [np.sqrt(w) * u for w, u in zip(weights, spec.reps_in)]
     return channels.telecov_channel(spec, channels.channel_from_kraus(kraus))
-
-
-def stacked_rel_entropy(rho, sigma):
-    """rel_entropy over a stack of pairs, by its rule.
-
-    sigma's support is its eigenvalues above linalg.SUPPORT_CUTOFF; a pair is
-    +inf when rho has more than dv.LEAK_TOL weight off that support.
-    """
-    w = np.linalg.eigvalsh(hermitian_part(rho))
-    mu, u = np.linalg.eigh(hermitian_part(sigma))
-    weight = np.einsum("pki,pkl,pli->pi", u.conj(), rho, u).real
-    on = mu > linalg.SUPPORT_CUTOFF
-    leak = np.where(on, 0.0, weight).sum(axis=1)
-    first = np.where(w > 0, w * np.log2(np.where(w > 0, w, 1.0)), 0.0).sum(axis=1)
-    second = np.where(on, weight * np.log2(np.where(on, mu, 1.0)), 0.0).sum(axis=1)
-    return np.where(leak > dv.LEAK_TOL, np.inf, first - second)
-
-
-def hermitian_part(x):
-    return (x + np.swapaxes(x.conj(), -1, -2)) / 2
-
-
-def dense_grid(n, m, seed, points=10_000):
-    """Gaussian amplitudes from default_rng((seed, 0xFEED)) and divergence_at at each.
-
-    The amplitudes are drawn in the order of `points` successive pairs of
-    normal(size=(dim, dim)) calls; with |psi> = (A (x) 1) sum_i |ii>, the
-    states are (A (x) 1) C (A (x) 1)^dag for the Choi operators C of n and m.
-    """
-    rng = np.random.default_rng((seed, 0xFEED))
-    dim = n.dim_in
-    z = rng.normal(size=(points, 2, dim, dim))
-    amps = z[:, 0] + 1j * z[:, 1]
-    amps /= np.linalg.norm(amps, axis=(1, 2), keepdims=True)
-    lift = np.einsum("pij,ab->piajb", amps, np.eye(n.dim_out))
-    lift = lift.reshape(points, dim * n.dim_out, dim * n.dim_out)
-    lift_dag = np.swapaxes(lift.conj(), 1, 2)
-    return amps, stacked_rel_entropy(lift @ n.choi @ lift_dag, lift @ m.choi @ lift_dag)
 
 
 def haar_mixture_super(seed, terms=2):
@@ -237,7 +201,7 @@ def test_12_optimizer_dominates_dense_grid():
         m = channels.random_channel(2, 2, 4, (112, k, 1))
         opts = dv.OptimizerOpts(restarts=8, max_evals=2000, seed=k)
         plain = dv.channel_divergence(n, m, opts).value
-        amps, values = dense_grid(n, m, k)
+        amps, values = dense_grid(n, m, np.random.default_rng((k, 0xFEED)))
         direct = [dv.divergence_at(n, m, dv.pure_bipartite(a)) for a in amps[:50]]
         np.testing.assert_allclose(values[:50], direct, rtol=0, atol=1e-12)
         grid = max(

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from superchan import channels, cli, divergences as dv, linalg, superchannels as sc
 
+from stacked_grid import dense_grid
+
 SMALL = dv.OptimizerOpts(restarts=4, max_evals=500, seed=0)
 
 
@@ -312,12 +314,10 @@ def test_optimizer_beats_dense_grid():
     n = channels.random_channel(2, 2, 2, seed=13)
     m = channels.random_channel(2, 2, 2, seed=14)
     res = dv.channel_divergence(n, m, dv.OptimizerOpts(restarts=4, max_evals=500, seed=2))
-    rng = np.random.default_rng(15)
-    grid_max = 0.0
-    for _ in range(10_000):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        grid_max = max(grid_max, dv.divergence_at(n, m, dv.pure_bipartite(g)))
-    assert res.value >= grid_max - 1e-6
+    amps, values = dense_grid(n, m, np.random.default_rng(15))
+    direct = [dv.divergence_at(n, m, dv.pure_bipartite(a)) for a in amps[:50]]
+    np.testing.assert_allclose(values[:50], direct, rtol=0, atol=1e-12)
+    assert res.value >= max(0.0, values.max()) - 1e-6
 
 
 def test_superadditivity_at_product_witness():
@@ -531,9 +531,14 @@ def test_certified_entropy_is_additive(env, env2, seed):
 SEED30_AFTER_DIVERGENCE = -0.35189632975978638
 
 
+def nondecrease_after_channel(seed):
+    """The "after" channel of entropy-nondecrease trial 0 at a verify seed."""
+    theta = cli._haar_mixture_super(np.random.default_rng((seed, 0)))
+    return sc.apply_super(theta, channels.random_channel(2, 2, 2, (seed, 0, 2)))
+
+
 def seed30_after_channel():
-    theta = cli._haar_mixture_super(np.random.default_rng((30, 0)))
-    return sc.apply_super(theta, channels.random_channel(2, 2, 2, (30, 0, 2)))
+    return nondecrease_after_channel(30)
 
 
 @pytest.mark.parametrize("evaluations", [300, 1000, 3000])
@@ -565,9 +570,26 @@ def test_forced_long_ascent_overlaps_default_interval(d, env, seed):
     assert default.value <= forced.upper + 1e-12
 
 
+def test_certified_ascent_stops_at_first_certified_point():
+    # Its 11th evaluation, an Anderson proposal, is already within
+    # ASCENT_GAP; an ascent that runs on past it takes 25 evaluations.
+    n, r = nondecrease_after_channel(6), channels.depolarizing_r(2, 2)
+    default = dv.channel_divergence(n, r)
+    assert default.converged and default.evaluations <= 12
+    assert default.upper - default.value <= 1e-10
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dv, "ASCENT_GAP", -1.0)
+        mp.setattr(dv, "ASCENT_MAX_ITERS", 300)
+        forced = dv.channel_divergence(n, r)
+    assert forced.evaluations == 300
+    assert forced.value <= default.upper + 1e-12
+    assert default.value <= forced.upper + 1e-12
+
+
 def test_certified_ascent_evaluation_budget(monkeypatch):
-    # The 32 certified calls of entropy-nondecrease at seeds 0-15 took 328
-    # evaluations with the accelerated ascent (3865 with unit steps alone).
+    # The 32 certified calls of entropy-nondecrease at seeds 0-15 take 296
+    # evaluations with the accelerated ascent stopping at its first certified
+    # point (328 when it ran on past it, 3865 with unit steps alone).
     used = []
     certified = dv._certified_divergence
 
@@ -581,6 +603,35 @@ def test_certified_ascent_evaluation_budget(monkeypatch):
         cli._suite_entropy_nondecrease(0, seed, cli.RunConfig())
     assert len(used) == 32
     assert sum(used) <= 2 * 328
+
+
+def stacked_block_apply(blocks, x):
+    """sum_q B_q x B_q^dag as two stacked matmuls and a sum (reference route)."""
+    return (blocks @ x @ blocks.conj().swapaxes(-1, -2)).sum(axis=0)
+
+
+def stacked_block_adjoint(blocks, y):
+    """sum_q B_q^dag y B_q as two stacked matmuls and a sum (reference route)."""
+    return (blocks.conj().swapaxes(-1, -2) @ y @ blocks).sum(axis=0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    q=st.integers(1, 4),
+    m=st.integers(1, 6),
+    d=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_block_map_matches_stacked_reference(q, m, d, seed):
+    rng = np.random.default_rng(seed)
+    blocks = rng.normal(size=(q, m, d)) + 1j * rng.normal(size=(q, m, d))
+    blocks /= np.linalg.norm(blocks)
+    block_map = dv._BlockMap.of(blocks)
+    x = rand_state(rng, d)
+    y = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    y /= np.linalg.norm(y)
+    assert np.abs(block_map.apply(x) - stacked_block_apply(blocks, x)).max() <= 1e-14
+    assert np.abs(block_map.adjoint(y) - stacked_block_adjoint(blocks, y)).max() <= 1e-14
 
 
 def test_evaluation_counts_by_path(monkeypatch):

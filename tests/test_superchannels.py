@@ -21,6 +21,44 @@ def random_dilation_super(seed, a=2, b=2, c=2, d=2, r=2):
     return sc.super_from_dilation(pre, post, ref_dim=r)
 
 
+def einsum_rep_choi(pre, post, r):
+    """Rep Choi of a dilation by one 4-operand einsum over both Kraus sets (reference route)."""
+    a, b = pre.dim_out // r, post.dim_in // r
+    c, d = pre.dim_in, post.dim_out
+    pk = np.stack([k.reshape(a, r, c) for k in pre.kraus])
+    qk = np.stack([k.reshape(d, b, r) for k in post.kraus])
+    c8 = np.einsum("parm,pesn,qdbr,qgfs->abmdefng", pk, pk.conj(), qk, qk.conj())
+    return c8.reshape(a * b * c * d, a * b * c * d)
+
+
+def isometry_channel(dim_in, dim_out, rng):
+    """Channel whose Kraus operators are the env blocks of a Haar isometry.
+
+    env is the least that fits dim_in, or one more, drawn from rng.
+    """
+    env = -(-dim_in // dim_out) + int(rng.integers(0, 2))
+    v = channels.haar_isometry(dim_out * env, dim_in, rng).reshape(dim_out, env, dim_in)
+    return channels.channel_from_kraus([v[:, e, :] for e in range(env)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    r=st.integers(1, 3),
+    dims=st.tuples(*[st.integers(2, 3)] * 4),
+    seed=st.integers(0, 2**16),
+)
+def test_dilation_matches_einsum_reference(r, dims, seed):
+    a, b, c, d = dims
+    rng = np.random.default_rng(seed)
+    pre = isometry_channel(c, a * r, rng)
+    post = isometry_channel(b * r, d, rng)
+    theta = sc.super_from_dilation(pre, post, ref_dim=r)
+    want = einsum_rep_choi(pre, post, r)
+    assert np.abs(theta.rep.choi - want).max() <= 1e-14
+    ref = sc.super_from_rep(want, (a, b, c, d))
+    assert [f.status for f in theta.flags] == [f.status for f in ref.flags]
+
+
 @st.composite
 def bounded_dims(draw, n, budget):
     """n dimensions, each at most 3, with product at most budget."""
