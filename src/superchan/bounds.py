@@ -5,39 +5,33 @@ returns a VerificationRecord carrying the slack plus enough context (seed,
 witnesses, parameters) to replay it.  Entropies are certified intervals, and
 a check reads the end of each that cannot make it pass spuriously; its record
 names the ends read.  One-sided divergence searches guard against spurious
-violations by evaluating each side's best witness on the other side as a
-feasible point before comparing.
+violations: the side that must be larger also starts from the other side's
+best witness when the two inputs have the same dimension.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, NamedTuple, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from .channels import (
-    COVARIANCE_TOL,
-    Channel,
     _try_attach_telecov,
     apply,
     apply_adjoint,
     channel_from_kraus,
     channel_to_json,
-    covariance_residual,
     depolarizing_r,
     identity_channel,
     is_cptp,
     tensor_channels,
-    weyl_heisenberg_spec,
 )
 from .divergences import (
     OptimizerOpts,
     channel_divergence,
     channel_entropy,
     channel_entropy_telecov,
-    divergence_at,
     maximally_entangled,
     nudge_full_rank,
-    pure_bipartite,
     rel_entropy,
     vn_entropy,
 )
@@ -52,22 +46,19 @@ from .linalg import (
     matrix_to_json,
     psd_check,
 )
-from .recovery import tilde_recovery, universal_recovery
+from .recovery import universal_recovery
 from .superchannels import (
     alpha_norm,
     apply_super,
     choi_witness,
-    extend_super_with_identity,
     generalized_rep,
     is_r_subpreserving,
     super_from_rep,
-    tensor_supermaps,  # also re-exported as bounds.tensor_supermaps
     tp_fix_map,
 )
 
 INEQ_TOL = 1e-3
 EXACT_TOL = 1e-8
-STEP_INIT = 0.1  # scale of super_divergence_lb's Gaussian proposals
 
 
 @dataclass(frozen=True)
@@ -90,8 +81,8 @@ class VerificationRecord:
 class EntropyGainReport:
     """Channel-entropy gain under a supermap against its remainder bound.
 
-    The entropies are (lower, upper) intervals; slack reads the lower end of
-    the gain, entropy_after[0] - entropy_before[1].
+    The entropies are (lower, upper) intervals; the lower end of the gain is
+    entropy_after[0] - entropy_before[1].
     """
 
     entropy_before: tuple
@@ -100,36 +91,7 @@ class EntropyGainReport:
     rho_alpha_term: float
     delta_prime: float
     gamma_term: Optional[float]
-    slack: float
-    alpha_state_trace: float
     witness_full_rank: bool
-
-
-@dataclass(frozen=True)
-class SuperDivergenceEstimate:
-    """Lower bound on the divergence between supermaps over channel witnesses."""
-
-    value: float
-    witness_channel: Optional[Channel]
-    ref_dim: int
-    restarts: int
-
-
-class OrderingInstance(NamedTuple):
-    """Instance of reference monotonicity: m_tilde - m must be CP."""
-
-    n: Channel
-    m: Channel
-    m_tilde: Channel
-
-
-class ProductInstance(NamedTuple):
-    """Instance of divergence superadditivity under tensor products."""
-
-    n1: Channel
-    m1: Channel
-    n2: Channel
-    m2: Channel
 
 
 def _record(check_id, lhs, rhs, tolerance, seed, params, witnesses, skipped=False):
@@ -205,16 +167,11 @@ def _witness_json(**states):
     return {name: matrix_to_json(psi.a_psi) for name, psi in states.items()}
 
 
-def _replay_params(opts):  # the record's seed is opts.seed
-    return {"restarts": opts.restarts, "max_evals": opts.max_evals}
-
-
 def _alpha_remainder(f, rho):
-    """alpha = ||F*(1)||, the reference alpha^-alpha (F* F rho)^alpha, and D."""
+    """alpha = ||F*(1)|| and D(rho || alpha^-alpha (F* F rho)^alpha)."""
     alpha = alpha_norm(f)
     pushed = _hermitian(apply_adjoint(f, apply(f, rho)))
-    ref = mat_pow_psd(pushed, alpha) / alpha**alpha
-    return alpha, ref, rel_entropy(rho, ref)
+    return alpha, rel_entropy(rho, mat_pow_psd(pushed, alpha) / alpha**alpha)
 
 
 def _divergence_pair(n, m, tn, tm, opts, share):
@@ -245,7 +202,12 @@ def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
     before, after, injected = _divergence_pair(
         n, m, apply_super(theta, n), apply_super(theta, m), opts, a == c
     )
-    params = {"dims": list(theta.dims), **_replay_params(opts), "injected": injected}
+    params = {
+        "dims": list(theta.dims),
+        "restarts": opts.restarts,
+        "max_evals": opts.max_evals,
+        "injected": injected,
+    }
     wit = _witness_json(before=before.optimizer_state, after=after.optimizer_state)
     return _record("channel-dpi", before.value, after.value, tolerance, opts.seed, params, wit)
 
@@ -292,8 +254,6 @@ def verify_entropy_gain_remainder(theta, n, psi=None, phi=None):
             rho_alpha_term=0.0,
             delta_prime=0.0,
             gamma_term=0.0,
-            slack=0.0,
-            alpha_state_trace=1.0,
             witness_full_rank=True,
         )
 
@@ -306,15 +266,14 @@ def verify_entropy_gain_remainder(theta, n, psi=None, phi=None):
 
     t_frak = generalized_rep(theta, psi0, phi0)
     c_state = _hermitian(choi_witness(n, psi0))
-    alpha, c_alpha, rho_alpha_term = _alpha_remainder(t_frak, c_state)
+    alpha, rho_alpha_term = _alpha_remainder(t_frak, c_state)
     delta_prime = vn_entropy(psi0.marginal_ref) - vn_entropy(phi0.marginal_ref)
     gamma_term = None
     if a == c:
         connect = channel_from_kraus(
             [mat_sqrt_psd(psi0.marginal_ref) @ mat_inv_sqrt_psd(phi0.marginal_ref)]
         )
-        gamma_term = _alpha_remainder(connect, phi0.marginal_ref)[2]
-    slack = (after.value - before.upper) - (rho_alpha_term + delta_prime)
+        gamma_term = _alpha_remainder(connect, phi0.marginal_ref)[1]
     return EntropyGainReport(
         entropy_before=(before.value, before.upper),
         entropy_after=(after.value, after.upper),
@@ -322,8 +281,6 @@ def verify_entropy_gain_remainder(theta, n, psi=None, phi=None):
         rho_alpha_term=rho_alpha_term,
         delta_prime=delta_prime,
         gamma_term=gamma_term,
-        slack=slack,
-        alpha_state_trace=float(np.trace(c_alpha).real),
         witness_full_rank=full_rank,
     )
 
@@ -376,7 +333,7 @@ def verify_refined_dpi(
     sigma = _hermitian(choi_witness(m, psi0))
     rec = universal_recovery(sigma, t_prime)
     c_state = _hermitian(choi_witness(n, psi0))
-    recovered = _hermitian(apply(rec.rec, apply(t_prime, c_state)))
+    recovered = _hermitian(apply(rec, apply(t_prime, c_state)))
     fid = max(fidelity(c_state, recovered), np.finfo(float).tiny)
 
     lhs = before.value - after.value
@@ -437,7 +394,7 @@ def entropy_gain_positive_map(f, rho, tolerance=EXACT_TOL, seed=0, sharper=None)
     rho = check_density(rho)
     frho = _hermitian(apply(f, rho))
     gain = vn_entropy(frho) - vn_entropy(rho)
-    alpha, _, power_term = _alpha_remainder(f, rho)
+    alpha, power_term = _alpha_remainder(f, rho)
     terms = {"power": float(power_term)}
 
     cp = f.flags.cp.status == "yes"
@@ -459,76 +416,6 @@ def entropy_gain_positive_map(f, rho, tolerance=EXACT_TOL, seed=0, sharper=None)
     return _record(
         "entropy-gain-positive-map", gain, max(terms.values()), tolerance, seed, params, wit
     )
-
-
-def _ordering_record(inst, opts, tolerance):
-    n, m, m_tilde = inst
-    diff = psd_check(m_tilde.choi - m.choi)
-    if not diff.is_psd:
-        raise ValueError(f"reference ordering fails: min eigenvalue {diff.min_eig:.3e}")
-    with_big = channel_divergence(n, m_tilde, opts)
-    with_small = channel_divergence(n, m, opts, witnesses=(with_big.optimizer_state,))
-    shared = (with_small.optimizer_state, with_big.optimizer_state)
-    pointwise = min(
-        (divergence_at(n, m, s) - divergence_at(n, m_tilde, s) for s in shared),
-        default=np.inf,
-    )
-    params = {
-        "pointwise_min_slack": float(pointwise),
-        "ordering_min_eig": float(diff.min_eig),
-        **_replay_params(opts),
-    }
-    wit = _witness_json(small=with_small.optimizer_state, big=with_big.optimizer_state)
-    return _record(
-        "divergence-ordering",
-        with_small.value,
-        with_big.value,
-        tolerance,
-        opts.seed,
-        params,
-        wit,
-    )
-
-
-def _product_record(inst, opts, tolerance):
-    n1, m1, n2, m2 = inst
-    d1 = channel_divergence(n1, m1, opts)
-    d2 = channel_divergence(n2, m2, opts)
-    inject = pure_bipartite(np.kron(d1.optimizer_state.a_psi, d2.optimizer_state.a_psi))
-    joint = channel_divergence(
-        tensor_channels(n1, n2), tensor_channels(m1, m2), opts, witnesses=(inject,)
-    )
-    params = {"left": float(d1.value), "right": float(d2.value), **_replay_params(opts)}
-    wit = _witness_json(
-        left=d1.optimizer_state, right=d2.optimizer_state, joint=joint.optimizer_state
-    )
-    return _record(
-        "divergence-superadditivity",
-        joint.value,
-        d1.value + d2.value,
-        tolerance,
-        opts.seed,
-        params,
-        wit,
-    )
-
-
-def verify_ordering_and_superadditivity(instances, opts=OptimizerOpts(), tolerance=INEQ_TOL):
-    """Reference monotonicity and tensor superadditivity of channel divergence.
-
-    OrderingInstance(n, m, m_tilde) checks D[N||M] >= D[N||M_tilde] for
-    m_tilde - m CP; ProductInstance(n1, m1, n2, m2) checks the product
-    divergence dominates the sum via a product-witness feasible point.
-    """
-    records = []
-    for inst in instances:
-        if isinstance(inst, OrderingInstance):
-            records.append(_ordering_record(inst, opts, tolerance))
-        elif isinstance(inst, ProductInstance):
-            records.append(_product_record(inst, opts, tolerance))
-        else:
-            raise ValueError("instances must be OrderingInstance or ProductInstance")
-    return records
 
 
 def verify_entropy_additivity(n, m, tolerance=None):
@@ -568,70 +455,6 @@ def verify_entropy_additivity(n, m, tolerance=None):
     return _record("entropy-additivity", 0.0, residual, tol, 0, params, wit)
 
 
-def verify_telecov_entropy_gain(theta, n, tolerance=INEQ_TOL, xi=None):
-    """Entropy gain on a covariant channel against the simple-recovery bound.
-
-    slack = (S[Theta(N)] - S[N]) - (D(C || recovered C) + log2(|A|/|C|)),
-    with the recovery built from the adjoint representing map.  The map must
-    be trace preserving and subunital in maximally-entangled coordinates;
-    violations yield a skipped record.  Entropies use the covariant closed
-    form when certified, otherwise certified intervals.
-    """
-    _require_superchannel(theta)
-    _require_input_slot(theta, n)
-    a, b, c, d = theta.dims
-    t_frak = generalized_rep(theta, maximally_entangled(a), maximally_entangled(c))
-    tp_res = float(np.linalg.norm(apply_adjoint(t_frak, np.eye(c * d)) - np.eye(a * b)))
-    sub = psd_check(np.eye(c * d) - _hermitian(apply(t_frak, np.eye(a * b))))
-    params = {"dims": list(theta.dims), "tp_residual": tp_res, "subunital_min_eig": float(sub.min_eig)}
-    if tp_res > EXACT_TOL:
-        return _skipped_record(
-            "telecov-entropy-gain",
-            "representing map is not trace preserving in witness coordinates",
-            tolerance,
-            0,
-            params,
-        )
-    if sub.min_eig < -EXACT_TOL:
-        return _skipped_record(
-            "telecov-entropy-gain",
-            "representing map is not subunital in witness coordinates",
-            tolerance,
-            0,
-            params,
-        )
-
-    rec = tilde_recovery(t_frak, xi)
-    c_state = _hermitian(choi_witness(n, maximally_entangled(a)))
-    recovered = _hermitian(apply(rec.rec, _hermitian(apply(t_frak, c_state))))
-    bound = rel_entropy(c_state, recovered) + float(np.log2(a / c))
-
-    tn = apply_super(theta, n)
-    s_before = s_after = None
-    if n.telecov is not None and covariance_residual(n.telecov, n) <= COVARIANCE_TOL:
-        s_before = channel_entropy_telecov(n)
-        out_spec = None
-        if (c, d) == (n.dim_in, n.dim_out):
-            out_spec = n.telecov
-        elif c == d:
-            out_spec = weyl_heisenberg_spec(c)
-        tn_tagged = _try_attach_telecov(tn, out_spec)
-        if tn_tagged.telecov is not None:
-            s_after = channel_entropy_telecov(tn_tagged)
-    if s_before is None or s_after is None:
-        before, after = channel_entropy(n), channel_entropy(tn)
-        # The lower end of the gain: lower S[Theta(N)] against upper S[N].
-        s_before, s_after = before.upper, after.value
-        params["path"] = "concave-certified"
-    else:
-        params["path"] = "telecov"
-    params["recovery_term"] = float(bound)
-    wit = {"choi_state": matrix_to_json(c_state)}
-    return _record(
-        "telecov-entropy-gain", s_after - s_before, bound, tolerance, 0, params, wit
-    )
-
-
 def depolarizing_supermap(dims):
     """Supermap sending every map to tr(Choi) times the depolarizing map."""
     a, b, c, d = dims
@@ -642,74 +465,3 @@ def replacer_supermap(n0, dim_in, dim_mid):
     """Superchannel sending every channel on the input slot to the fixed n0."""
     rep_choi = np.kron(np.eye(dim_in * dim_mid), n0.choi) / dim_in
     return super_from_rep(rep_choi, (dim_in, dim_mid, n0.dim_in, n0.dim_out))
-
-
-def _isometry_from_params(x, rows, cols):
-    half = rows * cols
-    g = (x[:half] + 1j * x[half:]).reshape(rows, cols)
-    q, r = np.linalg.qr(g)
-    dg = np.diag(r).copy()
-    dg[np.abs(dg) < 1e-12] = 1.0
-    return q * (dg / np.abs(dg))
-
-
-def super_divergence_lb(
-    theta,
-    gamma,
-    ref_dim=2,
-    opts=OptimizerOpts(restarts=2, max_evals=40),
-    inner_opts=None,
-    env_dim=2,
-):
-    """Lower bound on the supermap divergence over entangled channel witnesses.
-
-    Hill-climbs the inner channel divergence over Stinespring-parameterized
-    channel witnesses on reference (x) input, seeded from Gaussian initial
-    parameters; opts controls the outer ascent (restarts, proposals per
-    restart) and inner_opts the inner divergence estimate.  The value is
-    exact at the returned witness but only a lower bound on the supremum over
-    all reference dimensions.
-    """
-    if theta.flags.completely_cp_preserving.status != "yes":
-        raise ValueError("first supermap is not certified completely CP-preserving")
-    if gamma.flags.completely_cp_preserving.status != "yes":
-        raise ValueError("second supermap is not certified completely CP-preserving")
-    if theta.dims != gamma.dims:
-        raise ValueError("supermap shapes do not match")
-    if np.array_equal(theta.rep.choi, gamma.rep.choi):
-        return SuperDivergenceEstimate(0.0, None, int(ref_dim), 0)
-
-    a, b, _, _ = theta.dims
-    ext_t = extend_super_with_identity(theta, ref_dim)
-    ext_g = extend_super_with_identity(gamma, ref_dim)
-    din, dout = ref_dim * a, ref_dim * b
-    rows, cols = dout * env_dim, din
-    nparams = 2 * rows * cols
-    inner = inner_opts if inner_opts is not None else OptimizerOpts(
-        restarts=2, max_evals=300, seed=opts.seed
-    )
-
-    def witness_channel(x):
-        blocks = _isometry_from_params(x, rows, cols).reshape(dout, env_dim, din)
-        return channel_from_kraus([blocks[:, e, :] for e in range(env_dim)])
-
-    def value_at(nch):
-        return channel_divergence(
-            apply_super(ext_t, nch), apply_super(ext_g, nch), inner
-        ).value
-
-    best_val, best_x = -np.inf, None
-    for r in range(opts.restarts):
-        rng = np.random.default_rng((opts.seed, r))
-        x = rng.normal(size=nparams)
-        val = value_at(witness_channel(x))
-        for _ in range(opts.max_evals):
-            trial = x + STEP_INIT * rng.normal(size=nparams)
-            trial_val = value_at(witness_channel(trial))
-            if trial_val > val:
-                x, val = trial, trial_val
-        if val > best_val:
-            best_val, best_x = val, x
-    return SuperDivergenceEstimate(
-        float(best_val), witness_channel(best_x), int(ref_dim), opts.restarts
-    )

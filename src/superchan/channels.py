@@ -359,13 +359,6 @@ def random_channel(dim_in, dim_out, env_dim, seed):
     return channel_from_kraus([blocks[:, e, :] for e in range(env_dim)])
 
 
-def channel_inner_product(n, m):
-    """Hilbert-Schmidt inner product of the unnormalized Choi operators."""
-    if (n.dim_in, n.dim_out) != (m.dim_in, m.dim_out):
-        raise ValueError("channel dimensions do not match")
-    return complex(np.trace(dagger(n.choi) @ m.choi))
-
-
 def compose(n2, n1):
     """Composition n2 o n1 (apply n1 first)."""
     if n1.dim_out != n2.dim_in:

@@ -342,8 +342,7 @@ def cmd_recover(args, cfg):
         "fidelity_reference": "sigma" if args.original is None else "original",
     }
     for name in wanted:
-        rec = builders[name]()
-        out = apply(rec.rec, y)
+        out = apply(builders[name](), y)
         out = (out + dagger(out)) / 2
         payload[name] = {
             "state": matrix_to_json(out),
@@ -398,7 +397,7 @@ def _suite_petz(index, seed, cfg):
     dout = int(rng.integers(2, 4))
     sigma = _random_density(rng, din)
     n = random_channel(din, dout, din * dout, (seed, index, 1))
-    recovered = apply(petz(sigma, n).rec, apply(n, sigma))
+    recovered = apply(petz(sigma, n), apply(n, sigma))
     residual = float(trace_norm(recovered - sigma))
     return _record(
         "petz-recovery",

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernel: spectral functions, partial trace, norms, fidelity."""
+"""Dense complex linear algebra kernel: spectral functions, partial trace, trace norm, fidelity."""
 
 from __future__ import annotations
 
@@ -59,8 +59,6 @@ def _fn_table(fn, alpha):
         return np.sqrt
     if fn == "inv_sqrt":
         return lambda w: 1.0 / np.sqrt(w)
-    if fn == "exp2":
-        return np.exp2
     if fn == "pow":
         if alpha is None:
             raise ValueError("fn 'pow' requires alpha")
@@ -82,16 +80,12 @@ def mat_fn_psd(p, fn, alpha=None, cutoff=SUPPORT_CUTOFF):
 def _fn_from_spectrum(w, v, fn, cutoff, alpha=None):
     """mat_fn_psd of the matrix whose herm_eig is (w, v)."""
     f = _fn_table(fn, alpha)
-    if fn == "exp2":
-        # exp2 is total on Hermitian input; no PSD gate, no support cut.
-        fw = np.exp2(w)
-    else:
-        if w[0] < -PSD_TOL:
-            raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-        w = np.clip(w, 0.0, None)
-        on_support = w > cutoff
-        fw = np.zeros_like(w)
-        fw[on_support] = f(w[on_support])
+    if w[0] < -PSD_TOL:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    w = np.clip(w, 0.0, None)
+    on_support = w > cutoff
+    fw = np.zeros_like(w)
+    fw[on_support] = f(w[on_support])
     out = (v * fw) @ dagger(v)
     return (out + dagger(out)) / 2
 
@@ -102,10 +96,6 @@ def mat_sqrt_psd(p, cutoff=SUPPORT_CUTOFF):
 
 def mat_inv_sqrt_psd(p, cutoff=SUPPORT_CUTOFF):
     return mat_fn_psd(p, "inv_sqrt", cutoff=cutoff)
-
-
-def mat_log2_psd(p, cutoff=SUPPORT_CUTOFF):
-    return mat_fn_psd(p, "log2", cutoff=cutoff)
 
 
 def mat_pow_psd(p, alpha, cutoff=SUPPORT_CUTOFF):
@@ -160,20 +150,6 @@ def partial_trace(x, dims, keep):
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def partial_trace_multi(x, dims, keep):
-    """Trace out all factors not listed in keep; keep is an ordered index tuple."""
-    dims = tuple(dims)
-    n = len(dims)
-    x = np.asarray(x).reshape(dims + dims)
-    keep = tuple(keep)
-    traced = [i for i in range(n) if i not in keep]
-    for off, i in enumerate(sorted(traced, reverse=True)):
-        x = np.trace(x, axis1=i, axis2=i + n - off)
-    d = int(np.prod([dims[i] for i in keep])) if keep else 1
-    # np.trace above preserves the relative order of the kept factors.
-    return x.reshape(d, d)
-
-
 def permute_systems(x, dims, perm):
     """Reorder tensor factors of an operator: factor i of the output is factor perm[i] of the input."""
     dims = tuple(dims)
@@ -184,34 +160,9 @@ def permute_systems(x, dims, perm):
     return x.transpose(axes).reshape(d, d)
 
 
-def permutation_unitary(dims, perm):
-    """Unitary sending |x_0,...,x_{n-1}> to |x_{perm[0]},...,x_{perm[n-1]}>."""
-    dims = tuple(dims)
-    d = int(np.prod(dims))
-    new_idx = np.arange(d).reshape(dims).transpose(tuple(perm)).reshape(-1)
-    return np.eye(d)[new_idx]
-
-
-def tensor(*ops):
-    """Kronecker product of one or more matrices."""
-    out = np.asarray(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op))
-    return out
-
-
-def norms(x):
-    """Trace norm, Frobenius norm, and operator norm of a matrix."""
-    s = np.linalg.svd(np.asarray(x), compute_uv=False)
-    return {
-        "trace_norm": float(s.sum()),
-        "frobenius": float(np.sqrt((s**2).sum())),
-        "op_norm": float(s[0]) if s.size else 0.0,
-    }
-
-
 def trace_norm(x):
-    return norms(x)["trace_norm"]
+    """Sum of the singular values."""
+    return float(np.linalg.svd(np.asarray(x), compute_uv=False).sum())
 
 
 def fidelity(rho, sigma):

@@ -20,10 +20,8 @@ from .channels import (
     channel_from_json,
     channel_from_kraus,
     channel_to_json,
-    compose,
     identity_channel,
     is_cptp,
-    tensor_channels,
 )
 from .linalg import (
     SUPPORT_CUTOFF,
@@ -140,14 +138,6 @@ def apply_super(theta, n):
     return channel_from_choi(apply(theta.rep, n.choi), c, d)
 
 
-def apply_super_dilation(theta, n):
-    """Output channel via the physical dilation path (cross-check route)."""
-    if theta.dilation is None:
-        raise ValueError("superchannel has no dilation form")
-    pre, post, r = theta.dilation
-    return compose(post, compose(tensor_channels(n, identity_channel(r)), pre))
-
-
 def tp_fixed_channel(base, sigma0):
     """The completion T' as a Channel; its Choi adds (1 - T*(1))^t (x) sigma0."""
     g = apply_adjoint(base, np.eye(base.dim_out))
@@ -217,12 +207,6 @@ def tp_fix_map(base, sigma0=None):
         if best.is_cptp:
             break
     return best
-
-
-def tp_fix(theta, sigma0=None):
-    if theta.flags.completely_cp_preserving.status != "yes":
-        raise ValueError("superchannel must be completely CP-preserving")
-    return tp_fix_map(theta.rep, sigma0)
 
 
 def is_r_subpreserving(theta):

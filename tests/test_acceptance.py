@@ -46,7 +46,7 @@ def test_01_petz_recovery_exact():
         dout = int(rng.integers(2, 4))
         sigma = rand_density(rng, din)
         n = channels.random_channel(din, dout, din * dout, (101, k, 1))
-        recovered = channels.apply(rc.petz(sigma, n).rec, channels.apply(n, sigma))
+        recovered = channels.apply(rc.petz(sigma, n), channels.apply(n, sigma))
         worst = max(worst, float(linalg.trace_norm(recovered - sigma)))
     elapsed = time.monotonic() - start
     assert worst <= 1e-8
@@ -83,7 +83,7 @@ def test_03_refined_state_dpi_with_recovery():
         lhs = dv.rel_entropy(rho, sigma) - dv.rel_entropy(
             channels.apply(n, rho), channels.apply(n, sigma)
         )
-        back = channels.apply(rec.rec, channels.apply(n, rho))
+        back = channels.apply(rec, channels.apply(n, rho))
         fid = max(linalg.fidelity(rho, back), np.finfo(float).tiny)
         worst = min(worst, float(lhs + np.log2(fid)))
     assert worst >= -1e-3

@@ -270,16 +270,6 @@ def test_random_channel_contracts():
     np.testing.assert_allclose(n1.choi, n2.choi, atol=0)
 
 
-def test_channel_inner_product():
-    ident = channels.channel_from_kraus([np.eye(2)])
-    r = channels.depolarizing_r(2, 2)
-    assert abs(channels.channel_inner_product(ident, ident) - 4.0) < 1e-12
-    assert abs(channels.channel_inner_product(ident, r) - 2.0) < 1e-12
-    n = channels.random_channel(2, 2, 2, seed=13)
-    val = channels.channel_inner_product(n, n)
-    assert abs(val.imag) < 1e-12 and val.real >= 0
-
-
 def test_compose_and_tensor():
     n = channels.random_channel(2, 3, 2, seed=14)
     ident = channels.channel_from_kraus([np.eye(3)])

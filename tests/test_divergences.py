@@ -58,7 +58,7 @@ def rel_entropy_five_eig(rho, sigma, leak_tol=dv.LEAK_TOL, cutoff=linalg.SUPPORT
     w, _ = linalg.herm_eig(rho)
     on = w > 0
     first = float(np.sum(w[on] * np.log2(w[on])))
-    second = float(np.trace(rho @ linalg.mat_log2_psd(sigma, cutoff)).real)
+    second = float(np.trace(rho @ linalg.mat_fn_psd(sigma, "log2", cutoff=cutoff)).real)
     return first - second
 
 

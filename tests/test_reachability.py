@@ -1,0 +1,93 @@
+"""Every module-level definition in superchan is reached by a command.
+
+The roots are the names that cli.py references and the functions that the
+benchmark's tracer (perfbench/tracer.py, loaded by path) wraps.  The walk
+follows name references from each reached definition, through the package's
+relative imports.  A definition that no root reaches is library code that no
+command runs: it should go, or move into the test that uses it.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "superchan"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+# Library API that the tests build on although no command calls it.  The
+# tests check maps against channels.adjoint; only attribute calls of a
+# different adjoint method reach that name from a command.
+KEPT = frozenset(
+    {"super_to_json", "replacer_channel", "depolarizing_r_tilde", "adjoint", "__version__"}
+)
+
+
+def _defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+class Package:
+    """Module-level definitions and relative imports of every module."""
+
+    def __init__(self, path):
+        self.trees = {f.stem: ast.parse(f.read_text(encoding="utf-8")) for f in path.glob("*.py")}
+        self.defs = {}  # (module, name) -> defining statement
+        self.imports = {}  # module -> {local name: (module, name)}
+        for module, tree in self.trees.items():
+            imports = self.imports[module] = {}
+            for stmt in tree.body:
+                for name in _defined_names(stmt):
+                    self.defs[(module, name)] = stmt
+                if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+                    for alias in stmt.names:
+                        imports[alias.asname or alias.name] = (stmt.module, alias.name)
+
+    def resolve(self, module, name):
+        """The (module, name) that defines `name` as seen from `module`, or None."""
+        while (module, name) not in self.defs:
+            if name not in self.imports.get(module, {}):
+                return None
+            module, name = self.imports[module][name]
+        return module, name
+
+    def references(self, module, node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                target = self.resolve(module, sub.id)
+                if target is not None:
+                    yield target
+
+    def reached(self, roots):
+        todo, reached = list(roots), set()
+        while todo:
+            key = todo.pop()
+            if key not in reached:
+                reached.add(key)
+                todo.extend(self.references(key[0], self.defs[key]))
+        return reached
+
+
+def _tracer_roots():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(m, name) for m, names in tracer.WRAPPED.items() for name in names]
+
+
+def test_every_definition_is_reached_from_a_command():
+    package = Package(PACKAGE)
+    roots = [*package.references("cli", package.trees["cli"]), *_tracer_roots()]
+    reached = package.reached(roots)
+    unreached = sorted(
+        f"{module}.{name} (line {stmt.lineno})"
+        for (module, name), stmt in package.defs.items()
+        if (module, name) not in reached and name not in KEPT
+    )
+    assert not unreached, "no command reaches: " + ", ".join(unreached)

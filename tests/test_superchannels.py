@@ -15,6 +15,21 @@ def rand_full_rank_witness(rng, d):
             return psi
 
 
+def permutation_unitary(dims, perm):
+    """Unitary sending |x_0,...,x_{n-1}> to |x_{perm[0]},...,x_{perm[n-1]}>."""
+    d = int(np.prod(dims))
+    new_idx = np.arange(d).reshape(dims).transpose(tuple(perm)).reshape(-1)
+    return np.eye(d)[new_idx]
+
+
+def apply_super_dilation(theta, n):
+    """Output channel via the physical dilation post o (N (x) id_R) o pre (reference route)."""
+    pre, post, r = theta.dilation
+    return channels.compose(
+        post, channels.compose(channels.tensor_channels(n, channels.identity_channel(r)), pre)
+    )
+
+
 def random_dilation_super(seed, a=2, b=2, c=2, d=2, r=2):
     pre = channels.random_channel(c, a * r, 2, seed=seed)
     post = channels.random_channel(b * r, d, max(2, (b * r) // d + 1), seed=seed + 1)
@@ -81,8 +96,8 @@ def random_supermap(seed, dims, cp):
 
 def reorder_by_permutation_unitaries(big, in_dims, out_dims):
     """Swap the middle two factors of the input and output spaces of a map."""
-    p_in = linalg.permutation_unitary(in_dims, (0, 2, 1, 3))
-    p_out = linalg.permutation_unitary(out_dims, (0, 2, 1, 3))
+    p_in = permutation_unitary(in_dims, (0, 2, 1, 3))
+    p_out = permutation_unitary(out_dims, (0, 2, 1, 3))
     return channels.compose(
         channels.channel_from_kraus([p_out]),
         channels.compose(big, channels.channel_from_kraus([p_in])),
@@ -162,7 +177,7 @@ def test_dilation_and_choi_paths_agree():
     for seed in range(20):
         n = channels.random_channel(2, 2, 2, seed=100 + seed)
         via_rep = sc.apply_super(theta, n)
-        via_dil = sc.apply_super_dilation(theta, n)
+        via_dil = apply_super_dilation(theta, n)
         assert np.linalg.norm(via_rep.choi - via_dil.choi) <= 1e-8
 
 
@@ -180,7 +195,7 @@ def test_apply_super_matches_dilation_property(dims, ref_dim, env, seed):
     theta = sc.super_from_dilation(pre, post, ref_dim=ref_dim)
     n = channels.random_channel(a, b, max(env, -(-a // b)), seed + 2)
     np.testing.assert_allclose(
-        sc.apply_super(theta, n).choi, sc.apply_super_dilation(theta, n).choi, rtol=0, atol=1e-12
+        sc.apply_super(theta, n).choi, apply_super_dilation(theta, n).choi, rtol=0, atol=1e-12
     )
 
 
@@ -249,7 +264,7 @@ def test_complete_cp_preservation_flag_both_directions():
     omega = np.zeros(16, dtype=complex)
     for k in range(4):
         omega[k * 4 + k] = 1.0
-    p_in = linalg.permutation_unitary((2, 2, 2, 2), (0, 2, 1, 3))
+    p_in = permutation_unitary((2, 2, 2, 2), (0, 2, 1, 3))
     witness = p_in.conj().T @ np.outer(omega, omega.conj()) @ p_in
     out = channels.apply(bad_big.rep, witness)
     assert linalg.psd_check(out).min_eig < -1e-6
@@ -263,12 +278,12 @@ def test_tp_fix_trace_nonincreasing_and_image_preservation():
         [channels.haar_isometry(2, 2, rng) for _ in range(2)],
     )
     assert channels.is_cptp(mix.rep)
-    fix = sc.tp_fix(mix)
+    fix = sc.tp_fix_map(mix.rep)
     assert fix.is_cptp
     np.testing.assert_allclose(fix.sigma0, np.eye(4) / 4, atol=1e-12)
     # Image preservation needs only tp-preservation of theta, not a CPTP fix.
     theta = random_dilation_super(seed=18)
-    fix2 = sc.tp_fix(theta)
+    fix2 = sc.tp_fix_map(theta.rep)
     fixed2 = sc.tp_fixed_channel(theta.rep, fix2.sigma0)
     for seed in range(3):
         n = channels.random_channel(2, 2, 2, seed=500 + seed)
@@ -341,9 +356,9 @@ def test_sct_membership_verdicts():
     mix = sc.random_isometry_super(
         [1.0], [channels.haar_isometry(2, 2, rng)], [channels.haar_isometry(2, 2, rng)]
     )
-    assert sc.tp_fix(mix).is_cptp
+    assert sc.tp_fix_map(mix.rep).is_cptp
     generic = random_dilation_super(seed=22)
-    fix2 = sc.tp_fix(generic)
+    fix2 = sc.tp_fix_map(generic.rep)
     assert fix2.is_cptp == (fix2.choi_min_eig >= -linalg.PSD_TOL)
     assert fix2.channel.flags.tp.status == "yes"
 
