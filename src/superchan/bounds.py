@@ -438,7 +438,7 @@ def verify_entropy_additivity(n, m, tolerance=None):
         r_n, r_m, r_joint = channel_entropy(n), channel_entropy(m), channel_entropy(joint)
         s_n, s_m, s_joint = _interval(r_n), _interval(r_m), _interval(r_joint)
         tol = INEQ_TOL if tolerance is None else tolerance
-        path = "concave-certified"
+        path = "certified"
         wit = _witness_json(
             left=r_n.optimizer_state, right=r_m.optimizer_state, joint=r_joint.optimizer_state
         )

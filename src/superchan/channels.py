@@ -25,9 +25,9 @@ from .linalg import (
 TP_TOL = 1e-10
 KRAUS_CHOI_TOL = 1e-10
 COVARIANCE_TOL = 1e-8
-# check_telecov_spec: largest ||u^dag u - 1|| of a representation element, and
-# largest deviation of the input twirl of a basis matrix from its one-design
-# value.
+# check_telecov_spec: largest ||u^dag u - 1|| of a representation element (and
+# random_isometry_super of an isometry), and largest deviation of the input
+# twirl of a basis matrix from its one-design value.
 UNITARY_TOL = 1e-10
 TWIRL_TOL = 1e-8
 # Two specs whose stacked representations agree entrywise to this are one group.
@@ -108,11 +108,9 @@ def _flags_from_spectrum(choi, w, dim_in, dim_out):
 
 
 def _choi_from_kraus(kraus, dim_in, dim_out):
-    choi = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
-    for k in kraus:
-        v = np.asarray(k, dtype=complex).T.reshape(-1)
-        choi += np.outer(v, v.conj())
-    return choi
+    """sum_k vec(K_k^T) vec(K_k^T)^dagger, as one matmul over the stacked Kraus operators."""
+    vecs = np.asarray(kraus, dtype=complex).transpose(0, 2, 1).reshape(-1, dim_in * dim_out)
+    return vecs.T @ vecs.conj()
 
 
 def channel_from_kraus(kraus):
@@ -131,18 +129,19 @@ def channel_from_kraus(kraus):
 def kraus_from_choi(choi, dim_in, dim_out):
     """Extract a minimal Kraus set from a PSD Choi operator."""
     w, v = herm_eig(choi)
-    return _kraus_from_spectrum(w, v, dim_in, dim_out)
+    return tuple(_kraus_from_spectrum(w, v, dim_in, dim_out))
 
 
 def _kraus_from_spectrum(w, v, dim_in, dim_out):
-    """kraus_from_choi of a Choi operator whose herm_eig is (w, v)."""
+    """The Kraus operators of kraus_from_choi, stacked (r, dim_out, dim_in), for herm_eig (w, v).
+
+    K_i = sqrt(w_i) unvec(v_i)^T for each eigenvalue w_i above SUPPORT_CUTOFF,
+    in ascending order.
+    """
     if w[0] < -PSD_TOL:
         raise ValueError(f"Choi is not PSD: min eigenvalue {w[0]:.3e}")
-    kraus = []
-    for i in range(len(w)):
-        if w[i] > SUPPORT_CUTOFF:
-            kraus.append(np.sqrt(w[i]) * v[:, i].reshape(dim_in, dim_out).T)
-    return tuple(kraus)
+    on = w > SUPPORT_CUTOFF
+    return (v[:, on] * np.sqrt(w[on])).T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1)
 
 
 def channel_from_choi(choi, dim_in, dim_out, normalized=False):
@@ -155,7 +154,9 @@ def channel_from_choi(choi, dim_in, dim_out, normalized=False):
     # One decomposition serves both the CP flag and the Kraus set.
     w, v = herm_eig(choi)
     flags = _flags_from_spectrum(choi, w, dim_in, dim_out)
-    kraus = _kraus_from_spectrum(w, v, dim_in, dim_out) if flags.cp.status == "yes" else None
+    kraus = None
+    if flags.cp.status == "yes":
+        kraus = tuple(_kraus_from_spectrum(w, v, dim_in, dim_out))
     return Channel(dim_in, dim_out, choi, kraus, flags)
 
 

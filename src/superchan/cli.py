@@ -80,6 +80,14 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
+# petz suite: largest trace distance between sigma and its Petz recovery.
+PETZ_RECOVERY_TOL = 1e-9
+# tp-completion suite: the completed Choi's smallest eigenvalue may reach
+# -TP_COMPLETION_TOL, the reported tolerance; its TP residual is held to the
+# stricter TP_COMPLETION_RESIDUAL_TOL.
+TP_COMPLETION_TOL = 1e-10
+TP_COMPLETION_RESIDUAL_TOL = 1e-12
+
 SUITES = (
     "dpi",
     "petz",
@@ -285,7 +293,7 @@ def cmd_entropy(args, cfg):
             payload = {
                 "value": _scalar(res.value),
                 "upper": _scalar(res.upper),
-                "method": "concave-certified",
+                "method": "certified",
                 "evaluations": res.evaluations,
                 "witness": matrix_to_json(res.optimizer_state.a_psi),
             }
@@ -403,7 +411,7 @@ def _suite_petz(index, seed, cfg):
         "petz-recovery",
         0.0,
         residual,
-        1e-9,
+        PETZ_RECOVERY_TOL,
         _trial_seed(seed, index),
         {"trial": index, "dim_in": din, "dim_out": dout},
         {"sigma": matrix_to_json(sigma)},
@@ -495,15 +503,16 @@ def _suite_tp_completion(index, seed, cfg):
         "tp_residual": tp_res,
         "cptp": bool(fix.is_cptp),
     }
-    # Built by hand: the pass rule holds tp_residual to 1e-12, stricter than
-    # the 1e-10 tolerance that bounds._record would apply to the worst residual.
+    # Built by hand: the pass rule holds tp_residual to TP_COMPLETION_RESIDUAL_TOL,
+    # stricter than the TP_COMPLETION_TOL that bounds._record would apply to the
+    # worst residual.
     return VerificationRecord(
         "tp-completion",
         0.0,
         float(worst),
         -float(worst),
-        min_eig >= -1e-10 and tp_res <= 1e-12,
-        1e-10,
+        min_eig >= -TP_COMPLETION_TOL and tp_res <= TP_COMPLETION_RESIDUAL_TOL,
+        TP_COMPLETION_TOL,
         _trial_seed(seed, index),
         params,
         {"sigma0": matrix_to_json(sigma0)},

@@ -55,6 +55,7 @@ REPLACER_TOL = 1e-10
 ASCENT_GAP = 1e-10
 ASCENT_MAX_ITERS = 5000
 ASCENT_FLOOR = 1e-12
+LN_ASCENT_FLOOR = np.log(ASCENT_FLOOR)
 # Off the certified path nothing proves f concave: a unit step that lowers it
 # by more than ASCENT_DROP * max(1, |f|) is retried at half length.  On both
 # paths a point within ASCENT_GAP that lowers f by no more than this ends the
@@ -323,8 +324,8 @@ def _flat(x):
 def _floored(x, d):
     """Spectrum of ln rho for the real vector x, floored and traceless, and rho's."""
     h_w, h_v = np.linalg.eigh(x.view(complex).reshape(d, d))
-    h_w = np.maximum(h_w, h_w[-1] + np.log(ASCENT_FLOOR))
-    h_w -= h_w.mean()
+    h_w = np.maximum(h_w, h_w[-1] + LN_ASCENT_FLOOR)
+    h_w -= h_w.sum() / d
     p = np.exp(h_w - h_w[-1])
     return h_w, h_v, p / p.sum()
 
@@ -346,7 +347,6 @@ def _ascend(objective, d, x, max_evals, backtrack=False):
     not below the current point's by more than ASCENT_DROP * max(1, |f|), an
     Anderson proposal included; otherwise it stops after max_evals evaluations.
     """
-    eye = np.eye(d)
 
     def evaluate(h_w, h_v, p):
         rho = (h_v * p) @ dagger(h_v)
@@ -354,9 +354,10 @@ def _ascend(objective, d, x, max_evals, backtrack=False):
         grad = (grad + dagger(grad)) / 2
         # Nonnegative in exact arithmetic: tr rho grad is an average of its spectrum.
         gap = max(np.linalg.eigvalsh(grad)[-1] - np.vdot(rho, grad).real, 0.0)
-        step = grad - (np.trace(grad).real / d) * eye
+        # The unit step: grad with its trace taken off the diagonal.
+        grad.flat[:: d + 1] -= np.trace(grad).real / d
         x = (h_v * h_w) @ dagger(h_v)
-        return _AscentPoint(_flat(x), p, h_v, f / LN2, gap / LN2, _flat(step))
+        return _AscentPoint(_flat(x), p, h_v, f / LN2, gap / LN2, _flat(grad))
 
     point = evaluate(*_floored(x, d))
     evaluations, length = 1, 1.0
@@ -394,45 +395,64 @@ def _ascend(objective, d, x, max_evals, backtrack=False):
     return point, evaluations
 
 
+def _certified_objective(n, b, ln_gamma):
+    """objective(rho) = (f ln 2, gradient in nats) for D[N||M], M(X) = tr_B N(X) (x) gamma.
+
+    With the Stinespring isometry V of N into R' (x) B (x) E and
+    tau = tr_R' V rho V^dagger, f ln 2 = tr N^c ln N^c - tr tau ln tau -
+    tr rho linear, where N^c(rho) = tr_R'B V rho V^dagger and linear = N_B^*(ln
+    gamma).  One block-diagonal map sends rho to M = tau (+) N^c(rho), so an
+    evaluation takes one eigh of M and one matmul back through its adjoint,
+    signed -1 on the tau block and +1 on the N^c block.  The forward map's
+    off-block rows are zero, so ln M is block-diagonal even where the blocks
+    share eigenvalues, and the signed adjoint reads only its diagonal blocks.
+    """
+    din, dout = n.dim_in, n.dim_out
+    rp = dout // b
+    # Linearly independent Kraus operators keep N^c(rho) full rank.
+    kraus = _kraus_from_spectrum(*herm_eig(n.choi), din, dout)
+    r = len(kraus)
+    # iso[p, c, k] = (<p| (x) <c|) K_k: one block per basis state of R'.
+    iso = kraus.reshape(r, rp, b, din).transpose(1, 2, 0, 3)
+    to_be = _BlockMap.of(iso.reshape(rp, b * r, din))
+    linear = to_be.adjoint(np.kron(ln_gamma, np.eye(r)))
+    # tau stays inside the support of T(1), of dimension at most din * r';
+    # compressed onto it, tau has full rank for every full-rank rho.
+    t_w, t_v = herm_eig(to_be.apply(np.eye(din)))
+    tau_blocks = dagger(t_v[:, t_w > SUPPORT_CUTOFF]) @ to_be.blocks
+    kt = tau_blocks.shape[1]
+    k = kt + r
+    blocks = np.zeros((rp + rp * b, k, din), dtype=complex)
+    blocks[:rp, :kt] = tau_blocks
+    blocks[rp:, kt:] = iso.reshape(rp * b, r, din)
+    both = _BlockMap.of(blocks)
+    sign = np.ones((k, k))
+    sign[:kt, :kt] = -1.0
+    signed_adjoint = both.backward * sign.reshape(-1)
+
+    def objective(rho):
+        m = (both.forward @ rho.reshape(-1)).reshape(k, k)
+        w, v = np.linalg.eigh(m)
+        ln_m = (v * np.log(np.maximum(w, TINY))) @ dagger(v)
+        f = np.vdot(sign * m, ln_m).real - np.vdot(rho, linear).real
+        return f, (signed_adjoint @ ln_m.reshape(-1)).reshape(din, din) - linear
+
+    return objective
+
+
 def _certified_divergence(n, b, ln_gamma):
     """D[N||M] for M(X) = tr_B N(X) (x) gamma, as a certified interval.
 
-    With the Stinespring isometry V of N into R' (x) B (x) E and
-    tau = tr_R' V rho V^dagger, the divergence at input state rho is
-    f(rho) = H(B|E)_tau - tr N_B(rho) log2 gamma, concave in rho by strong
+    The divergence at input state rho is f(rho) = H(B|E)_tau - tr N_B(rho)
+    log2 gamma (see _certified_objective), concave in rho by strong
     subadditivity; D[N||M] = max_rho f <= f + gap at every rho, and value and
     gap are read at one evaluated rho, so the interval is sound wherever the
     ascent stops.  f is 1-smooth relative to the von Neumann entropy (He,
     Saunderson & Fawzi, IEEE TIT 2024), so each unit step, a Blahut-Arimoto
     iteration, raises f.  gamma enters only as ln gamma, so no cutoff applies.
     """
-    din, dout = n.dim_in, n.dim_out
-    rp = dout // b
-    # Linearly independent Kraus operators keep N^c(rho) full rank.
-    kraus = np.array(_kraus_from_spectrum(*herm_eig(n.choi), din, dout))
-    r = len(kraus)
-    # iso[p, c, k] = (<p| (x) <c|) K_k: one block per basis state of R'.
-    iso = kraus.reshape(r, rp, b, din).transpose(1, 2, 0, 3)
-    to_be = _BlockMap.of(iso.reshape(rp, b * r, din))
-    to_e = _BlockMap.of(iso.reshape(rp * b, r, din))
-    linear = to_be.adjoint(np.kron(ln_gamma, np.eye(r)))
-    # tau stays inside the support of T(1), of dimension at most din * r';
-    # compressed onto it, tau has full rank for every full-rank rho.
-    t_w, t_v = herm_eig(to_be.apply(np.eye(din)))
-    to_be = _BlockMap.of(dagger(t_v[:, t_w > SUPPORT_CUTOFF]) @ to_be.blocks)
-
-    def objective(rho):
-        # f ln 2 = tr N^c(rho) ln N^c(rho) - tr tau ln tau - tr rho linear,
-        # and grad is its derivative up to a multiple of 1.
-        grad = -linear
-        f = -np.vdot(rho, linear).real
-        for sign, part in ((-1.0, to_be), (1.0, to_e)):
-            w, v = np.linalg.eigh(part.apply(rho))
-            ln_w = np.log(np.maximum(w, TINY))
-            grad = grad + sign * part.adjoint((v * ln_w) @ dagger(v))
-            f += sign * np.dot(np.maximum(w, 0.0), ln_w)
-        return f, grad
-
+    din = n.dim_in
+    objective = _certified_objective(n, b, ln_gamma)
     point, evaluations = _ascend(objective, din, np.zeros(2 * din * din), ASCENT_MAX_ITERS)
     f, gap = float(point.f), float(point.gap)
     return DivergenceResult(

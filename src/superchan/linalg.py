@@ -11,6 +11,8 @@ import numpy as np
 SUPPORT_CUTOFF = 1e-10
 PSD_TOL = 1e-9
 HERM_TOL = 1e-9
+# Largest |tr rho - 1| of a state or a trace-one operator.
+TRACE_TOL = 1e-8
 
 
 class SpectralDecomposition(NamedTuple):
@@ -191,8 +193,8 @@ def check_density(rho):
     if not chk.is_psd:
         raise ValueError(f"state is not PSD: min eigenvalue {chk.min_eig:.3e}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"state trace {tr} deviates from 1 beyond 1.0e-08")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"state trace {tr} deviates from 1 beyond {TRACE_TOL:.1e}")
     return rho
 
 

@@ -12,6 +12,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channels import (
+    UNITARY_TOL,
     Channel,
     Flag,
     apply,
@@ -25,6 +26,7 @@ from .channels import (
 )
 from .linalg import (
     SUPPORT_CUTOFF,
+    TRACE_TOL,
     dagger,
     herm_eig,
     matrix_from_json,
@@ -35,6 +37,11 @@ from .linalg import (
 )
 
 TP_PRESERVING_TOL = 1e-8
+# is_r_subpreserving: largest Frobenius norm of the difference for which Theta
+# counts as preserving the depolarizing map, not only subpreserving it.
+R_PRESERVING_TOL = 1e-8
+# random_isometry_super: largest |sum p_i - 1| of the mixing probabilities.
+PROBS_TOL = 1e-10
 SIGMA0_SCAN_CAP = 500
 
 
@@ -175,7 +182,7 @@ def tp_fix_map(base, sigma0=None):
         raise ValueError("trace-preserving completion needs a CP base map")
     if sigma0 is not None:
         sigma0 = np.asarray(sigma0, dtype=complex)
-        if abs(np.trace(sigma0) - 1.0) > 1e-8:
+        if abs(np.trace(sigma0) - 1.0) > TRACE_TOL:
             raise ValueError("sigma0 must have unit trace")
         return TpFixedMap(sigma0, tp_fixed_channel(base, sigma0))
 
@@ -214,20 +221,20 @@ def is_r_subpreserving(theta):
     a, b, c, d = theta.dims
     diff = np.eye(c * d) - apply(theta.rep, np.eye(a * b))
     chk = psd_check(diff)
-    return RSubReport(chk.is_psd, chk.min_eig, float(np.linalg.norm(diff)) <= 1e-8)
+    return RSubReport(chk.is_psd, chk.min_eig, float(np.linalg.norm(diff)) <= R_PRESERVING_TOL)
 
 
 def random_isometry_super(probs, isometries_pre, isometries_post):
     """Superchannel N -> sum_i p_i V_i o N o U_i with a classical flag register."""
     probs = np.asarray(probs, dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-10 or np.any(probs < 0):
+    if abs(probs.sum() - 1.0) > PROBS_TOL or np.any(probs < 0):
         raise ValueError("probs must be a probability vector")
     us = [np.asarray(u, dtype=complex) for u in isometries_pre]
     vs = [np.asarray(v, dtype=complex) for v in isometries_post]
     if len(us) != len(probs) or len(vs) != len(probs):
         raise ValueError("need one pre and one post isometry per probability")
     for w in us + vs:
-        if np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1])) > 1e-10:
+        if np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1])) > UNITARY_TOL:
             raise ValueError("input is not an isometry")
     r = len(probs)
     # The flag register is the last factor: pre's one Kraus operator stacks

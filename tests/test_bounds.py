@@ -322,7 +322,7 @@ def test_additivity_optimized_path():
     n = channels.random_channel(2, 2, 4, 211)
     m = channels.random_channel(2, 2, 4, 212)
     rec = bd.verify_entropy_additivity(n, m)
-    assert rec.params["path"] == "concave-certified"
+    assert rec.params["path"] == "certified"
     assert rec.tolerance == 1e-3
     assert rec.passed
 
@@ -387,7 +387,7 @@ def verify_telecov_entropy_gain(theta, n, tolerance=bd.INEQ_TOL, xi=None):
         before, after = dv.channel_entropy(n), dv.channel_entropy(tn)
         # The lower end of the gain: lower S[Theta(N)] against upper S[N].
         s_before, s_after = before.upper, after.value
-        params["path"] = "concave-certified"
+        params["path"] = "certified"
     else:
         params["path"] = "telecov"
     params["recovery_term"] = float(bound)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superchan import channels, divergences as dv, linalg, recovery as rc, superchannels as sc
 
@@ -433,6 +433,56 @@ def test_choi_kraus_round_trip_property(dims, env, seed):
     n = channels.random_channel(din, dout, max(env, -(-din // dout)), seed)
     rebuilt = channels.channel_from_kraus(channels.kraus_from_choi(n.choi, din, dout))
     np.testing.assert_allclose(rebuilt.choi, n.choi, rtol=0, atol=1e-12)
+
+
+def loop_choi_from_kraus(kraus, dim_in, dim_out):
+    """sum_k vec(K_k^T) vec(K_k^T)^dagger, one outer product per operator (reference route)."""
+    choi = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
+    for k in kraus:
+        v = np.asarray(k, dtype=complex).T.reshape(-1)
+        choi += np.outer(v, v.conj())
+    return choi
+
+
+def loop_kraus_from_spectrum(w, v, dim_in, dim_out):
+    """One Kraus operator per eigenvalue above SUPPORT_CUTOFF, ascending (reference route)."""
+    return [
+        np.sqrt(w[i]) * v[:, i].reshape(dim_in, dim_out).T
+        for i in range(len(w))
+        if w[i] > linalg.SUPPORT_CUTOFF
+    ]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    rank=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=(1, 1), rank=1, seed=0)
+@example(dims=(1, 3), rank=2, seed=1)
+@example(dims=(3, 2), rank=2, seed=2)
+def test_stacked_kraus_and_choi_kernels_match_loop_references(dims, rank, seed):
+    din, dout = dims
+    rng = np.random.default_rng(seed)
+    # Rank min(rank, din * dout): rank-deficient whenever rank < din * dout.
+    g = rng.normal(size=(din * dout, rank)) + 1j * rng.normal(size=(din * dout, rank))
+    choi = g @ g.conj().T
+    choi /= np.trace(choi).real
+    w, v = linalg.herm_eig(choi)
+    stacked = channels._kraus_from_spectrum(w, v, din, dout)
+    loop = loop_kraus_from_spectrum(w, v, din, dout)
+    assert len(loop) == min(rank, din * dout)
+    assert stacked.shape == (len(loop), dout, din)
+    for a, b in zip(stacked, loop):
+        assert np.abs(a - b).max() <= 1e-14
+    rebuilt = channels._choi_from_kraus(stacked, din, dout)
+    assert np.abs(rebuilt - loop_choi_from_kraus(loop, din, dout)).max() <= 1e-14
+    # The constructors go through the same kernels.
+    ch = channels.channel_from_choi(choi, din, dout)
+    assert len(ch.kraus) == len(loop)
+    assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, stacked))
+    assert np.abs(channels.channel_from_kraus(loop).choi - rebuilt).max() <= 1e-14
 
 
 def test_apply_kraus_equals_apply_choi():

@@ -51,7 +51,7 @@ def test_entropy_optimized_method(tmp_path):
     out = str(tmp_path / "out.json")
     assert cli.main(["entropy", path, "--config", cfg, "--out", out]) == 0
     blob = json.loads((tmp_path / "out.json").read_text())
-    assert blob["method"] == "concave-certified"
+    assert blob["method"] == "certified"
     assert np.isfinite(blob["value"])
     assert blob["witness"]["rows"] == 2
 

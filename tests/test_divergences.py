@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superchan import channels, cli, divergences as dv, linalg, superchannels as sc
 
@@ -587,9 +587,10 @@ def test_certified_ascent_stops_at_first_certified_point():
 
 
 def test_certified_ascent_evaluation_budget(monkeypatch):
-    # The 32 certified calls of entropy-nondecrease at seeds 0-15 take 296
+    # The 32 certified calls of entropy-nondecrease at seeds 0-15 take 302
     # evaluations with the accelerated ascent stopping at its first certified
-    # point (328 when it ran on past it, 3865 with unit steps alone).
+    # point on the fused block map (296 with one block map each for tau and
+    # N^c; 328 when it ran on past that point, 3865 with unit steps alone).
     used = []
     certified = dv._certified_divergence
 
@@ -632,6 +633,84 @@ def test_block_map_matches_stacked_reference(q, m, d, seed):
     y /= np.linalg.norm(y)
     assert np.abs(block_map.apply(x) - stacked_block_apply(blocks, x)).max() <= 1e-14
     assert np.abs(block_map.adjoint(y) - stacked_block_adjoint(blocks, y)).max() <= 1e-14
+
+
+def two_map_objective(n, b, ln_gamma):
+    """The certified objective with one block map for tau and one for N^c (reference route).
+
+    Each evaluation decomposes tau and N^c(rho) separately and maps each log
+    back through its own adjoint.
+    """
+    din, dout = n.dim_in, n.dim_out
+    rp = dout // b
+    kraus = np.array(channels.kraus_from_choi(n.choi, din, dout))
+    r = len(kraus)
+    iso = kraus.reshape(r, rp, b, din).transpose(1, 2, 0, 3)
+    to_be = dv._BlockMap.of(iso.reshape(rp, b * r, din))
+    to_e = dv._BlockMap.of(iso.reshape(rp * b, r, din))
+    linear = to_be.adjoint(np.kron(ln_gamma, np.eye(r)))
+    t_w, t_v = linalg.herm_eig(to_be.apply(np.eye(din)))
+    to_be = dv._BlockMap.of(t_v[:, t_w > linalg.SUPPORT_CUTOFF].conj().T @ to_be.blocks)
+
+    def objective(rho):
+        grad = -linear
+        f = -np.vdot(rho, linear).real
+        for sign, part in ((-1.0, to_be), (1.0, to_e)):
+            w, v = np.linalg.eigh(part.apply(rho))
+            ln_w = np.log(np.maximum(w, dv.TINY))
+            grad = grad + sign * part.adjoint((v * ln_w) @ v.conj().T)
+            f += sign * np.dot(np.maximum(w, 0.0), ln_w)
+        return f, grad
+
+    return objective
+
+
+def completely_dephasing(d):
+    """The completely dephasing channel on d levels, Kraus operators |i><i|."""
+    return channels.channel_from_kraus([np.diag(np.eye(d)[i]) for i in range(d)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 3),
+    env=st.integers(1, 3),
+    reference=st.sampled_from(["depolarizing", "thermal", "split"]),
+    seed=st.integers(0, 2**16),
+    kind=st.just("random"),
+)
+# The identity channel has one Kraus operator, so its N^c block is 1x1: the
+# smallest fused map.  The dephasing channel at a diagonal rho has tau and
+# N^c(rho) with the same spectrum, so M's eigenspaces straddle both blocks.
+@example(d=2, env=1, reference="depolarizing", seed=0, kind="identity")
+@example(d=3, env=1, reference="thermal", seed=1, kind="identity")
+@example(d=2, env=1, reference="depolarizing", seed=2, kind="dephasing")
+@example(d=3, env=1, reference="thermal", seed=3, kind="dephasing")
+def test_certified_objective_matches_two_map_reference(d, env, reference, seed, kind):
+    rng = np.random.default_rng(seed)
+    dout = 4 if reference == "split" else d
+    if kind == "identity":
+        n = channels.identity_channel(d)
+    elif kind == "dephasing":
+        n = completely_dephasing(d)
+    else:
+        n = channels.random_channel(d, dout, env, seed)
+    if reference == "depolarizing":
+        b, ln_gamma = d, np.zeros((d, d))
+    elif reference == "thermal":
+        h = random_psd(rng, d)
+        b, ln_gamma = d, -0.7 * (h - np.linalg.eigvalsh(h)[0] * np.eye(d))
+    else:
+        w, v = np.linalg.eigh(random_psd(rng, 2))
+        b, ln_gamma = 2, (v * np.log(w)) @ v.conj().T
+    if kind == "dephasing":
+        rho = np.diag(rng.dirichlet(np.ones(d))).astype(complex)
+    else:
+        rho = rand_state(rng, d)
+    f, grad = dv._certified_objective(n, b, ln_gamma)(rho)
+    f_ref, grad_ref = two_map_objective(n, b, ln_gamma)(rho)
+    tol = 1e-12 * max(1.0, abs(f_ref))
+    assert abs(f - f_ref) <= tol
+    assert np.abs(grad - grad_ref).max() <= tol
 
 
 def test_evaluation_counts_by_path(monkeypatch):
