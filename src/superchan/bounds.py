@@ -10,7 +10,7 @@ best witness when the two inputs have the same dimension.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .channels import (
     channel_from_kraus,
     channel_to_json,
     depolarizing_r,
-    identity_channel,
     is_cptp,
     tensor_channels,
 )
@@ -63,46 +62,35 @@ EXACT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """One checked inequality; passed iff slack = lhs - rhs >= -tolerance."""
+    """One checked inequality; passed iff slack = lhs - rhs >= -tolerance.
+
+    slack and passed follow from the sides and the tolerance, so a NaN side,
+    as in a skipped record, never passes.
+    """
 
     check_id: str
     lhs: float
     rhs: float
-    slack: float
-    passed: bool
     tolerance: float
     seed: int
     params: Dict[str, Any]
     witnesses: Dict[str, Any]
     skipped: bool = False
 
+    @property
+    def slack(self):
+        return self.lhs - self.rhs
 
-@dataclass(frozen=True)
-class EntropyGainReport:
-    """Channel-entropy gain under a supermap against its remainder bound.
-
-    The entropies are (lower, upper) intervals; the lower end of the gain is
-    entropy_after[0] - entropy_before[1].
-    """
-
-    entropy_before: tuple
-    entropy_after: tuple
-    alpha: float
-    rho_alpha_term: float
-    delta_prime: float
-    gamma_term: Optional[float]
-    witness_full_rank: bool
+    @property
+    def passed(self):
+        return bool(self.slack >= -self.tolerance)
 
 
 def _record(check_id, lhs, rhs, tolerance, seed, params, witnesses, skipped=False):
-    lhs, rhs = float(lhs), float(rhs)
-    slack = lhs - rhs
     return VerificationRecord(
         check_id=check_id,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        passed=bool(slack >= -tolerance),
+        lhs=float(lhs),
+        rhs=float(rhs),
         tolerance=float(tolerance),
         seed=int(seed),
         params=dict(params),
@@ -111,27 +99,20 @@ def _record(check_id, lhs, rhs, tolerance, seed, params, witnesses, skipped=Fals
     )
 
 
-def _skipped_record(check_id, reason, tolerance, seed, params=()):
-    nan = float("nan")
-    merged = dict(params)
-    merged["reason"] = reason
-    return VerificationRecord(
-        check_id, nan, nan, nan, False, float(tolerance), int(seed), merged, {}, True
-    )
+def _scalar(x):
+    """A float, or None when it is not finite (JSON has no inf or NaN)."""
+    x = float(x)
+    return x if np.isfinite(x) else None
 
 
 def record_to_json(rec):
     """JSON-safe dict for a record; non-finite scalars become null."""
-
-    def scalar(x):
-        return float(x) if np.isfinite(x) else None
-
     return {
         "check_id": rec.check_id,
-        "lhs": scalar(rec.lhs),
-        "rhs": scalar(rec.rhs),
-        "slack": scalar(rec.slack),
-        "passed": bool(rec.passed),
+        "lhs": _scalar(rec.lhs),
+        "rhs": _scalar(rec.rhs),
+        "slack": _scalar(rec.slack),
+        "passed": rec.passed,
         "tolerance": float(rec.tolerance),
         "seed": int(rec.seed),
         "params": rec.params,
@@ -160,7 +141,7 @@ def _require_input_slot(theta, *chans):
 
 def _interval(res):
     """[lower, upper] of a result, JSON-safe: a one-sided end becomes None."""
-    return [float(x) if np.isfinite(x) else None for x in (res.value, res.upper)]
+    return [_scalar(res.value), _scalar(res.upper)]
 
 
 def _witness_json(**states):
@@ -212,30 +193,16 @@ def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
     return _record("channel-dpi", before.value, after.value, tolerance, opts.seed, params, wit)
 
 
-def _is_identity_super(theta):
-    a, b, c, d = theta.dims
-    if (a, b) != (c, d):
-        return False
-    return np.array_equal(theta.rep.choi, identity_channel(a * b).choi)
-
-
-def _same_witness(psi, phi):
-    if psi is None and phi is None:
-        return True
-    if psi is None or phi is None:
-        return False
-    return psi.a_psi.shape == phi.a_psi.shape and np.array_equal(psi.a_psi, phi.a_psi)
-
-
-def verify_entropy_gain_remainder(theta, n, psi=None, phi=None):
+def verify_entropy_gain_remainder(theta, n, psi=None, phi=None, tolerance=INEQ_TOL, seed=0):
     """Channel-entropy gain under a superchannel against its remainder bound.
 
-    The bound is D(C || C_alpha) + [S(psi marginal) - S(phi marginal)], with C
-    the Choi state of the channel in the coordinates of psi, alpha the
-    operator norm of the adjoint representing map on the identity, and
-    C_alpha = alpha^-alpha (T* T C)^alpha.  When both reference marginals live
-    on the same space the report also carries the refined gamma term, a lower
-    bound on the marginal-entropy difference.  Witnesses default to the
+    slack = S[Theta(N)] - S[N] - (D(C || C_alpha) + [S(psi marginal) - S(phi
+    marginal)]), read from the lower end of S[Theta(N)] and the upper end of
+    S[N], with C the Choi state of the channel in the coordinates of psi,
+    alpha the operator norm of the adjoint representing map on the identity,
+    and C_alpha = alpha^-alpha (T* T C)^alpha.  When both reference marginals
+    live on the same space params also carries the refined gamma term, a
+    lower bound on the marginal-entropy difference.  Witnesses default to the
     entropies' witnesses, blended to full rank when needed.
     """
     _require_superchannel(theta)
@@ -243,20 +210,6 @@ def verify_entropy_gain_remainder(theta, n, psi=None, phi=None):
     if not is_cptp(n):
         raise ValueError("channel must be certified CPTP")
     a, _, c, _ = theta.dims
-
-    if _is_identity_super(theta) and _same_witness(psi, phi):
-        # Exact zeros: the identity supermap leaves every quantity unchanged.
-        before = channel_entropy(n)
-        return EntropyGainReport(
-            entropy_before=(before.value, before.upper),
-            entropy_after=(before.value, before.upper),
-            alpha=1.0,
-            rho_alpha_term=0.0,
-            delta_prime=0.0,
-            gamma_term=0.0,
-            witness_full_rank=True,
-        )
-
     before, after = channel_entropy(n), channel_entropy(apply_super(theta, n))
 
     psi0 = psi if psi is not None else before.optimizer_state
@@ -273,15 +226,24 @@ def verify_entropy_gain_remainder(theta, n, psi=None, phi=None):
         connect = channel_from_kraus(
             [mat_sqrt_psd(psi0.marginal_ref) @ mat_inv_sqrt_psd(phi0.marginal_ref)]
         )
-        gamma_term = _alpha_remainder(connect, phi0.marginal_ref)[1]
-    return EntropyGainReport(
-        entropy_before=(before.value, before.upper),
-        entropy_after=(after.value, after.upper),
-        alpha=alpha,
-        rho_alpha_term=rho_alpha_term,
-        delta_prime=delta_prime,
-        gamma_term=gamma_term,
-        witness_full_rank=full_rank,
+        gamma_term = _scalar(_alpha_remainder(connect, phi0.marginal_ref)[1])
+    params = {
+        "entropy_before": _interval(before),
+        "entropy_after": _interval(after),
+        "lhs_end": "lower",
+        "alpha": _scalar(alpha),
+        "delta_prime": _scalar(delta_prime),
+        "gamma_term": gamma_term,
+        "witness_full_rank": full_rank,
+    }
+    return _record(
+        "entropy-gain-super",
+        after.value - before.upper,
+        rho_alpha_term + delta_prime,
+        tolerance,
+        seed,
+        params,
+        {},
     )
 
 
@@ -315,13 +277,10 @@ def verify_refined_dpi(
     phi0 = phi if phi is not None else maximally_entangled(c)
     fix = tp_fix_map(generalized_rep(theta, psi0, phi0))
     if not fix.is_cptp:
-        return _skipped_record(
-            "refined-dpi",
-            "witness-coordinate representing map has no trace-preserving completion",
-            tolerance,
-            opts.seed,
-            base_params,
-        )
+        reason = "witness-coordinate representing map has no trace-preserving completion"
+        nan = float("nan")
+        params = {**base_params, "reason": reason}
+        return _record("refined-dpi", nan, nan, tolerance, opts.seed, params, {}, skipped=True)
     t_prime = fix.channel
 
     tn, tm = apply_super(theta, n), apply_super(theta, m)

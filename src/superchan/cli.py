@@ -21,9 +21,9 @@ import numpy as np
 
 from .bounds import (
     INEQ_TOL,
-    VerificationRecord,
     _interval,
     _record,
+    _scalar,
     depolarizing_supermap,
     entropy_gain_positive_map,
     record_to_json,
@@ -51,6 +51,7 @@ from .channels import (
 )
 from .divergences import (
     OptimizerOpts,
+    _closed_form_result,
     channel_divergence,
     channel_entropy,
     channel_entropy_beta,
@@ -82,11 +83,9 @@ EXIT_INTERNAL = 4
 
 # petz suite: largest trace distance between sigma and its Petz recovery.
 PETZ_RECOVERY_TOL = 1e-9
-# tp-completion suite: the completed Choi's smallest eigenvalue may reach
-# -TP_COMPLETION_TOL, the reported tolerance; its TP residual is held to the
-# stricter TP_COMPLETION_RESIDUAL_TOL.
-TP_COMPLETION_TOL = 1e-10
-TP_COMPLETION_RESIDUAL_TOL = 1e-12
+# tp-completion suite: largest of the completed Choi's negative part and its
+# TP residual.
+TP_COMPLETION_TOL = 1e-12
 
 SUITES = (
     "dpi",
@@ -226,11 +225,6 @@ def _load_state(path, dim=None):
     return rho
 
 
-def _scalar(x):
-    x = float(x)
-    return x if np.isfinite(x) else None
-
-
 def _dump_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -257,6 +251,17 @@ def _with_telecov(n):
     return _try_attach_telecov(n, weyl_heisenberg_spec(n.dim_in))
 
 
+def _result_payload(res, **extra):
+    """The interval, evaluation count and witness of a DivergenceResult, as JSON."""
+    return {
+        "value": _scalar(res.value),
+        "upper": _scalar(res.upper),
+        "evaluations": res.evaluations,
+        "witness": matrix_to_json(res.optimizer_state.a_psi),
+        **extra,
+    }
+
+
 def cmd_entropy(args, cfg):
     n, obj = _load_channel(args.channel)
     _require_cptp(n, args.channel)
@@ -269,35 +274,15 @@ def cmd_entropy(args, cfg):
             thermal = ThermalMap(matrix_from_json(obj["thermal"]["hamiltonian"]), float(beta))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_USAGE, f"{args.channel}: invalid thermal block: {exc}")
-        res = channel_entropy_beta(n, thermal)
-        payload = {
-            "value": _scalar(res.value),
-            "upper": _scalar(res.upper),
-            "method": "beta",
-            "evaluations": res.evaluations,
-            "witness": matrix_to_json(res.optimizer_state.a_psi),
-        }
+        res, method = channel_entropy_beta(n, thermal), "beta"
     else:
         tagged = _with_telecov(n)
         if tagged.telecov is not None:
-            value = _scalar(channel_entropy_telecov(tagged))
-            payload = {
-                "value": value,
-                "upper": value,
-                "method": "telecov",
-                "evaluations": 1,
-                "witness": matrix_to_json(maximally_entangled(n.dim_in).a_psi),
-            }
+            res = _closed_form_result(channel_entropy_telecov(tagged), n.dim_in)
+            method = "telecov"
         else:
-            res = channel_entropy(n)
-            payload = {
-                "value": _scalar(res.value),
-                "upper": _scalar(res.upper),
-                "method": "certified",
-                "evaluations": res.evaluations,
-                "witness": matrix_to_json(res.optimizer_state.a_psi),
-            }
-    _emit(_dump_json(payload), args.out or cfg.output_path)
+            res, method = channel_entropy(n), "certified"
+    _emit(_dump_json(_result_payload(res, method=method)), args.out or cfg.output_path)
     return EXIT_OK
 
 
@@ -310,13 +295,7 @@ def cmd_divergence(args, cfg):
     if (n.dim_in, n.dim_out) != (m.dim_in, m.dim_out):
         raise CliError(EXIT_INPUT, "channel and reference dimensions differ")
     res = channel_divergence(n, m, _opts(cfg, cfg.seed))
-    payload = {
-        "value": _scalar(res.value),
-        "upper": _scalar(res.upper),
-        "evaluations": res.evaluations,
-        "witness": matrix_to_json(res.optimizer_state.a_psi),
-    }
-    _emit(_dump_json(payload), args.out or cfg.output_path)
+    _emit(_dump_json(_result_payload(res)), args.out or cfg.output_path)
     return EXIT_OK
 
 
@@ -423,27 +402,10 @@ def _suite_entropy_gain_super(index, seed, cfg):
     theta = _haar_mixture_super(rng, terms=1)
     n = _pauli_channel(rng)
     mes = maximally_entangled(2)
-    ts = _trial_seed(seed, index)
-    rep = verify_entropy_gain_remainder(theta, n, psi=mes, phi=mes)
-    params = {
-        "trial": index,
-        "entropy_before": [_scalar(x) for x in rep.entropy_before],
-        "entropy_after": [_scalar(x) for x in rep.entropy_after],
-        "lhs_end": "lower",
-        "alpha": _scalar(rep.alpha),
-        "delta_prime": _scalar(rep.delta_prime),
-        "gamma_term": None if rep.gamma_term is None else _scalar(rep.gamma_term),
-        "witness_full_rank": rep.witness_full_rank,
-    }
-    return _record(
-        "entropy-gain-super",
-        rep.entropy_after[0] - rep.entropy_before[1],
-        rep.rho_alpha_term + rep.delta_prime,
-        cfg.ineq_tol,
-        ts,
-        params,
-        {},
+    rec = verify_entropy_gain_remainder(
+        theta, n, psi=mes, phi=mes, tolerance=cfg.ineq_tol, seed=_trial_seed(seed, index)
     )
+    return replace(rec, params={"trial": index, **rec.params})
 
 
 def _suite_refined_dpi(index, seed, cfg):
@@ -494,7 +456,6 @@ def _suite_tp_completion(index, seed, cfg):
     fix = tp_fix_map(base, sigma0)
     tp_res = float(np.linalg.norm(apply_adjoint(fix.channel, np.eye(2)) - np.eye(2)))
     min_eig = float(fix.choi_min_eig)
-    worst = max(max(0.0, -min_eig), tp_res)
     params = {
         "trial": index,
         "kraus_weights": [float(np.sqrt(2.0)), float(1.0 / np.sqrt(2.0))],
@@ -503,15 +464,10 @@ def _suite_tp_completion(index, seed, cfg):
         "tp_residual": tp_res,
         "cptp": bool(fix.is_cptp),
     }
-    # Built by hand: the pass rule holds tp_residual to TP_COMPLETION_RESIDUAL_TOL,
-    # stricter than the TP_COMPLETION_TOL that bounds._record would apply to the
-    # worst residual.
-    return VerificationRecord(
+    return _record(
         "tp-completion",
         0.0,
-        float(worst),
-        -float(worst),
-        min_eig >= -TP_COMPLETION_TOL and tp_res <= TP_COMPLETION_RESIDUAL_TOL,
+        max(0.0, -min_eig, tp_res),
         TP_COMPLETION_TOL,
         _trial_seed(seed, index),
         params,

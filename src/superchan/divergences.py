@@ -281,28 +281,10 @@ def _conditional_replacer(n, m):
     return None
 
 
-class _BlockMap(NamedTuple):
-    """The CP map x -> sum_q B_q x B_q^dagger of a stack of blocks B_q.
-
-    forward is its matrix on row-major vec(x), sum_q B_q (x) conj(B_q), and
-    backward that of the adjoint, forward^dagger: one matmul per application.
-    """
-
-    blocks: np.ndarray
-    forward: np.ndarray
-    backward: np.ndarray
-
-    @classmethod
-    def of(cls, blocks):
-        _, m, d = blocks.shape
-        forward = np.einsum("qij,qkl->ikjl", blocks, blocks.conj()).reshape(m * m, d * d)
-        return cls(blocks, forward, np.ascontiguousarray(dagger(forward)))
-
-    def apply(self, x):
-        return (self.forward @ x.reshape(-1)).reshape(self.blocks.shape[1], -1)
-
-    def adjoint(self, y):
-        return (self.backward @ y.reshape(-1)).reshape(self.blocks.shape[2], -1)
+def _block_superop(blocks):
+    """sum_q B_q (x) conj(B_q), the matrix of x -> sum_q B_q x B_q^dagger on row-major vec(x)."""
+    _, m, d = blocks.shape
+    return np.einsum("qij,qkl->ikjl", blocks, blocks.conj()).reshape(m * m, d * d)
 
 
 class _AscentPoint(NamedTuple):
@@ -414,24 +396,25 @@ def _certified_objective(n, b, ln_gamma):
     r = len(kraus)
     # iso[p, c, k] = (<p| (x) <c|) K_k: one block per basis state of R'.
     iso = kraus.reshape(r, rp, b, din).transpose(1, 2, 0, 3)
-    to_be = _BlockMap.of(iso.reshape(rp, b * r, din))
-    linear = to_be.adjoint(np.kron(ln_gamma, np.eye(r)))
-    # tau stays inside the support of T(1), of dimension at most din * r';
-    # compressed onto it, tau has full rank for every full-rank rho.
-    t_w, t_v = herm_eig(to_be.apply(np.eye(din)))
-    tau_blocks = dagger(t_v[:, t_w > SUPPORT_CUTOFF]) @ to_be.blocks
+    to_be = iso.reshape(rp, b * r, din)
+    linear = np.einsum("pji,jk,pkl->il", to_be.conj(), np.kron(ln_gamma, np.eye(r)), to_be)
+    # tau stays inside the support of T(1) = sum_p B_p B_p^dagger, of dimension
+    # at most din * r'; compressed onto it, tau has full rank for every
+    # full-rank rho.
+    t_w, t_v = herm_eig(np.einsum("pij,pkj->ik", to_be, to_be.conj()))
+    tau_blocks = dagger(t_v[:, t_w > SUPPORT_CUTOFF]) @ to_be
     kt = tau_blocks.shape[1]
     k = kt + r
     blocks = np.zeros((rp + rp * b, k, din), dtype=complex)
     blocks[:rp, :kt] = tau_blocks
     blocks[rp:, kt:] = iso.reshape(rp * b, r, din)
-    both = _BlockMap.of(blocks)
+    forward = _block_superop(blocks)
     sign = np.ones((k, k))
     sign[:kt, :kt] = -1.0
-    signed_adjoint = both.backward * sign.reshape(-1)
+    signed_adjoint = np.ascontiguousarray(dagger(forward)) * sign.reshape(-1)
 
     def objective(rho):
-        m = (both.forward @ rho.reshape(-1)).reshape(k, k)
+        m = (forward @ rho.reshape(-1)).reshape(k, k)
         w, v = np.linalg.eigh(m)
         ln_m = (v * np.log(np.maximum(w, TINY))) @ dagger(v)
         f = np.vdot(sign * m, ln_m).real - np.vdot(rho, linear).real

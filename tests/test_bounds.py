@@ -43,11 +43,6 @@ def hermitian(x):
     return (x + x.conj().T) / 2
 
 
-def remainder_slack(rep):
-    """The lower end of the entropy gain minus the remainder bound."""
-    return rep.entropy_after[0] - rep.entropy_before[1] - (rep.rho_alpha_term + rep.delta_prime)
-
-
 def test_channel_dpi_identity_theta():
     n = channels.random_channel(2, 2, 4, 11)
     m = channels.random_channel(2, 2, 4, 12)
@@ -85,36 +80,40 @@ def test_channel_dpi_rejects_uncertified():
 
 
 def test_entropy_gain_identity_saturates_exactly():
-    rep = bd.verify_entropy_gain_remainder(identity_super(), pauli_channel(51))
-    assert rep.alpha == 1.0
-    assert rep.rho_alpha_term == 0.0
-    assert rep.delta_prime == 0.0
-    assert rep.gamma_term == 0.0
-    assert rep.entropy_after == rep.entropy_before
+    rec = bd.verify_entropy_gain_remainder(identity_super(), pauli_channel(51))
+    assert rec.check_id == "entropy-gain-super"
+    assert rec.params["entropy_after"] == rec.params["entropy_before"]
+    assert rec.lhs == 0.0
+    assert rec.params["alpha"] == 1.0
+    assert rec.params["delta_prime"] == 0.0
+    assert rec.params["gamma_term"] == 0.0
+    # rhs is D(C || C_alpha) + delta', zero up to rounding.
+    assert 0.0 <= rec.rhs <= 1e-12
+    assert rec.passed
 
 
 def test_entropy_gain_unitary_super_telecov():
     mes = dv.maximally_entangled(2)
-    rep = bd.verify_entropy_gain_remainder(
+    rec = bd.verify_entropy_gain_remainder(
         unitary_super(61), pauli_channel(62), psi=mes, phi=mes
     )
-    assert rep.delta_prime == 0.0
-    np.testing.assert_allclose(rep.alpha, 1.0, atol=1e-8)
-    assert abs(rep.gamma_term) <= 1e-8
-    assert remainder_slack(rep) >= -1e-3
-    assert rep.witness_full_rank
+    assert rec.params["delta_prime"] == 0.0
+    np.testing.assert_allclose(rec.params["alpha"], 1.0, atol=1e-8)
+    assert abs(rec.params["gamma_term"]) <= 1e-8
+    assert rec.slack >= -1e-3
+    assert rec.params["witness_full_rank"]
 
 
 def test_entropy_gain_reference_dim_drop():
     trace_channel = channels.channel_from_choi(np.eye(4, dtype=complex), 4, 1)
     theta = bd.replacer_supermap(pauli_channel(71), 4, 1)
-    rep = bd.verify_entropy_gain_remainder(
+    rec = bd.verify_entropy_gain_remainder(
         theta, trace_channel, psi=dv.maximally_entangled(4), phi=dv.maximally_entangled(2)
     )
-    np.testing.assert_allclose(rep.delta_prime, 1.0, atol=1e-12)
-    assert rep.gamma_term is None
-    np.testing.assert_allclose(rep.alpha, 1.0, atol=1e-10)
-    assert remainder_slack(rep) >= -1e-6
+    np.testing.assert_allclose(rec.params["delta_prime"], 1.0, atol=1e-12)
+    assert rec.params["gamma_term"] is None
+    np.testing.assert_allclose(rec.params["alpha"], 1.0, atol=1e-10)
+    assert rec.slack >= -1e-6
 
 
 def test_positive_map_gain_identity():
@@ -358,12 +357,15 @@ def verify_telecov_entropy_gain(theta, n, tolerance=bd.INEQ_TOL, xi=None):
     )
     sub = linalg.psd_check(np.eye(c * d) - hermitian(channels.apply(t_frak, np.eye(a * b))))
     params = {"dims": list(theta.dims), "tp_residual": tp_res, "subunital_min_eig": sub.min_eig}
+
+    def skipped(reason):
+        nan, merged = float("nan"), {**params, "reason": reason}
+        return bd._record("telecov-entropy-gain", nan, nan, tolerance, 0, merged, {}, skipped=True)
+
     if tp_res > bd.EXACT_TOL:
-        reason = "representing map is not trace preserving in witness coordinates"
-        return bd._skipped_record("telecov-entropy-gain", reason, tolerance, 0, params)
+        return skipped("representing map is not trace preserving in witness coordinates")
     if sub.min_eig < -bd.EXACT_TOL:
-        reason = "representing map is not subunital in witness coordinates"
-        return bd._skipped_record("telecov-entropy-gain", reason, tolerance, 0, params)
+        return skipped("representing map is not subunital in witness coordinates")
 
     rec = tilde_recovery(t_frak, xi)
     c_state = hermitian(sc.choi_witness(n, mes(a)))

@@ -267,14 +267,14 @@ def test_verify_single_instance_suite_ignores_trials(tmp_path):
     rec = blob["records"][0]
     assert rec["passed"] and not rec["skipped"]
     assert rec["params"]["sigma_diag"] == [1.99, -0.2]
-    assert rec["params"]["choi_min_eig"] >= -1e-10
+    assert rec["tolerance"] == 1e-12
+    assert rec["params"]["choi_min_eig"] >= -1e-12
     assert rec["params"]["tp_residual"] <= 1e-12
 
 
 def test_verify_failure_sets_exit_code(tmp_path, monkeypatch):
-    failing = bd.VerificationRecord(
-        "petz-recovery", 0.0, 1.0, -1.0, False, 1e-9, 0, {}, {}
-    )
+    failing = bd._record("petz-recovery", 0.0, 1.0, 1e-9, 0, {}, {})
+    assert not failing.passed
     monkeypatch.setitem(cli._SUITE_FNS, "petz", lambda i, s, c: failing)
     out = str(tmp_path / "rep.json")
     assert cli.main(["verify", "petz", "--trials", "2", "--out", out]) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import typing
 
 import numpy as np
 import pytest
@@ -606,6 +607,23 @@ def test_certified_ascent_evaluation_budget(monkeypatch):
     assert sum(used) <= 2 * 328
 
 
+class BlockMap(typing.NamedTuple):
+    """The CP map x -> sum_q B_q x B_q^dagger through dv._block_superop and its adjoint."""
+
+    blocks: np.ndarray
+    forward: np.ndarray
+
+    @classmethod
+    def of(cls, blocks):
+        return cls(blocks, dv._block_superop(blocks))
+
+    def apply(self, x):
+        return (self.forward @ x.reshape(-1)).reshape(self.blocks.shape[1], -1)
+
+    def adjoint(self, y):
+        return (self.forward.conj().T @ y.reshape(-1)).reshape(self.blocks.shape[2], -1)
+
+
 def stacked_block_apply(blocks, x):
     """sum_q B_q x B_q^dag as two stacked matmuls and a sum (reference route)."""
     return (blocks @ x @ blocks.conj().swapaxes(-1, -2)).sum(axis=0)
@@ -627,7 +645,7 @@ def test_block_map_matches_stacked_reference(q, m, d, seed):
     rng = np.random.default_rng(seed)
     blocks = rng.normal(size=(q, m, d)) + 1j * rng.normal(size=(q, m, d))
     blocks /= np.linalg.norm(blocks)
-    block_map = dv._BlockMap.of(blocks)
+    block_map = BlockMap.of(blocks)
     x = rand_state(rng, d)
     y = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     y /= np.linalg.norm(y)
@@ -646,11 +664,11 @@ def two_map_objective(n, b, ln_gamma):
     kraus = np.array(channels.kraus_from_choi(n.choi, din, dout))
     r = len(kraus)
     iso = kraus.reshape(r, rp, b, din).transpose(1, 2, 0, 3)
-    to_be = dv._BlockMap.of(iso.reshape(rp, b * r, din))
-    to_e = dv._BlockMap.of(iso.reshape(rp * b, r, din))
+    to_be = BlockMap.of(iso.reshape(rp, b * r, din))
+    to_e = BlockMap.of(iso.reshape(rp * b, r, din))
     linear = to_be.adjoint(np.kron(ln_gamma, np.eye(r)))
     t_w, t_v = linalg.herm_eig(to_be.apply(np.eye(din)))
-    to_be = dv._BlockMap.of(t_v[:, t_w > linalg.SUPPORT_CUTOFF].conj().T @ to_be.blocks)
+    to_be = BlockMap.of(t_v[:, t_w > linalg.SUPPORT_CUTOFF].conj().T @ to_be.blocks)
 
     def objective(rho):
         grad = -linear

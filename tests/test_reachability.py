@@ -5,6 +5,9 @@ benchmark's tracer (perfbench/tracer.py, loaded by path) wraps.  The walk
 follows name references from each reached definition, through the package's
 relative imports.  A definition that no root reaches is library code that no
 command runs: it should go, or move into the test that uses it.
+
+The same AST holds the records to one constructor: bounds._record is the
+only call of VerificationRecord, so every verdict follows from its sides.
 """
 
 import ast
@@ -91,3 +94,19 @@ def test_every_definition_is_reached_from_a_command():
         if (module, name) not in reached and name not in KEPT
     )
     assert not unreached, "no command reaches: " + ", ".join(unreached)
+
+
+
+def test_records_are_built_only_by_record():
+    """bounds._record is the one place that constructs a VerificationRecord."""
+    package = Package(PACKAGE)
+    builders = []
+    for module, tree in package.trees.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name == "VerificationRecord":
+                    owner = ", ".join(_defined_names(stmt)) or "<module>"
+                    builders.append((f"{module}.{owner}", node.lineno))
+    assert [b for b, _ in builders] == ["bounds._record"], builders
