@@ -1,11 +1,10 @@
-"""Quantum channels as Choi/Kraus data with cached certification flags.
+"""Quantum channels as Choi/Kraus data with certification flags computed on first read.
 
 Choi operators are unnormalized, Chat = sum_ij e_ij (x) N(e_ij), and live on
 input (x) output; the normalized variant Chat/dim_in is exposed separately.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -14,6 +13,7 @@ from .linalg import (
     PSD_TOL,
     SUPPORT_CUTOFF,
     _psd_from_spectrum,
+    check_hermitian,
     dagger,
     herm_eig,
     matrix_from_json,
@@ -23,7 +23,6 @@ from .linalg import (
 )
 
 TP_TOL = 1e-10
-KRAUS_CHOI_TOL = 1e-10
 COVARIANCE_TOL = 1e-8
 # check_telecov_spec: largest ||u^dag u - 1|| of a representation element (and
 # random_isometry_super of an isometry), and largest deviation of the input
@@ -47,13 +46,6 @@ class ChannelFlags(NamedTuple):
     unital: Flag
 
 
-UNVERIFIED = ChannelFlags(
-    Flag("unverified", np.nan),
-    Flag("unverified", np.nan),
-    Flag("unverified", np.nan),
-)
-
-
 class TeleCovariantSpec(NamedTuple):
     """Finite unitary group representations on input and output spaces.
 
@@ -69,18 +61,51 @@ class TeleCovariantSpec(NamedTuple):
         return len(self.reps_in)
 
 
+class _on_first_read:
+    """functools.cached_property minus its Python 3.11 lock, which would serialize threads."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
+    """A map given by its Choi operator, checked Hermitian and finite when built."""
+
     dim_in: int
     dim_out: int
     choi: np.ndarray
-    kraus: Optional[tuple] = None
-    flags: ChannelFlags = UNVERIFIED
+    given_kraus: Optional[tuple] = None
     telecov: Optional[TeleCovariantSpec] = None
+
+    def __post_init__(self):
+        if self.choi.shape != (self.dim_in * self.dim_out,) * 2:
+            raise ValueError("Choi shape does not match dim_in * dim_out")
+        check_hermitian(self.choi)
 
     @property
     def normalized_choi(self):
         return self.choi / self.dim_in
+
+    @_on_first_read
+    def flags(self):
+        """certify_flags of the Choi operator."""
+        return certify_flags(self.choi, self.dim_in, self.dim_out)
+
+    @_on_first_read
+    def kraus(self):
+        """The given Kraus operators, else kraus_from_choi when CP, else None."""
+        if self.given_kraus is not None:
+            return self.given_kraus
+        if self.flags.cp.status != "yes":
+            return None
+        return kraus_from_choi(self.choi, self.dim_in, self.dim_out)
 
 
 class ThermalMap(NamedTuple):
@@ -89,14 +114,8 @@ class ThermalMap(NamedTuple):
 
 
 def certify_flags(choi, dim_in, dim_out):
-    """Certify cp/tp/unital from the unnormalized Choi operator."""
-    w = herm_eig(choi).eigenvalues
-    return _flags_from_spectrum(choi, w, dim_in, dim_out)
-
-
-def _flags_from_spectrum(choi, w, dim_in, dim_out):
-    """certify_flags of a Choi operator whose ascending eigenvalues are w."""
-    cp_chk = _psd_from_spectrum(w)
+    """Certify cp/tp/unital of a Hermitian Choi operator from its eigenvalues and marginals."""
+    cp_chk = _psd_from_spectrum(np.linalg.eigvalsh((choi + dagger(choi)) / 2))
     cp = Flag("yes" if cp_chk.is_psd else "no", cp_chk.min_eig)
     tr_out = partial_trace(choi, (dim_in, dim_out), "first")
     tp_res = float(np.linalg.norm(tr_out - np.eye(dim_in)))
@@ -121,9 +140,7 @@ def channel_from_kraus(kraus):
     dim_out, dim_in = kraus[0].shape
     if any(k.shape != (dim_out, dim_in) for k in kraus):
         raise ValueError("inconsistent Kraus shapes")
-    choi = _choi_from_kraus(kraus, dim_in, dim_out)
-    flags = certify_flags(choi, dim_in, dim_out)
-    return Channel(dim_in, dim_out, choi, kraus, flags)
+    return Channel(dim_in, dim_out, _choi_from_kraus(kraus, dim_in, dim_out), kraus)
 
 
 def kraus_from_choi(choi, dim_in, dim_out):
@@ -145,26 +162,9 @@ def _kraus_from_spectrum(w, v, dim_in, dim_out):
 
 
 def channel_from_choi(choi, dim_in, dim_out, normalized=False):
-    """Build a channel from its Choi operator (Kraus extracted when CP)."""
+    """Build a channel from its Choi operator (Kraus extracted when CP and read)."""
     choi = np.asarray(choi, dtype=complex)
-    if choi.shape != (dim_in * dim_out, dim_in * dim_out):
-        raise ValueError("Choi shape does not match dim_in * dim_out")
-    if normalized:
-        choi = choi * dim_in
-    # One decomposition serves both the CP flag and the Kraus set.
-    w, v = herm_eig(choi)
-    flags = _flags_from_spectrum(choi, w, dim_in, dim_out)
-    kraus = None
-    if flags.cp.status == "yes":
-        kraus = tuple(_kraus_from_spectrum(w, v, dim_in, dim_out))
-    return Channel(dim_in, dim_out, choi, kraus, flags)
-
-
-def _check_kraus_choi(n):
-    rebuilt = _choi_from_kraus(n.kraus, n.dim_in, n.dim_out)
-    err = np.linalg.norm(rebuilt - n.choi)
-    if err > KRAUS_CHOI_TOL:
-        raise ValueError(f"Kraus list does not reproduce Choi: residual {err:.3e}")
+    return Channel(dim_in, dim_out, choi * dim_in if normalized else choi)
 
 
 def apply(n, x):
@@ -189,12 +189,7 @@ def adjoint(n):
     """Hilbert-Schmidt adjoint as a channel from dim_out to dim_in."""
     c4 = n.choi.reshape(n.dim_in, n.dim_out, n.dim_in, n.dim_out)
     adj_choi = c4.conj().transpose(1, 0, 3, 2).reshape(n.choi.shape)
-    kraus = tuple(dagger(k) for k in n.kraus) if n.kraus is not None else None
-    flags = certify_flags(adj_choi, n.dim_out, n.dim_in)
-    out = Channel(n.dim_out, n.dim_in, adj_choi, kraus, flags)
-    if kraus is not None:
-        _check_kraus_choi(out)
-    return out
+    return Channel(n.dim_out, n.dim_in, adj_choi)
 
 
 def identity_channel(dim):
@@ -248,12 +243,18 @@ def weyl_heisenberg_unitaries(dim):
     return np.stack([np.roll(eye, a, axis=0) * phase**b for a in range(dim) for b in range(dim)])
 
 
-@lru_cache(maxsize=None)
+_WEYL_HEISENBERG = {}  # dim -> the checked spec of weyl_heisenberg_spec
+
+
 def weyl_heisenberg_spec(dim):
-    """The Weyl-Heisenberg group on both sides, built once per dim; its arrays are read-only."""
-    u = weyl_heisenberg_unitaries(dim)
-    u.setflags(write=False)
-    return TeleCovariantSpec(u, u)
+    """The Weyl-Heisenberg group on both sides, built and checked once per dim; read-only."""
+    if dim not in _WEYL_HEISENBERG:
+        u = weyl_heisenberg_unitaries(dim)
+        u.setflags(write=False)
+        spec = TeleCovariantSpec(u, u)
+        check_telecov_spec(spec)
+        _WEYL_HEISENBERG.setdefault(dim, spec)
+    return _WEYL_HEISENBERG[dim]
 
 
 def _rep_stack(reps, side):
@@ -310,7 +311,8 @@ def check_telecov_spec(spec):
 def telecov_channel(spec, base):
     """Group-twirl a base channel into a covariant one, N o U_g = V_g o N."""
     u, v = _group_stacks(spec, base.dim_in, base.dim_out)
-    check_telecov_spec(spec)
+    if spec is not _WEYL_HEISENBERG.get(base.dim_in):
+        check_telecov_spec(spec)
     # Mean over g of the Choi of V_g^dag o base o U_g, summed in group order.
     twisted = _kron_stack(np.swapaxes(u, 1, 2), np.swapaxes(v.conj(), 1, 2))
     twisted = twisted @ base.choi @ _kron_stack(u.conj(), v)
@@ -368,14 +370,7 @@ def compose(n2, n1):
     c1 = n1.choi.reshape(din, dmid, din, dmid)
     c2 = n2.choi.reshape(dmid, dout, dmid, dout)
     choi = np.einsum("ibjc,bdce->idje", c1, c2).reshape(din * dout, din * dout)
-    kraus = None
-    if n1.kraus is not None and n2.kraus is not None:
-        kraus = tuple(k2 @ k1 for k2 in n2.kraus for k1 in n1.kraus)
-    flags = certify_flags(choi, din, dout)
-    out = Channel(din, dout, choi, kraus, flags)
-    if kraus is not None:
-        _check_kraus_choi(out)
-    return out
+    return Channel(din, dout, choi)
 
 
 def tensor_specs(s1, s2):
@@ -390,21 +385,14 @@ def tensor_specs(s1, s2):
 
 
 def tensor_channels(n, m):
-    """Tensor product channel on the tensor input/output spaces."""
+    """Tensor product channel, tagged with the product spec when its residual passes."""
     din = n.dim_in * m.dim_in
     dout = n.dim_out * m.dim_out
     big = np.kron(n.choi, m.choi)
     choi = permute_systems(big, (n.dim_in, n.dim_out, m.dim_in, m.dim_out), (0, 2, 1, 3))
-    kraus = None
-    if n.kraus is not None and m.kraus is not None:
-        kraus = tuple(np.kron(k, l) for k in n.kraus for l in m.kraus)
-    flags = certify_flags(choi, din, dout)
-    spec = None
+    out = Channel(din, dout, choi)
     if n.telecov is not None and m.telecov is not None:
-        spec = tensor_specs(n.telecov, m.telecov)
-    out = Channel(din, dout, choi, kraus, flags, telecov=spec)
-    if kraus is not None:
-        _check_kraus_choi(out)
+        out = _try_attach_telecov(out, tensor_specs(n.telecov, m.telecov))
     return out
 
 
@@ -427,18 +415,25 @@ def channel_to_json(n):
     }
 
 
+def _json_dim(value, key):
+    """value as a dimension: a JSON integer >= 1, not a boolean, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key!r} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def channel_from_json(obj):
+    dim_in, dim_out = _json_dim(obj["dim_in"], "dim_in"), _json_dim(obj["dim_out"], "dim_out")
     if "kraus" in obj:
         kraus = [matrix_from_json(k) for k in obj["kraus"]]
         n = channel_from_kraus(kraus)
-        if n.dim_in != obj["dim_in"] or n.dim_out != obj["dim_out"]:
+        if (n.dim_in, n.dim_out) != (dim_in, dim_out):
             raise ValueError("declared dimensions do not match Kraus shapes")
         return n
     if "choi" in obj:
         normalized = obj.get("normalized", False)
         if not isinstance(normalized, bool):
             raise ValueError("'normalized' must be a JSON boolean")
-        return channel_from_choi(
-            matrix_from_json(obj["choi"]), obj["dim_in"], obj["dim_out"], normalized=normalized
-        )
+        choi = matrix_from_json(obj["choi"])
+        return channel_from_choi(choi, dim_in, dim_out, normalized=normalized)
     raise ValueError("channel JSON needs either 'kraus' or 'choi'")

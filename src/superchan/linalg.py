@@ -54,6 +54,12 @@ def herm_eig(m):
     return SpectralDecomposition(w, v)
 
 
+def herm_eigvals(m):
+    """The ascending eigenvalues of herm_eig, without its eigenvectors."""
+    m = check_hermitian(m)
+    return np.linalg.eigvalsh((m + dagger(m)) / 2)
+
+
 def _fn_table(fn, alpha):
     if fn == "log2":
         return np.log2
@@ -177,7 +183,7 @@ def fidelity(rho, sigma):
 
 def psd_check(x, tol=PSD_TOL):
     """PSD verdict with the min eigenvalue as certificate."""
-    return _psd_from_spectrum(herm_eig(x).eigenvalues, tol)
+    return _psd_from_spectrum(herm_eigvals(x), tol)
 
 
 def _psd_from_spectrum(w, tol=PSD_TOL):
@@ -188,8 +194,13 @@ def _psd_from_spectrum(w, tol=PSD_TOL):
 
 def check_density(rho):
     """Raise unless rho is a density operator (Hermitian, PSD, unit trace)."""
-    rho = check_hermitian(rho)
-    chk = psd_check(rho)
+    rho = np.asarray(rho)
+    return _check_density_spectrum(rho, herm_eigvals(rho))
+
+
+def _check_density_spectrum(rho, w):
+    """check_density of a Hermitian rho whose ascending eigenvalues are w."""
+    chk = _psd_from_spectrum(w)
     if not chk.is_psd:
         raise ValueError(f"state is not PSD: min eigenvalue {chk.min_eig:.3e}")
     tr = np.trace(rho).real

@@ -8,6 +8,7 @@ import numpy as np
 
 from .linalg import (
     SUPPORT_CUTOFF,
+    _check_density_spectrum,
     _fn_from_spectrum,
     _projector_from_spectrum,
     check_density,
@@ -15,28 +16,24 @@ from .linalg import (
     herm_eig,
     schur_sinh_ratio,
 )
-from .channels import apply, channel_from_choi, channel_from_kraus, kraus_from_choi
-
-
-def _kraus_of(n):
-    if n.kraus is not None:
-        return n.kraus
-    return kraus_from_choi(n.choi, n.dim_in, n.dim_out)
+from .channels import apply, channel_from_choi, channel_from_kraus
 
 
 def _petz_ingredients(sigma, n):
-    """Spectra of sigma and n(sigma), and the Petz Kraus operators."""
-    sigma = check_density(np.asarray(sigma, dtype=complex))
+    """Spectra of sigma and n(sigma), and the Petz Kraus operators; sigma's also checks it."""
+    sigma = np.asarray(sigma, dtype=complex)
+    s_spec = herm_eig(sigma)
+    _check_density_spectrum(sigma, s_spec.eigenvalues)
     if sigma.shape != (n.dim_in, n.dim_in):
         raise ValueError("sigma dimension must match the channel input")
     if n.flags.cp.status != "yes":
         raise ValueError("recovery needs a CP channel")
     nsig = apply(n, sigma)
     nsig = (nsig + dagger(nsig)) / 2
-    s_spec, m_spec = herm_eig(sigma), herm_eig(nsig)
+    m_spec = herm_eig(nsig)
     sig_sqrt = _fn_from_spectrum(*s_spec, "sqrt", SUPPORT_CUTOFF)
     nsig_isqrt = _fn_from_spectrum(*m_spec, "inv_sqrt", SUPPORT_CUTOFF)
-    base = tuple(sig_sqrt @ dagger(k) @ nsig_isqrt for k in _kraus_of(n))
+    base = tuple(sig_sqrt @ dagger(k) @ nsig_isqrt for k in n.kraus)
     return s_spec, m_spec, base
 
 

@@ -15,6 +15,7 @@ from .channels import (
     UNITARY_TOL,
     Channel,
     Flag,
+    _json_dim,
     apply,
     apply_adjoint,
     channel_from_choi,
@@ -307,7 +308,7 @@ def super_to_json(theta):
 
 
 def super_from_json(obj):
-    dims = tuple(obj["dims"])
+    dims = tuple(_json_dim(x, "dims") for x in obj["dims"])
     if "pre" in obj:
         return super_from_dilation(
             channel_from_json(obj["pre"]),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,26 @@ def test_additivity_pauli_sweep():
         assert rec.params["path"] == "telecov"
         assert rec.rhs <= 1e-8
         assert rec.passed
+
+
+def test_additivity_checks_each_covariance_residual_once(monkeypatch):
+    calls = []
+    residual = channels.covariance_residual
+
+    def counting(spec, n):
+        calls.append(n.dim_in)
+        return residual(spec, n)
+
+    monkeypatch.setattr(channels, "covariance_residual", counting)
+    n, m = pauli_channel((203, 0)), pauli_channel((203, 1))
+    rec = bd.verify_entropy_additivity(n, m)
+    # One check per twirled factor, and one where tensor_channels attaches
+    # the product spec; the closed-form entropies trust the tags.
+    assert rec.params["path"] == "telecov"
+    assert calls == [2, 2, 4]
+    # A tag the channel fails is not carried to the product.
+    untagged = dataclasses.replace(channels.random_channel(2, 2, 2, 204), telecov=n.telecov)
+    assert channels.tensor_channels(untagged, m).telecov is None
 
 
 def test_additivity_optimized_path():

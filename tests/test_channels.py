@@ -348,54 +348,54 @@ def test_channel_from_choi_matches_separate_certify_and_kraus(dims, cp, seed):
         assert ch.kraus is None
 
 
-def _from_choi():
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Every eigh and eigvalsh call while the test runs, as (name, shape)."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(x, _name=name, _original=original):
+            calls.append((_name, x.shape))
+            return _original(x)
+
+        monkeypatch.setattr(linalg.np.linalg, name, counting)
+    return calls
+
+
+def test_channel_certificates_are_computed_on_first_read(decompositions):
     choi = channels.random_channel(2, 3, 2, seed=5).choi
-    return lambda: channels.channel_from_choi(choi, 2, 3)
-
-
-def _from_kraus():
-    kraus = channels.random_channel(2, 2, 2, seed=5).kraus
-    return lambda: channels.channel_from_kraus(kraus)
-
-
-def _generalized_rep():
+    given = channels.random_channel(2, 2, 2, seed=5).kraus
     pre = channels.random_channel(2, 2, 2, seed=6)
     post = channels.random_channel(2, 2, 2, seed=7)
     theta = sc.super_from_dilation(pre, post)
     mes = dv.maximally_entangled(2)
-    return lambda: sc.generalized_rep(theta, mes, mes)
-
-
-def _petz():
     n = channels.random_channel(2, 2, 2, seed=8)
+    assert n.flags.cp.status == "yes"
     sigma = np.diag([0.3, 0.7]).astype(complex)
-    return lambda: rc.petz(sigma, n)
+    decompositions.clear()
 
-
-# One decomposition per built channel's Choi: generalized_rep builds one
-# channel from the conjugated Choi; petz first decomposes sigma (PSD gate,
-# square root) and n(sigma) (inverse square root).
-@pytest.mark.parametrize(
-    "build, shapes",
-    [
-        pytest.param(_from_choi, [(6, 6)], id="channel_from_choi"),
-        pytest.param(_from_kraus, [(4, 4)], id="channel_from_kraus"),
-        pytest.param(_generalized_rep, [(16, 16)], id="generalized_rep"),
-        pytest.param(_petz, [(2, 2), (2, 2), (2, 2), (4, 4)], id="petz"),
-    ],
-)
-def test_channel_from_choi_decomposes_the_choi_once(monkeypatch, build, shapes):
-    run = build()
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(x):
-        calls.append(x.shape)
-        return eigh(x)
-
-    monkeypatch.setattr(linalg.np.linalg, "eigh", counting)
-    run()
-    assert calls == shapes
+    # Construction decomposes nothing, the 16x16 generalized_rep included.
+    from_choi = channels.channel_from_choi(choi, 2, 3)
+    from_kraus = channels.channel_from_kraus(given)
+    sc.generalized_rep(theta, mes, mes)
+    assert decompositions == []
+    # The flags take eigenvalues only; Kraus operators from the Choi take one
+    # eigh on first read, and second reads take nothing.
+    assert from_choi.flags.cp.status == "yes"
+    assert decompositions == [("eigvalsh", (6, 6))]
+    kraus = from_choi.kraus
+    assert decompositions == [("eigvalsh", (6, 6)), ("eigh", (6, 6))]
+    assert from_choi.kraus is kraus and from_choi.flags is from_choi.flags
+    assert len(decompositions) == 2
+    # A Kraus-built channel returns the tuple it was given.
+    decompositions.clear()
+    assert from_kraus.kraus is from_kraus.given_kraus
+    assert all(np.array_equal(a, b) for a, b in zip(from_kraus.kraus, given))
+    assert decompositions == []
+    # petz decomposes sigma and n(sigma) once each, and its channel not at all.
+    rc.petz(sigma, n)
+    assert decompositions == [("eigh", (2, 2)), ("eigh", (2, 2))]
 
 
 def test_tensor_choi_reshuffle():

@@ -164,6 +164,48 @@ def test_apply_super_slot_mismatch(tmp_path):
     assert cli.main(["apply-super", tp, q3]) == 3
 
 
+BAD_DIMS = pytest.mark.parametrize(
+    "value", [True, 2.0, "2", 0], ids=["true", "float", "string", "zero"]
+)
+
+
+@BAD_DIMS
+@pytest.mark.parametrize("form", ["kraus", "choi"])
+def test_channel_dimensions_must_be_json_integers(tmp_path, capsys, value, form):
+    n = channels.random_channel(2, 2, 2, 81)
+    obj = channels.channel_to_json(n)
+    if form == "choi":
+        obj = {"dim_in": 2, "dim_out": 2, "choi": linalg.matrix_to_json(n.choi)}
+    good = write_json(tmp_path, "good.json", obj)
+    sup = write_json(tmp_path, "t.json", sc.super_to_json(bd.replacer_supermap(n, 2, 2)))
+    for key in ("dim_in", "dim_out"):
+        bad = write_json(tmp_path, "bad.json", {**obj, key: value})
+        for argv in (
+            ["entropy", bad],
+            ["divergence", bad, good],
+            ["divergence", good, bad],
+            ["apply-super", sup, bad],
+        ):
+            assert cli.main(argv) == 2, argv
+            assert f"'{key}' must be an integer >= 1" in capsys.readouterr().err
+
+
+@BAD_DIMS
+@pytest.mark.parametrize("dilated", [False, True], ids=["rep", "dilation"])
+def test_supermap_dimensions_must_be_json_integers(tmp_path, capsys, value, dilated):
+    n = channels.random_channel(2, 2, 2, 82)
+    theta = bd.replacer_supermap(n, 2, 2)
+    if dilated:
+        theta = cli._haar_mixture_super(np.random.default_rng(82))
+    channel = write_json(tmp_path, "n.json", channels.channel_to_json(n))
+    for index in range(4):
+        obj = sc.super_to_json(theta)
+        obj["dims"][index] = value
+        sup = write_json(tmp_path, "t.json", obj)
+        assert cli.main(["apply-super", sup, channel]) == 2
+        assert "'dims' must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_recover_reports_both_modes(tmp_path):
     sigma = rand_density(71, 2)
     n = channels.random_channel(2, 2, 2, 71)
