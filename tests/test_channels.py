@@ -398,6 +398,66 @@ def test_channel_certificates_are_computed_on_first_read(decompositions):
     assert decompositions == [("eigh", (2, 2)), ("eigh", (2, 2))]
 
 
+def _from_choi():
+    choi = channels.random_channel(2, 3, 2, seed=5).choi
+    return lambda: channels.channel_from_choi(choi, 2, 3)
+
+
+def _from_kraus():
+    kraus = channels.random_channel(2, 2, 2, seed=5).kraus
+    return lambda: channels.channel_from_kraus(kraus)
+
+
+def _generalized_rep():
+    pre = channels.random_channel(2, 2, 2, seed=6)
+    post = channels.random_channel(2, 2, 2, seed=7)
+    theta = sc.super_from_dilation(pre, post)
+    mes = dv.maximally_entangled(2)
+    return lambda: sc.generalized_rep(theta, mes, mes)
+
+
+def _petz():
+    n = channels.random_channel(2, 2, 2, seed=8)
+    assert n.flags.cp.status == "yes"
+    sigma = np.diag([0.3, 0.7]).astype(complex)
+    return lambda: rc.petz(sigma, n)
+
+
+# Building a channel and reading its flags and Kraus operators twice takes
+# each decomposition of its Choi at most once: eigenvalues for the flags, and
+# one eigh for Kraus operators only when none were given.  petz first
+# decomposes sigma (PSD gate, square root) and n(sigma) (inverse square root).
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        pytest.param(
+            _from_choi,
+            [("eigvalsh", (6, 6)), ("eigh", (6, 6))],
+            id="channel_from_choi",
+        ),
+        pytest.param(_from_kraus, [("eigvalsh", (4, 4))], id="channel_from_kraus"),
+        pytest.param(
+            _generalized_rep,
+            [("eigvalsh", (16, 16)), ("eigh", (16, 16))],
+            id="generalized_rep",
+        ),
+        pytest.param(
+            _petz,
+            [("eigh", (2, 2)), ("eigh", (2, 2)), ("eigvalsh", (4, 4))],
+            id="petz",
+        ),
+    ],
+)
+def test_channel_from_choi_decomposes_the_choi_once(decompositions, build, expected):
+    run = build()
+    decompositions.clear()
+    ch = run()
+    for _ in range(2):
+        assert ch.flags.cp.status == "yes"
+        assert ch.kraus is not None
+    assert decompositions == expected
+
+
 def test_tensor_choi_reshuffle():
     n = channels.random_channel(2, 2, 2, seed=20)
     m = channels.random_channel(3, 2, 2, seed=21)
