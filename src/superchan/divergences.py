@@ -7,17 +7,21 @@ number of objective evaluations it took:
 - replacer pairs and channels sharing a tele-covariance group get exact
   closed forms (value == upper);
 - conditional-replacer references, M(X) = tr_B N(X) (x) gamma, make D a
-  concave function of the input state, maximized by a mirror ascent on
-  ln rho and bounded above by its Frank-Wolfe duality gap
+  concave function of the input state, maximized by an ascent (one mirror
+  step on ln rho, then damped Newton steps on rho with the exact Hessian)
+  and bounded above by its Frank-Wolfe duality gap
   (upper - value <= ASCENT_GAP, up to rounding);
 - every other pair gets the same ascent on a general objective from several
   starts, a lower bound (upper = +inf), or +inf when the supports leak.
+
+Both objectives return their Hessian on traceless Hermitian directions,
+built from the divided differences of ln and of x ln x at the spectra that
+each evaluation already decomposes.
 
 Channel entropies negate the divergence to X -> tr(X) 1 or to
 X -> tr(X) exp(-beta H), both conditional replacers, so they are certified.
 """
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -59,13 +63,17 @@ LN_ASCENT_FLOOR = np.log(ASCENT_FLOOR)
 # paths a point within ASCENT_GAP that lowers f by no more than this ends the
 # ascent.
 ASCENT_DROP = 1e-13
-# Anderson acceleration of the ascent keeps the last ANDERSON_DEPTH steps; an
-# accelerated point is kept only while rho's smallest eigenvalue is at least
-# ANDERSON_MIN_EIG.
-ANDERSON_DEPTH = 3
-ANDERSON_MIN_EIG = 1e-6
+# After its first step the ascent proposes damped Newton points rho + t Delta
+# for t = 1, 1/2, ... down to NEWTON_MIN_LENGTH; one whose smallest eigenvalue
+# is below NEWTON_MIN_EIG is not evaluated.
+NEWTON_MIN_LENGTH = 1 / 8
+NEWTON_MIN_EIG = 1e-6
+# Divided differences of points this close, relative to the larger, read the
+# derivatives instead.
+DIVDIFF_TOL = 1e-6
 LN2 = np.log(2)
 TINY = np.finfo(float).tiny
+_TRACELESS_BASES = {}  # dim -> the read-only basis of _traceless_basis
 
 
 @dataclass(frozen=True)
@@ -285,15 +293,64 @@ def _block_superop(blocks):
     return np.einsum("qij,qkl->ikjl", blocks, blocks.conj()).reshape(m * m, d * d)
 
 
-class _AscentPoint(NamedTuple):
-    """One evaluation of the mirror ascent at rho = exp(x) / Z."""
+def _divided_differences(x, fx, dfx, d2fx=None):
+    """First divided differences f[x_i, x_j] at ascending positive x, then f[x_i, x_j, x_k].
 
-    x: np.ndarray  # ln rho, floored and traceless, as a real vector: the iterate
+    fx, dfx and d2fx hold f, f' and f'' at x.  Points within DIVDIFF_TOL of
+    each other, relative to the larger, count as equal, and the confluent
+    differences there read the derivatives.  The second differences are
+    returned only when d2fx is given.
+    """
+    dx = x[:, None] - x
+    close = np.abs(dx) <= DIVDIFF_TOL * np.maximum.outer(x, x)
+    apart = np.where(close, 1.0, dx)
+    first = np.where(close, np.add.outer(dfx, dfx) / 2, np.subtract.outer(fx, fx) / apart)
+    if d2fx is None:
+        return first
+    # d/dx_i f[x_i, x_j], the confluent f[x_i, x_j, x_i].
+    slope = np.where(close, np.add.outer(d2fx, d2fx) / 4, (dfx[:, None] - first) / apart)
+    second = (first[:, :, None] - first) / apart[:, None, :]
+    return first, np.where(close[:, None, :], (slope[:, :, None] + slope.T) / 2, second)
+
+
+def _in_eigenbasis(images, v):
+    """The rows vec(X_i) of images, X_i Hermitian, as the rows vec(V^dagger X_i V)."""
+    n, k = len(images), len(v)
+    xv = (images.reshape(-1, k) @ v).reshape(n, k, k)
+    # (X V)^T conj(V) = (V^dagger X V)^T, the conjugate of V^dagger X V.
+    return (xv.transpose(0, 2, 1).reshape(-1, k) @ v.conj()).reshape(n, -1).conj()
+
+
+def _traceless_basis(d):
+    """The traceless Hermitian d x d matrices' orthonormal basis, (d^2 - 1, d, d), read-only."""
+    if d not in _TRACELESS_BASES:
+        basis = []
+        for j in range(d):
+            for k in range(j + 1, d):
+                for entry in (1.0, 1j):
+                    e = np.zeros((d, d), dtype=complex)
+                    e[j, k], e[k, j] = entry / np.sqrt(2), np.conj(entry) / np.sqrt(2)
+                    basis.append(e)
+        for k in range(1, d):
+            diag = np.r_[np.ones(k), -k, np.zeros(d - k - 1)] / np.sqrt(k * (k + 1))
+            basis.append(np.diag(diag).astype(complex))
+        stack = np.array(basis).reshape(len(basis), d, d)
+        stack.setflags(write=False)
+        _TRACELESS_BASES.setdefault(d, stack)
+    return _TRACELESS_BASES[d]
+
+
+class _AscentPoint(NamedTuple):
+    """One evaluation of the ascent at rho = v diag(p) v^dagger."""
+
+    ln_p: np.ndarray  # eigenvalues of ln rho, floored and traceless
+    rho: np.ndarray  # the evaluated state
     p: np.ndarray  # eigenvalues of rho, ascending
     v: np.ndarray  # eigenvectors of rho
     f: float  # objective, bits
     gap: float  # Frank-Wolfe gap, bits
-    step: np.ndarray  # traceless part of the gradient in nats, as x: the unit step
+    step: np.ndarray  # traceless part of the gradient in nats, as a real vector
+    hessian: object  # () -> the Hessian on _traceless_basis, nats
 
 
 def _flat(x):
@@ -301,11 +358,10 @@ def _flat(x):
     return x.reshape(-1).view(float)
 
 
-def _floored(x, d):
-    """Spectrum of ln rho for the real vector x, floored and traceless, and rho's."""
-    h_w, h_v = np.linalg.eigh(x.view(complex).reshape(d, d))
+def _floored(h_w, h_v):
+    """The spectrum of ln rho floored and made traceless, and rho's, from ln rho's eigh."""
     h_w = np.maximum(h_w, h_w[-1] + LN_ASCENT_FLOOR)
-    h_w -= h_w.sum() / d
+    h_w -= h_w.sum() / len(h_w)
     p = np.exp(h_w - h_w[-1])
     return h_w, h_v, p / p.sum()
 
@@ -315,68 +371,102 @@ def _witness(point):
     return pure_bipartite(((point.v * np.sqrt(point.p)) @ dagger(point.v)).T)
 
 
-def _ascend(objective, d, x, max_evals, backtrack=False):
-    """Mirror ascent from the real vector x = ln rho: the last point and its evaluations.
+def _newton_proposals(point, d):
+    """Floored spectra of rho + t Delta, t = 1, 1/2, ... down to NEWTON_MIN_LENGTH.
 
-    objective(rho) returns f ln 2 and its gradient grad in nats, up to a
-    multiple of 1.  The unit step x <- x + grad has the stationary points of
-    f as fixed points, so type-II Anderson acceleration (Walker & Ni, SIAM J.
-    Numer. Anal. 49, 2011) proposes points, kept only if f rises.  The ascent
-    returns the first evaluated point whose Frank-Wolfe gap
-    lambda_max(grad) - tr rho grad is at most ASCENT_GAP bits and whose f is
-    not below the current point's by more than ASCENT_DROP * max(1, |f|), an
-    Anderson proposal included; otherwise it stops after max_evals evaluations.
+    Delta = -H^-1 grad is the Newton step, with H and grad read on the
+    traceless Hermitian basis of _traceless_basis.  Nothing is proposed
+    unless H is finite and negative definite, and a length whose
+    rho + t Delta has an eigenvalue below NEWTON_MIN_EIG is skipped
+    unevaluated.
+    """
+    basis = _traceless_basis(d)
+    flat_basis = basis.reshape(len(basis), -1).view(float)
+    hessian = point.hessian()
+    # An eigenvalue of the decomposed spectra at rounding level, clamped to
+    # TINY, can overflow the divided differences.
+    if not np.isfinite(hessian).all():
+        return
+    h_w, h_v = np.linalg.eigh(hessian)
+    if h_w[-1] >= 0:
+        return
+    delta = ((h_v @ ((point.step @ flat_basis.T) @ h_v / -h_w)) @ flat_basis).view(complex)
+    length = 1.0
+    while length >= NEWTON_MIN_LENGTH:
+        w, v = np.linalg.eigh(point.rho + length * delta.reshape(d, d))
+        if w[0] >= NEWTON_MIN_EIG:
+            yield _floored(np.log(w), v)
+        length /= 2
+
+
+def _ascend(objective, d, x, max_evals, backtrack=False):
+    """Ascent from the real vector x = ln rho: the last point and its evaluations.
+
+    objective(rho) returns f ln 2, its gradient grad in nats up to a multiple
+    of 1, and a function that returns the Hessian of f ln 2 on the traceless
+    Hermitian basis of _traceless_basis.  The first step is the unit mirror
+    step x <- x + grad, whose fixed points are the stationary points of f.
+    Every later step first tries damped Newton proposals on rho (see
+    _newton_proposals), unless rho's smallest eigenvalue is below
+    NEWTON_MIN_EIG, and takes the first one that raises f; when none does it
+    falls back to the unit mirror step, halved while it lowers f by more than
+    ASCENT_DROP * max(1, |f|) when backtrack is set.  The ascent returns the
+    first evaluated point whose Frank-Wolfe gap lambda_max(grad) - tr rho grad
+    is at most ASCENT_GAP bits and whose f is not below the current point's
+    by more than ASCENT_DROP * max(1, |f|), a Newton proposal included;
+    otherwise it stops after max_evals evaluations.
     """
 
     def evaluate(h_w, h_v, p):
         rho = (h_v * p) @ dagger(h_v)
-        f, grad = objective(rho)
+        f, grad, hessian = objective(rho)
         grad = (grad + dagger(grad)) / 2
         # Nonnegative in exact arithmetic: tr rho grad is an average of its spectrum.
         gap = max(np.linalg.eigvalsh(grad)[-1] - np.vdot(rho, grad).real, 0.0)
         # The unit step: grad with its trace taken off the diagonal.
         grad.flat[:: d + 1] -= np.trace(grad).real / d
-        x = (h_v * h_w) @ dagger(h_v)
-        return _AscentPoint(_flat(x), p, h_v, f / LN2, gap / LN2, _flat(grad))
+        return _AscentPoint(h_w, rho, p, h_v, f / LN2, gap / LN2, _flat(grad), hessian)
 
-    point = evaluate(*_floored(x, d))
-    evaluations, length = 1, 1.0
-    dxs, dsteps = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
+    def mirror(x):
+        return evaluate(*_floored(*np.linalg.eigh(x.view(complex).reshape(d, d))))
+
+    start = point = mirror(x)
+    evaluations = 1
     while point.gap > ASCENT_GAP and evaluations < max_evals:
-        cand = point.x + length * point.step
-        if dxs:
-            dx, dstep = np.array(dxs).T, np.array(dsteps).T
-            cand -= (dx + dstep) @ np.linalg.lstsq(dstep, point.step)[0]
-        h_w, h_v, p = _floored(cand, d)
-        # An accelerated point too close to the boundary is dropped unevaluated.
+        low = point.f - ASCENT_DROP * max(1.0, abs(point.f))
         new = None
-        if not dxs or p[0] >= ANDERSON_MIN_EIG:
-            new = evaluate(h_w, h_v, p)
+        newton = point is not start and point.p[0] >= NEWTON_MIN_EIG
+        for spectrum in _newton_proposals(point, d) if newton else ():
+            cand = evaluate(*spectrum)
             evaluations += 1
-            dropped = new.f < point.f - ASCENT_DROP * max(1.0, abs(point.f))
             # Certified and no lower than rounding: f there differs from the
             # current point's by rounding alone, so stop at it.
-            if new.gap <= ASCENT_GAP and not dropped:
-                return new, evaluations
-        if dxs and (new is None or not new.f > point.f):
-            dxs.clear()
-            dsteps.clear()
-            continue
-        if backtrack and dropped:
-            length /= 2
-            continue
+            if cand.gap <= ASCENT_GAP and cand.f >= low:
+                return cand, evaluations
+            if cand.f > point.f:
+                new = cand
+                break
+            if evaluations >= max_evals:
+                return point, evaluations
+        x = _flat((point.v * point.ln_p) @ dagger(point.v))
         length = 1.0
-        # Near the boundary no accelerated point would be kept, so unit steps
-        # follow without proposals.
-        if new.p[0] >= ANDERSON_MIN_EIG:
-            dxs.append(new.x - point.x)
-            dsteps.append(new.step - point.step)
+        while new is None and evaluations < max_evals:
+            cand = mirror(x + length * point.step)
+            evaluations += 1
+            if cand.gap <= ASCENT_GAP and cand.f >= low:
+                return cand, evaluations
+            if backtrack and cand.f < low:
+                length /= 2
+            else:
+                new = cand
+        if new is None:
+            break
         point = new
     return point, evaluations
 
 
 def _certified_objective(n, b, ln_gamma):
-    """objective(rho) = (f ln 2, gradient in nats) for D[N||M], M(X) = tr_B N(X) (x) gamma.
+    """The objective of D[N||M] for M(X) = tr_B N(X) (x) gamma, in nats (see _ascend).
 
     With the Stinespring isometry V of N into R' (x) B (x) E and
     tau = tr_R' V rho V^dagger, f ln 2 = tr N^c ln N^c - tr tau ln tau -
@@ -386,6 +476,9 @@ def _certified_objective(n, b, ln_gamma):
     signed -1 on the tau block and +1 on the N^c block.  The forward map's
     off-block rows are zero, so ln M is block-diagonal even where the blocks
     share eigenvalues, and the signed adjoint reads only its diagonal blocks.
+    The Hessian on the traceless basis E_i is S F(E_i) . Dln(M)[F(E_j)], with
+    F the forward map, S the block signs and Dln(M) the divided differences
+    of ln in M's eigenbasis; it is computed only when called.
     """
     din, dout = n.dim_in, n.dim_out
     rp = dout // b
@@ -410,13 +503,26 @@ def _certified_objective(n, b, ln_gamma):
     sign = np.ones((k, k))
     sign[:kt, :kt] = -1.0
     signed_adjoint = np.ascontiguousarray(dagger(forward)) * sign.reshape(-1)
+    # S F(E_i), then F(E_i), for the basis E_i of _traceless_basis, as rows.
+    n_dir = din * din - 1
+    images = _traceless_basis(din).reshape(n_dir, -1) @ forward.T
+    images = np.concatenate([images * sign.reshape(-1), images])
 
     def objective(rho):
         m = (forward @ rho.reshape(-1)).reshape(k, k)
         w, v = np.linalg.eigh(m)
-        ln_m = (v * np.log(np.maximum(w, TINY))) @ dagger(v)
+        w = np.maximum(w, TINY)
+        ln_w = np.log(w)
+        ln_m = (v * ln_w) @ dagger(v)
         f = np.vdot(sign * m, ln_m).real - np.vdot(rho, linear).real
-        return f, (signed_adjoint @ ln_m.reshape(-1)).reshape(din, din) - linear
+
+        def hessian():
+            # D^2 f[E_i, E_j] = tr S F(E_i) Dln(M)[F(E_j)], read in M's eigenbasis.
+            y = _in_eigenbasis(images, v)
+            kernel = _divided_differences(w, ln_w, 1 / w).reshape(-1)
+            return (y[:n_dir].conj() @ (kernel * y[n_dir:]).T).real
+
+        return f, (signed_adjoint @ ln_m.reshape(-1)).reshape(din, din) - linear, hessian
 
     return objective
 
@@ -444,14 +550,17 @@ def _certified_divergence(n, b, ln_gamma):
 
 
 def _general_objective(n, m):
-    """objective(rho) = (f ln 2, gradient in nats) for D[N||M] when supp C_N <= supp C_M.
+    """The objective of D[N||M] when supp C_N <= supp C_M, in nats (see _ascend).
 
     With C_N = A A^dagger, C_M = B B^dagger (eigenvalues above SUPPORT_CUTOFF),
     P = rho^T (x) 1, Phi = A^dagger P A, G = B^dagger P B = V diag(g) V^dagger
     and Q = B^+ C_N B^+dagger, f = [tr Phi ln Phi - tr Q G ln G] / ln 2.  The
     gradient is tr_out[A (ln Phi + 1) A^dagger - B V (Gam o V^dagger Q V) V^dagger B^dagger]^T,
     Gam_ij = ln(g_i g_j) / 2 + w coth w with w = ln(g_i / g_j) / 2 being the
-    divided differences of x ln x (ln g_i + 1 on the diagonal).
+    divided differences of x ln x (ln g_i + 1 on the diagonal).  The Hessian
+    reads tr Phi ln Phi through the divided differences of ln, as the
+    certified objective does, and tr Q G ln G through the second divided
+    differences of x ln x; it is computed only when called.
     """
     d, dout = n.dim_in, n.dim_out
 
@@ -463,6 +572,13 @@ def _general_objective(n, m):
     a, _ = factor(n.choi)
     b, b_w = factor(m.choi)
     q = (dagger(b) @ n.choi @ b) / np.outer(b_w, b_w)
+
+    # Along the basis direction E_i of _traceless_basis, P moves by E_i^T (x) 1,
+    # so Phi by A^dagger (E_i^T (x) 1) A and G likewise.
+    basis = _traceless_basis(d)
+    a_out, b_out = a.reshape(d, dout, -1), b.reshape(d, dout, -1)
+    phi_images = np.einsum("ioa,nji,job->nab", a_out.conj(), basis, a_out).reshape(len(basis), -1)
+    g_images = np.einsum("ioa,nji,job->nab", b_out.conj(), basis, b_out).reshape(len(basis), -1)
 
     def objective(rho):
         p = np.kron(rho.T, np.eye(dout))
@@ -477,7 +593,21 @@ def _general_objective(n, m):
         gam = (ln_g[:, None] + ln_g) / 2 + w_coth_w
         k = a @ ((phi_v * (ln_phi + 1)) @ dagger(phi_v)) @ dagger(a)
         k -= b @ (g_v @ (gam * qv) @ dagger(g_v)) @ dagger(b)
-        return f, partial_trace(k, (d, dout), "first").T
+
+        def hessian():
+            # Each term in its own eigenbasis; with T the second divided
+            # differences of x ln x at g,
+            # tr Q D^2(G ln G)[X, Y] = sum_abc Q_ba T_acb (X_ac Y_cb + Y_ac X_cb).
+            y = _in_eigenbasis(phi_images, phi_v)
+            x = _in_eigenbasis(g_images, g_v).reshape(len(g_images), len(g_w), -1)
+            phi, g = np.maximum(phi_w, TINY), np.maximum(g_w, TINY)
+            kernel = _divided_differences(phi, ln_phi, 1 / phi).reshape(-1)
+            _, second = _divided_differences(g, g * ln_g, ln_g + 1, 1 / g)
+            u = np.einsum("acb,ba,jcb->jac", second, qv, x)
+            cross = (x.reshape(len(g_images), -1) @ u.reshape(len(g_images), -1).T).real
+            return (y.conj() @ (kernel * y).T).real - cross - cross.T
+
+        return f, partial_trace(k, (d, dout), "first").T, hessian
 
     return objective
 

@@ -310,11 +310,15 @@ def super_to_json(theta):
 def super_from_json(obj):
     dims = tuple(_json_dim(x, "dims") for x in obj["dims"])
     if "pre" in obj:
-        return super_from_dilation(
+        theta = super_from_dilation(
             channel_from_json(obj["pre"]),
             channel_from_json(obj["post"]),
             ref_dim=int(obj.get("ref_dim", 1)),
         )
+        # (pre.dim_out / ref_dim, post.dim_in / ref_dim, pre.dim_in, post.dim_out)
+        if dims != theta.dims:
+            raise ValueError(f"'dims' {list(dims)} do not match the dilation's {list(theta.dims)}")
+        return theta
     if "rep_choi" in obj:
         return super_from_rep(matrix_from_json(obj["rep_choi"]), dims)
     raise ValueError("superchannel JSON needs either a dilation or 'rep_choi'")

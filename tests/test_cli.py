@@ -206,6 +206,20 @@ def test_supermap_dimensions_must_be_json_integers(tmp_path, capsys, value, dila
         assert "'dims' must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", [[3, 2, 2, 2], [2, 2, 2]], ids=["mismatch", "short"])
+def test_dilation_dims_must_match_its_channels(tmp_path, capsys, dims):
+    theta = cli._haar_mixture_super(np.random.default_rng(83))
+    assert theta.dims == (2, 2, 2, 2)
+    n = channels.random_channel(2, 2, 2, 83)
+    channel = write_json(tmp_path, "n.json", channels.channel_to_json(n))
+    obj = sc.super_to_json(theta)
+    assert cli.main(["apply-super", write_json(tmp_path, "t.json", obj), channel]) == 0
+    capsys.readouterr()
+    obj["dims"] = dims
+    assert cli.main(["apply-super", write_json(tmp_path, "t.json", obj), channel]) == 2
+    assert "do not match the dilation's [2, 2, 2, 2]" in capsys.readouterr().err
+
+
 def test_recover_reports_both_modes(tmp_path):
     sigma = rand_density(71, 2)
     n = channels.random_channel(2, 2, 2, 71)

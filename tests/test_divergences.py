@@ -452,6 +452,22 @@ def general_reference(kind, n, rng, seed):
     return channels.channel_from_kraus([np.sqrt(1.7) * k for k in base.kraus])
 
 
+def assert_hessian_matches_central_differences(objective, rho, hessian):
+    """hessian[i, j] against tr E_i (grad(rho + eps E_j) - grad(rho - eps E_j)) / (2 eps).
+
+    E_i runs over dv._traceless_basis; a multiple of 1 in grad drops out.  eps
+    scales with rho's smallest eigenvalue, which sets the curvature's scale.
+    """
+    basis = dv._traceless_basis(len(rho))
+    eps = 1e-4 * np.linalg.eigvalsh(rho)[0]
+    numeric = np.empty_like(hessian)
+    for j, e in enumerate(basis):
+        diff = objective(rho + eps * e)[1] - objective(rho - eps * e)[1]
+        numeric[:, j] = [np.vdot(e_i, diff).real / (2 * eps) for e_i in basis]
+    assert np.abs(hessian - hessian.T).max() <= 1e-12 * np.abs(hessian).max()
+    assert np.linalg.norm(numeric - hessian) <= 1e-6 * np.linalg.norm(hessian)
+
+
 @settings(max_examples=16, deadline=None, derandomize=True)
 @given(
     din=st.integers(2, 3),
@@ -465,7 +481,7 @@ def test_general_objective_gradient_matches_central_differences(din, dout, kind,
     m = general_reference(kind, n, rng, seed)
     objective = dv._general_objective(n, m)
     rho = rand_state(rng, din)
-    f, grad = objective(rho)
+    f, grad, hessian = objective(rho)
     # The objective at rho is the divergence at the purification of rho.
     amp = linalg.mat_sqrt_psd(rho).T
     at = dv.divergence_at(n, m, dv.pure_bipartite(amp))
@@ -486,6 +502,8 @@ def test_general_objective_gradient_matches_central_differences(din, dout, kind,
             analytic.append(np.vdot(h, grad).real)
     numeric, analytic = np.array(numeric), np.array(analytic)
     assert np.linalg.norm(numeric - analytic) <= 1e-6 * np.linalg.norm(analytic)
+    # The Hessian on the traceless basis, against central differences of grad.
+    assert_hessian_matches_central_differences(objective, rho, hessian())
 
 
 def test_leaking_support_is_infinite_in_one_evaluation():
@@ -572,11 +590,11 @@ def test_forced_long_ascent_overlaps_default_interval(d, env, seed):
 
 
 def test_certified_ascent_stops_at_first_certified_point():
-    # Its 11th evaluation, an Anderson proposal, is already within
-    # ASCENT_GAP; an ascent that runs on past it takes 25 evaluations.
+    # Its 5th evaluation, the third Newton proposal after one mirror step, is
+    # already within ASCENT_GAP.
     n, r = nondecrease_after_channel(6), channels.depolarizing_r(2, 2)
     default = dv.channel_divergence(n, r)
-    assert default.converged and default.evaluations <= 12
+    assert default.converged and default.evaluations <= 6
     assert default.upper - default.value <= 1e-10
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dv, "ASCENT_GAP", -1.0)
@@ -588,10 +606,9 @@ def test_certified_ascent_stops_at_first_certified_point():
 
 
 def test_certified_ascent_evaluation_budget(monkeypatch):
-    # The 32 certified calls of entropy-nondecrease at seeds 0-15 take 302
-    # evaluations with the accelerated ascent stopping at its first certified
-    # point on the fused block map (296 with one block map each for tau and
-    # N^c; 328 when it ran on past that point, 3865 with unit steps alone).
+    # The 32 certified calls of entropy-nondecrease at seeds 0-15 take 180
+    # evaluations with damped Newton steps after the first mirror step;
+    # unit mirror steps alone take 3865.
     used = []
     certified = dv._certified_divergence
 
@@ -604,7 +621,23 @@ def test_certified_ascent_evaluation_budget(monkeypatch):
     for seed in range(16):
         cli._suite_entropy_nondecrease(0, seed, cli.RunConfig())
     assert len(used) == 32
-    assert sum(used) <= 2 * 328
+    assert sum(used) <= 180
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unit_mirror_step_lands_on_the_gibbs_state(d, seed):
+    # For an isometric channel N^c(rho) = tr rho is constant, so against a
+    # thermal reference f ln 2 = S(rho) - tr rho L with L = N^dagger(ln gamma),
+    # whose maximum is the Gibbs state exp(-L) / Z.  The first step, the unit
+    # mirror step ln rho <- ln rho - ln rho - L from rho = 1/d, lands on it,
+    # so the ascent stops at its second evaluation; a Newton step from 1/d
+    # would not reach it.
+    n = channels.random_channel(d, d, 1, seed)
+    h = np.diag(np.arange(d, dtype=float))
+    res = dv.channel_entropy_beta(n, channels.ThermalMap(h, 0.7))
+    assert res.evaluations == 2 and res.converged
+    assert 0.0 <= res.upper - res.value <= 1e-12
 
 
 class BlockMap(typing.NamedTuple):
@@ -724,11 +757,15 @@ def test_certified_objective_matches_two_map_reference(d, env, reference, seed, 
         rho = np.diag(rng.dirichlet(np.ones(d))).astype(complex)
     else:
         rho = rand_state(rng, d)
-    f, grad = dv._certified_objective(n, b, ln_gamma)(rho)
+    objective = dv._certified_objective(n, b, ln_gamma)
+    f, grad, hessian = objective(rho)
     f_ref, grad_ref = two_map_objective(n, b, ln_gamma)(rho)
     tol = 1e-12 * max(1.0, abs(f_ref))
     assert abs(f - f_ref) <= tol
     assert np.abs(grad - grad_ref).max() <= tol
+    # Where tau and N^c(rho) share eigenvalues, the divided differences of ln
+    # take their confluent values across the two blocks.
+    assert_hessian_matches_central_differences(objective, rho, hessian())
 
 
 def test_evaluation_counts_by_path(monkeypatch):
