@@ -39,6 +39,7 @@ from .linalg import (
     check_density,
     dagger,
     fidelity,
+    kron,
     mat_inv_sqrt_psd,
     mat_pow_psd,
     mat_sqrt_psd,
@@ -422,5 +423,5 @@ def depolarizing_supermap(dims):
 
 def replacer_supermap(n0, dim_in, dim_mid):
     """Superchannel sending every channel on the input slot to the fixed n0."""
-    rep_choi = np.kron(np.eye(dim_in * dim_mid), n0.choi) / dim_in
+    rep_choi = kron(np.eye(dim_in * dim_mid), n0.choi) / dim_in
     return super_from_rep(rep_choi, (dim_in, dim_mid, n0.dim_in, n0.dim_out))

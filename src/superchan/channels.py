@@ -16,6 +16,7 @@ from .linalg import (
     check_hermitian,
     dagger,
     herm_eig,
+    kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -218,7 +219,7 @@ def replacer_channel(sigma0, dim_in):
     """Channel X -> tr(X) sigma0 for a fixed state sigma0."""
     sigma0 = np.asarray(sigma0, dtype=complex)
     dim_out = sigma0.shape[0]
-    choi = np.kron(np.eye(dim_in), sigma0)
+    choi = kron(np.eye(dim_in), sigma0)
     return channel_from_choi(choi, dim_in, dim_out)
 
 
@@ -233,7 +234,7 @@ def thermal_map(spec):
     tau = (v * np.exp(-spec.beta * w)) @ dagger(v)
     tau = (tau + dagger(tau)) / 2
     dim = h.shape[0]
-    return channel_from_choi(np.kron(np.eye(dim), tau), dim, dim)
+    return channel_from_choi(kron(np.eye(dim), tau), dim, dim)
 
 
 def weyl_heisenberg_unitaries(dim):
@@ -286,13 +287,6 @@ def _group_stacks(spec, dim_in=None, dim_out=None):
     return stacks
 
 
-def _kron_stack(a, b):
-    """np.kron of each pair of matrices in two broadcastable stacks."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    shape = out.shape
-    return out.reshape(shape[:-4] + (shape[-4] * shape[-3], shape[-2] * shape[-1]))
-
-
 def check_telecov_spec(spec):
     """Validate unitarity and the one-design twirl condition on the input reps."""
     u, v = _group_stacks(spec)
@@ -314,8 +308,8 @@ def telecov_channel(spec, base):
     if spec is not _WEYL_HEISENBERG.get(base.dim_in):
         check_telecov_spec(spec)
     # Mean over g of the Choi of V_g^dag o base o U_g, summed in group order.
-    twisted = _kron_stack(np.swapaxes(u, 1, 2), np.swapaxes(v.conj(), 1, 2))
-    twisted = twisted @ base.choi @ _kron_stack(u.conj(), v)
+    twisted = kron(np.swapaxes(u, 1, 2), np.swapaxes(v.conj(), 1, 2))
+    twisted = twisted @ base.choi @ kron(u.conj(), v)
     choi = (twisted / len(u)).sum(axis=0)
     out = channel_from_choi(choi, base.dim_in, base.dim_out)
     res = covariance_residual(spec, out)
@@ -335,8 +329,8 @@ def covariance_residual(spec, n):
     """Max over g of ||(U_g^T (x) 1) C (U_g^* (x) 1) - (1 (x) V_g) C (1 (x) V_g^dag)||."""
     u, v = _group_stacks(spec, n.dim_in, n.dim_out)
     eye_in, eye_out = np.eye(n.dim_in), np.eye(n.dim_out)
-    lhs = _kron_stack(np.swapaxes(u, 1, 2), eye_out) @ n.choi @ _kron_stack(u.conj(), eye_out)
-    rhs = _kron_stack(eye_in, v) @ n.choi @ _kron_stack(eye_in, np.swapaxes(v.conj(), 1, 2))
+    lhs = kron(np.swapaxes(u, 1, 2), eye_out) @ n.choi @ kron(u.conj(), eye_out)
+    rhs = kron(eye_in, v) @ n.choi @ kron(eye_in, np.swapaxes(v.conj(), 1, 2))
     return float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max())
 
 
@@ -378,7 +372,7 @@ def tensor_specs(s1, s2):
     (u1, v1), (u2, v2) = _group_stacks(s1), _group_stacks(s2)
 
     def product(a, b):
-        out = _kron_stack(a[:, None], b[None, :])
+        out = kron(a[:, None], b[None, :])
         return out.reshape((-1,) + out.shape[2:])
 
     return TeleCovariantSpec(product(u1, u2), product(v1, v2))
@@ -388,7 +382,7 @@ def tensor_channels(n, m):
     """Tensor product channel, tagged with the product spec when its residual passes."""
     din = n.dim_in * m.dim_in
     dout = n.dim_out * m.dim_out
-    big = np.kron(n.choi, m.choi)
+    big = kron(n.choi, m.choi)
     choi = permute_systems(big, (n.dim_in, n.dim_out, m.dim_in, m.dim_out), (0, 2, 1, 3))
     out = Channel(din, dout, choi)
     if n.telecov is not None and m.telecov is not None:

@@ -42,6 +42,7 @@ from .linalg import (
     _psd_from_spectrum,
     dagger,
     herm_eig,
+    kron,
     partial_trace,
 )
 
@@ -236,7 +237,7 @@ def divergence_at(n, m, psi):
 def _replacer_target(n):
     """The sigma with Choi = 1 (x) sigma, or None if n is not a replacer."""
     sigma = partial_trace(n.choi, (n.dim_in, n.dim_out), "second") / n.dim_in
-    if np.linalg.norm(n.choi - np.kron(np.eye(n.dim_in), sigma)) <= REPLACER_TOL:
+    if np.linalg.norm(n.choi - kron(np.eye(n.dim_in), sigma)) <= REPLACER_TOL:
         return sigma
     return None
 
@@ -279,7 +280,7 @@ def _conditional_replacer(n, m):
         head = din * dout // b
         gamma = partial_trace(m.choi, (head, b), "second") / din
         marginal = partial_trace(n.choi, (head, b), "first")
-        if np.linalg.norm(m.choi - np.kron(marginal, gamma)) > REPLACER_TOL:
+        if np.linalg.norm(m.choi - kron(marginal, gamma)) > REPLACER_TOL:
             continue
         w, v = herm_eig(gamma)
         if w[0] > SUPPORT_CUTOFF:
@@ -488,7 +489,7 @@ def _certified_objective(n, b, ln_gamma):
     # iso[p, c, k] = (<p| (x) <c|) K_k: one block per basis state of R'.
     iso = kraus.reshape(r, rp, b, din).transpose(1, 2, 0, 3)
     to_be = iso.reshape(rp, b * r, din)
-    linear = np.einsum("pji,jk,pkl->il", to_be.conj(), np.kron(ln_gamma, np.eye(r)), to_be)
+    linear = np.einsum("pji,jk,pkl->il", to_be.conj(), kron(ln_gamma, np.eye(r)), to_be)
     # tau stays inside the support of T(1) = sum_p B_p B_p^dagger, of dimension
     # at most din * r'; compressed onto it, tau has full rank for every
     # full-rank rho.
@@ -581,7 +582,7 @@ def _general_objective(n, m):
     g_images = np.einsum("ioa,nji,job->nab", b_out.conj(), basis, b_out).reshape(len(basis), -1)
 
     def objective(rho):
-        p = np.kron(rho.T, np.eye(dout))
+        p = kron(rho.T, np.eye(dout))
         phi_w, phi_v = np.linalg.eigh(dagger(a) @ p @ a)
         g_w, g_v = np.linalg.eigh(dagger(b) @ p @ b)
         ln_phi = np.log(np.maximum(phi_w, TINY))

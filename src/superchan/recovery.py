@@ -14,6 +14,7 @@ from .linalg import (
     check_density,
     dagger,
     herm_eig,
+    kron,
     schur_sinh_ratio,
 )
 from .channels import apply, channel_from_choi, channel_from_kraus
@@ -74,9 +75,9 @@ def universal_recovery(sigma, n, xi=None):
     # Row k holds <s_p| base_k |m_q> at (q, p), the Choi's (input, output) order.
     core = np.stack([(dagger(sv) @ b @ mv).T.reshape(-1) for b in base])
     lam = 0.5 * (_support_log(sw)[None, :] - _support_log(mw)[:, None]).reshape(-1)
-    basis = np.kron(mv.conj(), sv)
+    basis = kron(mv.conj(), sv)
     choi = basis @ schur_sinh_ratio(core.T @ core.conj(), lam) @ dagger(basis)
     pi = _projector_from_spectrum(mw, mv, SUPPORT_CUTOFF)
-    choi = choi + np.kron((np.eye(dy) - pi).T, xi)
+    choi = choi + kron((np.eye(dy) - pi).T, xi)
     choi = (choi + dagger(choi)) / 2
     return channel_from_choi(choi, dy, dx)

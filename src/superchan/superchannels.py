@@ -30,6 +30,7 @@ from .linalg import (
     TRACE_TOL,
     dagger,
     herm_eig,
+    kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -147,10 +148,16 @@ def apply_super(theta, n):
 
 
 def tp_fixed_channel(base, sigma0):
-    """The completion T' as a Channel; its Choi adds (1 - T*(1))^t (x) sigma0."""
+    """The completion T' as a Channel; its Choi adds (1 - T*(1))^t (x) sigma0.
+
+    A base whose correction is exactly zero is its own completion, and is
+    returned with the flags it has already certified.
+    """
     g = apply_adjoint(base, np.eye(base.dim_out))
     corr = np.eye(base.dim_in) - g
-    choi = base.choi + np.kron(corr.T, np.asarray(sigma0, dtype=complex))
+    if not corr.any():
+        return base
+    choi = base.choi + kron(corr.T, np.asarray(sigma0, dtype=complex))
     return channel_from_choi(choi, base.dim_in, base.dim_out)
 
 
@@ -198,7 +205,7 @@ def tp_fix_map(base, sigma0=None):
     w, v = herm_eig(g_tilde)
     scale = np.where(np.abs(w) > SUPPORT_CUTOFF, 1.0 / np.sqrt(np.abs(w)), 1.0)
     s = (v * scale) @ dagger(v)
-    sandwich = np.kron(s, np.eye(dout)) @ base.choi @ np.kron(s, np.eye(dout))
+    sandwich = kron(s, np.eye(dout)) @ base.choi @ kron(s, np.eye(dout))
     m_cd = partial_trace(sandwich, (din, dout), "second")
     _, basis = herm_eig(m_cd)
 
@@ -255,10 +262,15 @@ def generalized_rep(theta, psi, phi):
     if not (psi.full_rank and phi.full_rank):
         raise ValueError("witnesses must have full-rank marginals")
     # X -> B T(A X A^dag) B^dag has Choi (A^T (x) B) C_T (A^T (x) B)^dag.
-    pull = np.kron(np.linalg.inv(psi.a_psi), np.eye(b)).T
-    push = np.kron(phi.a_psi, np.eye(d))
-    sandwich = np.kron(pull, push)
+    pull = kron(np.linalg.inv(psi.a_psi), np.eye(b)).T
+    push = kron(phi.a_psi, np.eye(d))
+    sandwich = kron(pull, push)
     choi = sandwich @ theta.rep.choi @ dagger(sandwich)
+    # Maximally entangled witnesses with a = c give a sandwich of ones to
+    # rounding, which can leave C_T entrywise unchanged; T is then returned
+    # with the flags it has already certified.
+    if np.array_equal(choi, theta.rep.choi):
+        return theta.rep
     return channel_from_choi(choi, a * b, c * d)
 
 
@@ -269,7 +281,7 @@ def alpha_norm(f):
 
 def choi_witness(n, psi):
     """Normalized Choi state of a channel in the coordinates of a witness."""
-    sandwich = np.kron(psi.a_psi, np.eye(n.dim_out))
+    sandwich = kron(psi.a_psi, np.eye(n.dim_out))
     return sandwich @ n.choi @ dagger(sandwich)
 
 
@@ -277,8 +289,8 @@ def extend_super_with_identity(theta, dim_e):
     """The supermap id_E (x) Theta acting on maps E(x)A -> E(x)B."""
     if theta.dilation is not None:
         pre, post, r = theta.dilation
-        pre_big = channel_from_kraus([np.kron(np.eye(dim_e), k) for k in pre.kraus])
-        post_big = channel_from_kraus([np.kron(np.eye(dim_e), k) for k in post.kraus])
+        pre_big = channel_from_kraus([kron(np.eye(dim_e), k) for k in pre.kraus])
+        post_big = channel_from_kraus([kron(np.eye(dim_e), k) for k in post.kraus])
         return super_from_dilation(pre_big, post_big, ref_dim=r)
     id_e = super_from_rep(identity_channel(dim_e * dim_e).choi, (dim_e,) * 4)
     return tensor_supermaps(id_e, theta)
@@ -289,7 +301,7 @@ def tensor_supermaps(t1, t2):
     a1, b1, c1, d1 = t1.dims
     a2, b2, c2, d2 = t2.dims
     rep_choi = permute_systems(
-        np.kron(t1.rep.choi, t2.rep.choi),
+        kron(t1.rep.choi, t2.rep.choi),
         (a1, b1, c1, d1, a2, b2, c2, d2),
         (0, 4, 1, 5, 2, 6, 3, 7),
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from superchan import channels, divergences as dv, linalg, recovery as rc, superchannels as sc
+from superchan import channels, cli, divergences as dv, linalg, recovery as rc, superchannels as sc
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -398,6 +398,16 @@ def test_channel_certificates_are_computed_on_first_read(decompositions):
     assert decompositions == [("eigh", (2, 2)), ("eigh", (2, 2))]
 
 
+def test_refined_dpi_decomposes_the_rep_choi_once_each(decompositions):
+    # super_from_dilation certifies the 16x16 rep Choi; at the default maximally
+    # entangled witnesses generalized_rep returns that channel, and its exactly
+    # zero trace correction leaves tp_fix_map the same one, so the flags are
+    # not certified again.  universal_recovery reads its Kraus operators.
+    cli._suite_refined_dpi(0, 0, cli.RunConfig())
+    rep = [call for call in decompositions if call[1] == (16, 16)]
+    assert rep == [("eigvalsh", (16, 16)), ("eigh", (16, 16))]
+
+
 def _from_choi():
     choi = channels.random_channel(2, 3, 2, seed=5).choi
     return lambda: channels.channel_from_choi(choi, 2, 3)
@@ -425,8 +435,10 @@ def _petz():
 
 # Building a channel and reading its flags and Kraus operators twice takes
 # each decomposition of its Choi at most once: eigenvalues for the flags, and
-# one eigh for Kraus operators only when none were given.  petz first
-# decomposes sigma (PSD gate, square root) and n(sigma) (inverse square root).
+# one eigh for Kraus operators only when none were given.  generalized_rep at
+# maximally entangled witnesses returns the rep that super_from_dilation has
+# already certified, so only its eigh is left.  petz first decomposes sigma
+# (PSD gate, square root) and n(sigma) (inverse square root).
 @pytest.mark.parametrize(
     "build, expected",
     [
@@ -438,7 +450,7 @@ def _petz():
         pytest.param(_from_kraus, [("eigvalsh", (4, 4))], id="channel_from_kraus"),
         pytest.param(
             _generalized_rep,
-            [("eigvalsh", (16, 16)), ("eigh", (16, 16))],
+            [("eigh", (16, 16))],
             id="generalized_rep",
         ),
         pytest.param(

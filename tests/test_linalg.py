@@ -127,6 +127,57 @@ def test_permute_systems():
     np.testing.assert_allclose(out, np.kron(np.kron(c, a), b), atol=1e-12)
 
 
+def rand_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def loop_kron(a, b):
+    """np.kron of each pair of matrices in two broadcastable stacks, one call per pair."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, lead + a.shape[-2:])
+    b = np.broadcast_to(b, lead + b.shape[-2:])
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    out = np.empty(lead + (rows, cols), dtype=np.result_type(a, b))
+    for idx in np.ndindex(lead):
+        out[idx] = np.kron(a[idx], b[idx])
+    return out
+
+
+def _kron_cases():
+    rng = np.random.default_rng(30)
+    real, cplx = rng.normal(size=(2, 2)), rand_complex(rng, 3, 3)
+    # Signed zeros as well: both routes must multiply the same two factors.
+    real[0, 1], cplx[1, 2] = -0.0, complex(0.0, -0.0)
+    u, v = rand_complex(rng, 4, 2, 2), rand_complex(rng, 4, 3, 3)
+    w = rand_complex(rng, 9, 3, 3)
+    return {
+        "real-complex": (real, cplx),
+        "complex-real": (cplx, real),
+        "real-real": (real, rng.normal(size=(3, 2))),
+        "non-square": (rand_complex(rng, 2, 3), rand_complex(rng, 4, 1)),
+        "one-by-one": (np.array([[2.5]]), np.array([[-1.0 + 0.5j]])),
+        "one-by-one-left": (np.array([[1j]]), rand_complex(rng, 3, 2)),
+        "list": ([[1, 2], [3, 4]], np.eye(2)),
+        # telecov_channel: U_g^T (x) V_g^dag and U_g^* (x) V_g over one group.
+        "stack-stack": (np.swapaxes(u, 1, 2), np.swapaxes(v.conj(), 1, 2)),
+        # covariance_residual: U_g (x) 1 and 1 (x) V_g.
+        "stack-eye": (u.conj(), np.eye(3)),
+        "eye-stack": (np.eye(2), v),
+        # tensor_specs: every pair of two groups, u1_i (x) u2_j at (i, j).
+        "outer-stacks": (u[:, None], w[None, :]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_kron_cases()))
+def test_kron_is_bit_identical_to_np_kron(case):
+    a, b = _kron_cases()[case]
+    out = linalg.kron(a, b)
+    want = loop_kron(np.asarray(a), np.asarray(b))
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert np.array_equal(out, want)
+    assert out.tobytes() == want.tobytes()
+
+
 def test_norms_examples():
     assert abs(linalg.trace_norm(np.eye(3)) - 3.0) < 1e-12
     assert linalg.trace_norm(np.zeros((2, 2))) == 0.0

@@ -7,7 +7,8 @@ relative imports.  A definition that no root reaches is library code that no
 command runs: it should go, or move into the test that uses it.
 
 The same AST holds the records to one constructor: bounds._record is the
-only call of VerificationRecord, so every verdict follows from its sides.
+only call of VerificationRecord, so every verdict follows from its sides;
+and every Kronecker product to one kernel, linalg.kron, in place of np.kron.
 """
 
 import ast
@@ -110,3 +111,21 @@ def test_records_are_built_only_by_record():
                     owner = ", ".join(_defined_names(stmt)) or "<module>"
                     builders.append((f"{module}.{owner}", node.lineno))
     assert [b for b, _ in builders] == ["bounds._record"], builders
+
+
+def test_kronecker_products_go_through_linalg_kron():
+    """No np.kron call is left in the package; linalg.kron is its one Kronecker kernel."""
+    package = Package(PACKAGE)
+    lines = sorted(
+        {
+            f"{module}.py:{node.lineno}"
+            for module, tree in package.trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "kron"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+        }
+    )
+    assert not lines, "np.kron called at: " + ", ".join(lines)
