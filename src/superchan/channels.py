@@ -15,6 +15,7 @@ from .linalg import (
     _psd_from_spectrum,
     check_hermitian,
     dagger,
+    eigvalsh,
     herm_eig,
     kron,
     matrix_from_json,
@@ -116,7 +117,7 @@ class ThermalMap(NamedTuple):
 
 def certify_flags(choi, dim_in, dim_out):
     """Certify cp/tp/unital of a Hermitian Choi operator from its eigenvalues and marginals."""
-    cp_chk = _psd_from_spectrum(np.linalg.eigvalsh((choi + dagger(choi)) / 2))
+    cp_chk = _psd_from_spectrum(eigvalsh((choi + dagger(choi)) / 2))
     cp = Flag("yes" if cp_chk.is_psd else "no", cp_chk.min_eig)
     tr_out = partial_trace(choi, (dim_in, dim_out), "first")
     tp_res = float(np.linalg.norm(tr_out - np.eye(dim_in)))

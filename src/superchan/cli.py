@@ -535,8 +535,11 @@ def cmd_verify(args, cfg):
     def work(index):
         return fn(index, seed, cfg)
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        records = list(pool.map(work, range(trials)))
+    if args.jobs == 1:
+        records = list(map(work, range(trials)))
+    else:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            records = list(pool.map(work, range(trials)))
     passes = sum(1 for r in records if r.passed)
     slacks = [r.slack for r in records if np.isfinite(r.slack)]
     report = {

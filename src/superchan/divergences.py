@@ -41,6 +41,8 @@ from .linalg import (
     _projector_from_spectrum,
     _psd_from_spectrum,
     dagger,
+    eigh,
+    eigvalsh,
     herm_eig,
     kron,
     partial_trace,
@@ -388,13 +390,13 @@ def _newton_proposals(point, d):
     # TINY, can overflow the divided differences.
     if not np.isfinite(hessian).all():
         return
-    h_w, h_v = np.linalg.eigh(hessian)
+    h_w, h_v = eigh(hessian)
     if h_w[-1] >= 0:
         return
     delta = ((h_v @ ((point.step @ flat_basis.T) @ h_v / -h_w)) @ flat_basis).view(complex)
     length = 1.0
     while length >= NEWTON_MIN_LENGTH:
-        w, v = np.linalg.eigh(point.rho + length * delta.reshape(d, d))
+        w, v = eigh(point.rho + length * delta.reshape(d, d))
         if w[0] >= NEWTON_MIN_EIG:
             yield _floored(np.log(w), v)
         length /= 2
@@ -423,13 +425,13 @@ def _ascend(objective, d, x, max_evals, backtrack=False):
         f, grad, hessian = objective(rho)
         grad = (grad + dagger(grad)) / 2
         # Nonnegative in exact arithmetic: tr rho grad is an average of its spectrum.
-        gap = max(np.linalg.eigvalsh(grad)[-1] - np.vdot(rho, grad).real, 0.0)
+        gap = max(eigvalsh(grad)[-1] - np.vdot(rho, grad).real, 0.0)
         # The unit step: grad with its trace taken off the diagonal.
         grad.flat[:: d + 1] -= np.trace(grad).real / d
         return _AscentPoint(h_w, rho, p, h_v, f / LN2, gap / LN2, _flat(grad), hessian)
 
     def mirror(x):
-        return evaluate(*_floored(*np.linalg.eigh(x.view(complex).reshape(d, d))))
+        return evaluate(*_floored(*eigh(x.view(complex).reshape(d, d))))
 
     start = point = mirror(x)
     evaluations = 1
@@ -511,7 +513,7 @@ def _certified_objective(n, b, ln_gamma):
 
     def objective(rho):
         m = (forward @ rho.reshape(-1)).reshape(k, k)
-        w, v = np.linalg.eigh(m)
+        w, v = eigh(m)
         w = np.maximum(w, TINY)
         ln_w = np.log(w)
         ln_m = (v * ln_w) @ dagger(v)
@@ -583,8 +585,8 @@ def _general_objective(n, m):
 
     def objective(rho):
         p = kron(rho.T, np.eye(dout))
-        phi_w, phi_v = np.linalg.eigh(dagger(a) @ p @ a)
-        g_w, g_v = np.linalg.eigh(dagger(b) @ p @ b)
+        phi_w, phi_v = eigh(dagger(a) @ p @ a)
+        g_w, g_v = eigh(dagger(b) @ p @ b)
         ln_phi = np.log(np.maximum(phi_w, TINY))
         ln_g = np.log(np.maximum(g_w, TINY))
         qv = dagger(g_v) @ q @ g_v
@@ -630,7 +632,7 @@ def _searched_divergence(n, m, opts, witnesses):
             return np.zeros(2 * d * d)
         g = np.random.default_rng((opts.seed, r)).normal(size=2 * d * d)
         amp = (g[: d * d] + 1j * g[d * d :]).reshape(d, d)
-        w, v = np.linalg.eigh(amp.T @ amp.conj())
+        w, v = eigh(amp.T @ amp.conj())
         return _flat((v * np.log(np.maximum(w, TINY))) @ dagger(v))
 
     starts = (start(r) for r in range(opts.restarts))

@@ -1,5 +1,10 @@
-"""Dense complex linear algebra kernel: the Kronecker product, spectral functions,
-partial trace, trace norm, fidelity.
+"""Dense complex linear algebra kernel: the Kronecker product (kron), the
+Hermitian eigensolver (eigh, eigvalsh), spectral functions, partial trace,
+trace norm, fidelity.
+
+kron is the package's one Kronecker product, and eigh and eigvalsh its one
+Hermitian eigendecomposition; no module calls np.kron, np.linalg.eigh or
+np.linalg.eigvalsh.
 """
 
 from __future__ import annotations
@@ -7,6 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Shared numerical defaults; dimensions stay at desk scale (<= 64), so dense
 # double-precision routines are sufficient everywhere.
@@ -44,6 +50,31 @@ def kron(a, b):
     return out.reshape(shape[:-4] + (shape[-4] * shape[-3], shape[-2] * shape[-1]))
 
 
+def eigh(a):
+    """np.linalg.eigh of one Hermitian matrix, in double precision: (w, v), w ascending.
+
+    It calls the LAPACK gufunc that np.linalg.eigh dispatches to, on its lower
+    triangle, so both outputs are bit-identical, without the wrapper's
+    per-call errstate context.  The gufunc clears the FP status on success;
+    on failure it fills its outputs with NaN (and numpy warns of an invalid
+    value), and this raises LinAlgError as np.linalg.eigh does.
+    """
+    a = np.asarray(a)
+    w, v = _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    if w.size and w[0] != w[0]:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, v
+
+
+def eigvalsh(a):
+    """np.linalg.eigvalsh of one Hermitian matrix, ascending and bit-identical, as eigh."""
+    a = np.asarray(a)
+    w = _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+    if w.size and w[0] != w[0]:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
 def check_hermitian(m):
     """Raise if m is not square and Hermitian within HERM_TOL, or holds NaN or Inf."""
     m = np.asarray(m)
@@ -64,14 +95,14 @@ def check_hermitian(m):
 def herm_eig(m):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     m = check_hermitian(m)
-    w, v = np.linalg.eigh((m + dagger(m)) / 2)
+    w, v = eigh((m + dagger(m)) / 2)
     return SpectralDecomposition(w, v)
 
 
 def herm_eigvals(m):
     """The ascending eigenvalues of herm_eig, without its eigenvectors."""
     m = check_hermitian(m)
-    return np.linalg.eigvalsh((m + dagger(m)) / 2)
+    return eigvalsh((m + dagger(m)) / 2)
 
 
 def _fn_table(fn, alpha):

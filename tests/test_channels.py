@@ -350,16 +350,19 @@ def test_channel_from_choi_matches_separate_certify_and_kraus(dims, cp, seed):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Every eigh and eigvalsh call while the test runs, as (name, shape)."""
+    """Every linalg.eigh and linalg.eigvalsh call while the test runs, as (name, shape)."""
     calls = []
     for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
+        original = getattr(linalg, name)
 
         def counting(x, _name=name, _original=original):
             calls.append((_name, x.shape))
             return _original(x)
 
-        monkeypatch.setattr(linalg.np.linalg, name, counting)
+        # The modules that import the kernel by name hold their own reference.
+        for module in (linalg, channels, dv):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
     return calls
 
 

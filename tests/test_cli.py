@@ -277,6 +277,20 @@ def test_verify_deterministic_across_jobs_and_runs(tmp_path):
     assert b1 == (tmp_path / "r2.json").read_bytes()
 
 
+def test_verify_one_job_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, seed=3)
+    pooled, inline = str(tmp_path / "pooled.json"), str(tmp_path / "inline.json")
+    argv = ["verify", "entropy-nondecrease", "--trials", "3", "--config", cfg, "--out"]
+    assert cli.main([*argv, pooled, "--jobs", "2"]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify --jobs 1 started a worker thread")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    assert cli.main([*argv, inline, "--jobs", "1"]) == 0
+    assert (tmp_path / "inline.json").read_bytes() == (tmp_path / "pooled.json").read_bytes()
+
+
 def test_verify_seed_changes_samples(tmp_path):
     o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert cli.main(["verify", "petz", "--trials", "2", "--seed", "1", "--out", o1]) == 0

@@ -106,15 +106,18 @@ def test_rel_entropy_non_psd_message_matches_five_decomposition_route(which):
 
 
 def counting(monkeypatch, name):
-    """Record each call to np.linalg.<name> until the test ends."""
+    """Record each call to linalg.eigh, or to np.linalg.<name> otherwise, until the test ends."""
     calls = []
-    inner = getattr(np.linalg, name)
+    # The kernel is imported by name, so each importing module holds a reference.
+    modules = (linalg, dv) if name == "eigh" else (np.linalg,)
+    inner = getattr(modules[0], name)
 
     def wrapped(*args, **kwargs):
         calls.append(name)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(linalg.np.linalg, name, wrapped)
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapped)
     return calls
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from superchan import linalg
+from superchan import channels, linalg
 
 
 def rand_herm(rng, d):
@@ -176,6 +176,49 @@ def test_kron_is_bit_identical_to_np_kron(case):
     assert out.dtype == want.dtype and out.shape == want.shape
     assert np.array_equal(out, want)
     assert out.tobytes() == want.tobytes()
+
+
+def _eigh_cases():
+    rng = np.random.default_rng(31)
+    cases = {}
+    for d in (1, 2, 3, 4, 6, 12, 16):
+        cases[f"complex-{d}"] = rand_herm(rng, d)
+        real = rng.normal(size=(d, d))
+        cases[f"real-{d}"] = (real + real.T) / 2
+    cases["zero"] = np.zeros((4, 4), dtype=complex)
+    # Eigenvalues 1, 1, 1, 3, 3, -2 in a random unitary basis.
+    u, _ = np.linalg.qr(rand_complex(rng, 6, 6))
+    cases["degenerate"] = (u * [1.0, 1.0, 1.0, 3.0, 3.0, -2.0]) @ u.conj().T
+    # The Choi operator of a qubit channel with two Kraus operators: rank 2 of 4.
+    cases["rank-deficient-choi"] = channels.random_channel(2, 2, 2, seed=5).choi
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_eigh_cases()))
+def test_eigh_kernels_are_bit_identical_to_numpy(case):
+    a = _eigh_cases()[case]
+    w, v = linalg.eigh(a)
+    want_w, want_v = np.linalg.eigh(a)
+    assert w.dtype == want_w.dtype and v.dtype == want_v.dtype
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    vals = linalg.eigvalsh(a)
+    want_vals = np.linalg.eigvalsh(a)
+    assert vals.dtype == want_vals.dtype
+    assert np.array_equal(vals, want_vals)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigh_kernels_raise_on_nan(dtype):
+    # A NaN in the lower triangle, the one the kernels read.  numpy's
+    # invalid-value warning from the failed LAPACK call is expected.
+    a = np.eye(3, dtype=dtype)
+    a[2, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            linalg.eigh(a)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            linalg.eigvalsh(a)
 
 
 def test_norms_examples():

@@ -8,7 +8,9 @@ command runs: it should go, or move into the test that uses it.
 
 The same AST holds the records to one constructor: bounds._record is the
 only call of VerificationRecord, so every verdict follows from its sides;
-and every Kronecker product to one kernel, linalg.kron, in place of np.kron.
+every Kronecker product to one kernel, linalg.kron, in place of np.kron; and
+every Hermitian eigendecomposition to linalg.eigh and linalg.eigvalsh, in
+place of np.linalg.eigh and np.linalg.eigvalsh.
 """
 
 import ast
@@ -129,3 +131,18 @@ def test_kronecker_products_go_through_linalg_kron():
         }
     )
     assert not lines, "np.kron called at: " + ", ".join(lines)
+
+
+def test_hermitian_eigensolvers_go_through_linalg():
+    """No np.linalg.eigh or eigvalsh call is left; linalg.eigh and eigvalsh are the kernels."""
+    package = Package(PACKAGE)
+    lines = sorted(
+        f"{module}.py:{node.lineno} ({node.func.attr})"
+        for module, tree in package.trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("eigh", "eigvalsh")
+        and ast.unparse(node.func.value) == "np.linalg"
+    )
+    assert not lines, "np.linalg eigensolver called at: " + ", ".join(lines)
