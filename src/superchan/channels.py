@@ -36,7 +36,7 @@ REP_MATCH_TOL = 1e-12
 
 
 class Flag(NamedTuple):
-    """Tri-state certificate: status in {yes, no, unverified} plus evidence."""
+    """Certificate: status in {yes, no} plus evidence."""
 
     status: str
     certificate: float

@@ -8,7 +8,8 @@ number of objective evaluations it took:
   closed forms (value == upper);
 - conditional-replacer references, M(X) = tr_B N(X) (x) gamma, make D a
   concave function of the input state, maximized by an ascent (one mirror
-  step on ln rho, then damped Newton steps on rho with the exact Hessian)
+  step on ln rho, then damped Newton steps on rho with the exact Hessian,
+  regularized where it is nearly flat)
   and bounded above by its Frank-Wolfe duality gap
   (upper - value <= ASCENT_GAP, up to rounding);
 - every other pair gets the same ascent on a general objective from several
@@ -378,10 +379,11 @@ def _newton_proposals(point, d):
     """Floored spectra of rho + t Delta, t = 1, 1/2, ... down to NEWTON_MIN_LENGTH.
 
     Delta = -H^-1 grad is the Newton step, with H and grad read on the
-    traceless Hermitian basis of _traceless_basis.  Nothing is proposed
-    unless H is finite and negative definite, and a length whose
-    rho + t Delta has an eigenvalue below NEWTON_MIN_EIG is skipped
-    unevaluated.
+    traceless Hermitian basis of _traceless_basis and the eigenvalues of H
+    clipped at -||grad|| (regularized Newton), so that a flat or convex
+    direction cannot blow the step up.  Nothing is proposed unless H is
+    finite, and a length whose rho + t Delta has an eigenvalue below
+    NEWTON_MIN_EIG is skipped unevaluated.
     """
     basis = _traceless_basis(d)
     flat_basis = basis.reshape(len(basis), -1).view(float)
@@ -391,8 +393,7 @@ def _newton_proposals(point, d):
     if not np.isfinite(hessian).all():
         return
     h_w, h_v = eigh(hessian)
-    if h_w[-1] >= 0:
-        return
+    h_w = np.minimum(h_w, -np.linalg.norm(point.step))
     delta = ((h_v @ ((point.step @ flat_basis.T) @ h_v / -h_w)) @ flat_basis).view(complex)
     length = 1.0
     while length >= NEWTON_MIN_LENGTH:
@@ -409,8 +410,8 @@ def _ascend(objective, d, x, max_evals, backtrack=False):
     of 1, and a function that returns the Hessian of f ln 2 on the traceless
     Hermitian basis of _traceless_basis.  The first step is the unit mirror
     step x <- x + grad, whose fixed points are the stationary points of f.
-    Every later step first tries damped Newton proposals on rho (see
-    _newton_proposals), unless rho's smallest eigenvalue is below
+    Every later step first tries damped, regularized Newton proposals on
+    rho (see _newton_proposals), unless rho's smallest eigenvalue is below
     NEWTON_MIN_EIG, and takes the first one that raises f; when none does it
     falls back to the unit mirror step, halved while it lowers f by more than
     ASCENT_DROP * max(1, |f|) when backtrack is set.  The ascent returns the

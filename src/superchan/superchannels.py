@@ -3,7 +3,9 @@
 A superchannel maps channels A->B to channels C->D and is stored through its
 representing map T on L(A(x)B) -> L(C(x)D), itself held as a Channel whose Choi
 operator lives on (A(x)B) (x) (C(x)D).  The dilation form, when present, is a
-pre channel C -> A(x)R and a post channel B(x)R -> D.
+pre channel C -> A(x)R and a post channel B(x)R -> D.  Like a Channel's, a
+Superchannel's flags are certified on first read, so building one (or its
+identity extension, which always tensors representing maps) decomposes nothing.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ from .channels import (
     Channel,
     Flag,
     _json_dim,
+    _on_first_read,
     apply,
     apply_adjoint,
     channel_from_choi,
@@ -63,7 +66,11 @@ class Superchannel:
     dims: tuple
     rep: Channel
     dilation: Optional[Dilation] = None
-    flags: SuperFlags = SuperFlags(Flag("unverified", np.nan), Flag("unverified", np.nan))
+
+    @_on_first_read
+    def flags(self):
+        """The rep's CP flag and certify_tp_preserving of its Choi."""
+        return SuperFlags(self.rep.flags.cp, certify_tp_preserving(self.rep, self.dims))
 
 
 class TpFixedMap(NamedTuple):
@@ -105,15 +112,11 @@ def certify_tp_preserving(rep, dims):
     return Flag("yes" if worst <= TP_PRESERVING_TOL else "no", worst)
 
 
-def _flags_for(rep, dims):
-    return SuperFlags(rep.flags.cp, certify_tp_preserving(rep, dims))
-
-
 def super_from_rep(rep_choi, dims):
     """Superchannel from a raw representing-map Choi operator on (AB)(x)(CD)."""
     a, b, c, d = dims
     rep = channel_from_choi(rep_choi, a * b, c * d)
-    return Superchannel(tuple(dims), rep, None, _flags_for(rep, dims))
+    return Superchannel(tuple(dims), rep)
 
 
 def super_from_dilation(pre, post, ref_dim=1):
@@ -135,8 +138,7 @@ def super_from_dilation(pre, post, ref_dim=1):
     rep_choi = c8.reshape(a, c, a, c, d, b, d, b).transpose(0, 5, 1, 4, 2, 7, 3, 6)
     rep_choi = rep_choi.reshape(a * b * c * d, a * b * c * d)
     rep = channel_from_choi(rep_choi, a * b, c * d)
-    dims = (a, b, c, d)
-    return Superchannel(dims, rep, Dilation(pre, post, ref_dim), _flags_for(rep, dims))
+    return Superchannel((a, b, c, d), rep, Dilation(pre, post, ref_dim))
 
 
 def apply_super(theta, n):
@@ -287,11 +289,6 @@ def choi_witness(n, psi):
 
 def extend_super_with_identity(theta, dim_e):
     """The supermap id_E (x) Theta acting on maps E(x)A -> E(x)B."""
-    if theta.dilation is not None:
-        pre, post, r = theta.dilation
-        pre_big = channel_from_kraus([kron(np.eye(dim_e), k) for k in pre.kraus])
-        post_big = channel_from_kraus([kron(np.eye(dim_e), k) for k in post.kraus])
-        return super_from_dilation(pre_big, post_big, ref_dim=r)
     id_e = super_from_rep(identity_channel(dim_e * dim_e).choi, (dim_e,) * 4)
     return tensor_supermaps(id_e, theta)
 

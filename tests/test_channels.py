@@ -402,13 +402,42 @@ def test_channel_certificates_are_computed_on_first_read(decompositions):
 
 
 def test_refined_dpi_decomposes_the_rep_choi_once_each(decompositions):
-    # super_from_dilation certifies the 16x16 rep Choi; at the default maximally
-    # entangled witnesses generalized_rep returns that channel, and its exactly
-    # zero trace correction leaves tp_fix_map the same one, so the flags are
-    # not certified again.  universal_recovery reads its Kraus operators.
+    # The superchannel check certifies the 16x16 rep Choi; at the default
+    # maximally entangled witnesses generalized_rep returns that channel, and
+    # its exactly zero trace correction leaves tp_fix_map the same one, so the
+    # flags are not certified again.  universal_recovery reads its Kraus
+    # operators.
     cli._suite_refined_dpi(0, 0, cli.RunConfig())
     rep = [call for call in decompositions if call[1] == (16, 16)]
     assert rep == [("eigvalsh", (16, 16)), ("eigh", (16, 16))]
+
+
+def test_superchannel_certificates_are_computed_on_first_read(decompositions):
+    pre = channels.random_channel(2, 2, 2, seed=6)
+    post = channels.random_channel(2, 2, 2, seed=7)
+    assert channels.is_cptp(pre) and channels.is_cptp(post)
+    decompositions.clear()
+
+    # Construction decomposes nothing, the 256x256 identity extension included.
+    theta = sc.super_from_dilation(pre, post)
+    from_rep = sc.super_from_rep(theta.rep.choi, theta.dims)
+    sc.extend_super_with_identity(from_rep, 2)
+    assert decompositions == []
+    # The flags take the eigenvalues of the rep Choi once; second reads take
+    # nothing.
+    for _ in range(2):
+        assert from_rep.flags.completely_cp_preserving.status == "yes"
+        assert from_rep.flags.tp_preserving.status == "yes"
+    assert decompositions == [("eigvalsh", (16, 16))]
+
+
+def test_super_div_decomposes_no_extended_rep(decompositions):
+    # No command reads the flags of the two 256x256 identity-extended
+    # supermaps that a super-div trial builds, so neither rep Choi is
+    # decomposed.
+    cli._suite_super_div(0, 0, cli.RunConfig())
+    assert decompositions
+    assert all(shape != (256, 256) for _, shape in decompositions)
 
 
 def _from_choi():
@@ -425,6 +454,8 @@ def _generalized_rep():
     pre = channels.random_channel(2, 2, 2, seed=6)
     post = channels.random_channel(2, 2, 2, seed=7)
     theta = sc.super_from_dilation(pre, post)
+    # Every command reads the supermap's flags before it conjugates the rep.
+    assert theta.flags.completely_cp_preserving.status == "yes"
     mes = dv.maximally_entangled(2)
     return lambda: sc.generalized_rep(theta, mes, mes)
 
@@ -439,9 +470,9 @@ def _petz():
 # Building a channel and reading its flags and Kraus operators twice takes
 # each decomposition of its Choi at most once: eigenvalues for the flags, and
 # one eigh for Kraus operators only when none were given.  generalized_rep at
-# maximally entangled witnesses returns the rep that super_from_dilation has
-# already certified, so only its eigh is left.  petz first decomposes sigma
-# (PSD gate, square root) and n(sigma) (inverse square root).
+# maximally entangled witnesses returns the rep that reading the supermap's
+# flags has already certified, so only its eigh is left.  petz first
+# decomposes sigma (PSD gate, square root) and n(sigma) (inverse square root).
 @pytest.mark.parametrize(
     "build, expected",
     [

@@ -609,8 +609,8 @@ def test_certified_ascent_stops_at_first_certified_point():
 
 
 def test_certified_ascent_evaluation_budget(monkeypatch):
-    # The 32 certified calls of entropy-nondecrease at seeds 0-15 take 180
-    # evaluations with damped Newton steps after the first mirror step;
+    # The 32 certified calls of entropy-nondecrease at seeds 0-15 take 175
+    # evaluations with regularized Newton steps after the first mirror step;
     # unit mirror steps alone take 3865.
     used = []
     certified = dv._certified_divergence
@@ -624,7 +624,28 @@ def test_certified_ascent_evaluation_budget(monkeypatch):
     for seed in range(16):
         cli._suite_entropy_nondecrease(0, seed, cli.RunConfig())
     assert len(used) == 32
-    assert sum(used) <= 180
+    assert sum(used) <= 175
+
+
+def test_super_div_heavy_divergence_stays_within_budget(monkeypatch):
+    # The heavy divergence of super-div is flat along one direction at its
+    # maximum: the Hessian there has an eigenvalue near 0.  Unclipped, the
+    # Newton step along it leaves the state space at every length, and unit
+    # mirror steps take 100 or more evaluations per call; clipped at
+    # -||grad||, every call stops within 20.
+    used = []
+
+    def counting(*args):
+        res = dv.channel_divergence(*args)
+        used.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(cli, "channel_divergence", counting)
+    for seed in range(2):
+        for index in range(5):
+            cli._suite_super_div(index, seed, cli.RunConfig())
+    assert len(used) == 20
+    assert max(used) <= 20
 
 
 @pytest.mark.parametrize("d", [2, 3])

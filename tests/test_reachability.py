@@ -8,9 +8,10 @@ command runs: it should go, or move into the test that uses it.
 
 The same AST holds the records to one constructor: bounds._record is the
 only call of VerificationRecord, so every verdict follows from its sides;
-every Kronecker product to one kernel, linalg.kron, in place of np.kron; and
+every Kronecker product to one kernel, linalg.kron, in place of np.kron;
 every Hermitian eigendecomposition to linalg.eigh and linalg.eigvalsh, in
-place of np.linalg.eigh and np.linalg.eigvalsh.
+place of np.linalg.eigh and np.linalg.eigvalsh; and every certificate of a
+channel or superchannel to a property computed on first read.
 """
 
 import ast
@@ -146,3 +147,31 @@ def test_hermitian_eigensolvers_go_through_linalg():
         and ast.unparse(node.func.value) == "np.linalg"
     )
     assert not lines, "np.linalg eigensolver called at: " + ", ".join(lines)
+
+
+CERTIFIERS = frozenset({"certify_flags", "certify_tp_preserving"})
+
+
+def _certifier_calls(module, node, owner=None):
+    """(where, owner) of each certifier call, with owner the innermost def around it."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in CERTIFIERS:
+            yield f"{module}.py:{node.lineno} ({name})", owner
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node
+    for child in ast.iter_child_nodes(node):
+        yield from _certifier_calls(module, child, owner)
+
+
+def test_certificates_are_computed_on_first_read():
+    """Channels and superchannels certify in _on_first_read properties, never when built."""
+    package = Package(PACKAGE)
+    eager = sorted(
+        f"{where} in {owner.name if owner else '<module>'}"
+        for module, tree in package.trees.items()
+        for where, owner in _certifier_calls(module, tree)
+        if owner is None
+        or not any(ast.unparse(d) == "_on_first_read" for d in owner.decorator_list)
+    )
+    assert not eager, "certified outside _on_first_read: " + ", ".join(eager)

@@ -475,9 +475,14 @@ def test_extend_with_identity_routes_agree(ab, cd, dim_e, seed):
     dims = ab + cd
     a, b, c, d = dims
     theta = random_dilation_super(seed, *dims)
-    via_dilation = sc.extend_super_with_identity(theta, dim_e)
-    rep_only = sc.super_from_rep(theta.rep.choi, theta.dims)
-    via_rep = sc.extend_super_with_identity(rep_only, dim_e)
+    # The dilation route: id_E on both sides of the pre and post channels.
+    pre, post, ref_dim = theta.dilation
+    via_dilation = sc.super_from_dilation(
+        channels.channel_from_kraus([np.kron(np.eye(dim_e), k) for k in pre.kraus]),
+        channels.channel_from_kraus([np.kron(np.eye(dim_e), k) for k in post.kraus]),
+        ref_dim=ref_dim,
+    )
+    via_rep = sc.extend_super_with_identity(theta, dim_e)
     assert via_rep.dims == via_dilation.dims == tuple(dim_e * x for x in dims)
     np.testing.assert_allclose(via_dilation.rep.choi, via_rep.rep.choi, atol=1e-8)
     assert via_rep.flags.tp_preserving.status == "yes"
