@@ -4,9 +4,7 @@ Each check compares two numerically estimated sides of a proven inequality and
 returns a VerificationRecord carrying the slack plus enough context (seed,
 witnesses, parameters) to replay it.  Entropies are certified intervals, and
 a check reads the end of each that cannot make it pass spuriously; its record
-names the ends read.  One-sided divergence searches guard against spurious
-violations: the side that must be larger also starts from the other side's
-best witness when the two inputs have the same dimension.
+names the ends read.
 """
 
 from dataclasses import dataclass
@@ -29,6 +27,7 @@ from .divergences import (
     channel_divergence,
     channel_entropy,
     channel_entropy_telecov,
+    choi_witness,
     maximally_entangled,
     nudge_full_rank,
     rel_entropy,
@@ -50,7 +49,6 @@ from .recovery import universal_recovery
 from .superchannels import (
     alpha_norm,
     apply_super,
-    choi_witness,
     generalized_rep,
     is_r_subpreserving,
     super_from_rep,
@@ -156,23 +154,10 @@ def _alpha_remainder(f, rho):
     return alpha, rel_entropy(rho, mat_pow_psd(pushed, alpha) / alpha**alpha)
 
 
-def _divergence_pair(n, m, tn, tm, opts, share):
-    """D[N||M] and D[Theta(N)||Theta(M)], the first seeded with the second's witness.
-
-    Returns the two results and the number of injected witnesses.
-    """
-    after = channel_divergence(tn, tm, opts)
-    cross = (after.optimizer_state,) if share else ()
-    before = channel_divergence(n, m, opts, witnesses=cross)
-    return before, after, len(cross)
-
-
 def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
     """Channel divergence never grows under a superchannel.
 
-    slack = D[N||M] - D[Theta(N)||Theta(M)].  The first side receives the
-    second side's best witness as a feasible point whenever the input slots
-    have equal dimension.
+    slack = D[N||M] - D[Theta(N)||Theta(M)].
     """
     if not is_cptp(n):
         raise ValueError("first channel must be certified CPTP")
@@ -180,16 +165,9 @@ def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
         raise ValueError("second channel must be certified CP")
     _require_superchannel(theta)
     _require_input_slot(theta, n, m)
-    a, _, c, _ = theta.dims
-    before, after, injected = _divergence_pair(
-        n, m, apply_super(theta, n), apply_super(theta, m), opts, a == c
-    )
-    params = {
-        "dims": list(theta.dims),
-        "restarts": opts.restarts,
-        "max_evals": opts.max_evals,
-        "injected": injected,
-    }
+    before = channel_divergence(n, m, opts)
+    after = channel_divergence(apply_super(theta, n), apply_super(theta, m), opts)
+    params = {"dims": list(theta.dims), "restarts": opts.restarts, "max_evals": opts.max_evals}
     wit = _witness_json(before=before.optimizer_state, after=after.optimizer_state)
     return _record("channel-dpi", before.value, after.value, tolerance, opts.seed, params, wit)
 
@@ -288,7 +266,7 @@ def verify_refined_dpi(
     if (c, d) == (n.dim_in, n.dim_out):
         tn = _try_attach_telecov(tn, n.telecov)
         tm = _try_attach_telecov(tm, m.telecov)
-    before, after, _ = _divergence_pair(n, m, tn, tm, opts, a == c)
+    before, after = channel_divergence(n, m, opts), channel_divergence(tn, tm, opts)
 
     sigma = _hermitian(choi_witness(m, psi0))
     rec = universal_recovery(sigma, t_prime)
@@ -342,14 +320,15 @@ def verify_entropy_gain_rsub(theta, n, tolerance=INEQ_TOL, seed=0):
     )
 
 
-def entropy_gain_positive_map(f, rho, tolerance=EXACT_TOL, seed=0, sharper=None):
+def entropy_gain_positive_map(f, rho, seed=0):
     """Entropy gain of a positive map against its relative-entropy remainders.
 
     Always evaluates D(rho || alpha^-alpha (F* F rho)^alpha).  When the map is
     certified CP and its output has full rank it also evaluates the sharper
     reference alpha^-1 F*((F rho)^alpha), and for CP unital maps the scaling
-    bound (alpha - 1) S(rho); the record keeps the largest lower bound.
-    Positivity of the map itself is the caller's responsibility.
+    bound (alpha - 1) S(rho); the record keeps the largest lower bound, at
+    tolerance EXACT_TOL.  Positivity of the map itself is the caller's
+    responsibility.
     """
     rho = check_density(rho)
     frho = _hermitian(apply(f, rho))
@@ -359,13 +338,7 @@ def entropy_gain_positive_map(f, rho, tolerance=EXACT_TOL, seed=0, sharper=None)
 
     cp = f.flags.cp.status == "yes"
     out_full_rank = bool(psd_check(frho).min_eig > SUPPORT_CUTOFF)
-    if sharper:
-        if not cp:
-            raise ValueError("the sharper reference needs a certified CP map")
-        if not out_full_rank:
-            raise ValueError("the sharper reference needs a full-rank output")
-    use_sharper = (cp and out_full_rank) if sharper is None else bool(sharper)
-    if use_sharper:
+    if cp and out_full_rank:
         hat = _hermitian(apply_adjoint(f, mat_pow_psd(frho, alpha))) / alpha
         terms["adjoint-power"] = float(rel_entropy(rho, hat))
     if cp and f.flags.unital.status == "yes":
@@ -374,30 +347,30 @@ def entropy_gain_positive_map(f, rho, tolerance=EXACT_TOL, seed=0, sharper=None)
     params = {"alpha": float(alpha), "terms": terms, "cp": cp, "output_full_rank": out_full_rank}
     wit = {"rho": matrix_to_json(rho), "map": channel_to_json(f)}
     return _record(
-        "entropy-gain-positive-map", gain, max(terms.values()), tolerance, seed, params, wit
+        "entropy-gain-positive-map", gain, max(terms.values()), EXACT_TOL, seed, params, wit
     )
 
 
-def verify_entropy_additivity(n, m, tolerance=None):
+def verify_entropy_additivity(n, m):
     """Additivity of channel entropy on a tensor pair, as a residual check.
 
     The record encodes |S[N (x) M] - S[N] - S[M]| <= tolerance through
     lhs = 0 and rhs = residual.  Covariance-tagged pairs use the closed form
-    at tolerance 1e-8; otherwise the entropies are certified intervals, the
-    residual is the worst corner of the three, and the tolerance is the
-    looser default.  params holds each entropy as [lower, upper].
+    at tolerance EXACT_TOL; otherwise the entropies are certified intervals,
+    the residual is the worst corner of the three, and the tolerance is
+    INEQ_TOL.  params holds each entropy as [lower, upper].
     """
     joint = tensor_channels(n, m)
     if n.telecov is not None and m.telecov is not None and joint.telecov is not None:
         s_n, s_m = [channel_entropy_telecov(n)] * 2, [channel_entropy_telecov(m)] * 2
         s_joint = [channel_entropy_telecov(joint)] * 2
-        tol = EXACT_TOL if tolerance is None else tolerance
+        tol = EXACT_TOL
         path = "telecov"
         wit = {}
     else:
         r_n, r_m, r_joint = channel_entropy(n), channel_entropy(m), channel_entropy(joint)
         s_n, s_m, s_joint = _interval(r_n), _interval(r_m), _interval(r_joint)
-        tol = INEQ_TOL if tolerance is None else tolerance
+        tol = INEQ_TOL
         path = "certified"
         wit = _witness_json(
             left=r_n.optimizer_state, right=r_m.optimizer_state, joint=r_joint.optimizer_state

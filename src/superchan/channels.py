@@ -12,6 +12,7 @@ import numpy as np
 from .linalg import (
     PSD_TOL,
     SUPPORT_CUTOFF,
+    _json_dim,
     _psd_from_spectrum,
     check_hermitian,
     dagger,
@@ -408,13 +409,6 @@ def channel_to_json(n):
         "choi": matrix_to_json(n.choi),
         "normalized": False,
     }
-
-
-def _json_dim(value, key):
-    """value as a dimension: a JSON integer >= 1, not a boolean, float or string."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{key!r} must be an integer >= 1, got {value!r}")
-    return value
 
 
 def channel_from_json(obj):

@@ -362,11 +362,11 @@ def _haar_mixture_super(rng, terms=2):
     return random_isometry_super(rng.dirichlet(np.ones(terms)), pre, post)
 
 
-def _pauli_mixture_super(rng, terms=3):
+def _pauli_mixture_super(rng):
     spec = weyl_heisenberg_spec(2)
-    pre = [spec.reps_in[i] for i in rng.integers(0, 4, size=terms)]
-    post = [spec.reps_in[i] for i in rng.integers(0, 4, size=terms)]
-    return random_isometry_super(rng.dirichlet(np.ones(terms)), pre, post)
+    pre = [spec.reps_in[i] for i in rng.integers(0, 4, size=3)]
+    post = [spec.reps_in[i] for i in rng.integers(0, 4, size=3)]
+    return random_isometry_super(rng.dirichlet(np.ones(3)), pre, post)
 
 
 def _suite_dpi(index, seed, cfg):

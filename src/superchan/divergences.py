@@ -31,6 +31,7 @@ import numpy as np
 
 from .channels import (
     REP_MATCH_TOL,
+    TP_TOL,
     _group_stacks,
     _kraus_from_spectrum,
     is_cptp,
@@ -62,10 +63,10 @@ ASCENT_GAP = 1e-10
 ASCENT_MAX_ITERS = 5000
 ASCENT_FLOOR = 1e-12
 LN_ASCENT_FLOOR = np.log(ASCENT_FLOOR)
-# Off the certified path nothing proves f concave: a unit step that lowers it
-# by more than ASCENT_DROP * max(1, |f|) is retried at half length.  On both
-# paths a point within ASCENT_GAP that lowers f by no more than this ends the
-# ascent.
+# A unit step that lowers f by more than ASCENT_DROP * max(1, |f|) is retried
+# at half length; on the certified path f is relatively smooth, so unit steps
+# raise it and no step is retried.  A point within ASCENT_GAP that lowers f by
+# no more than this ends the ascent.
 ASCENT_DROP = 1e-13
 # After its first step the ascent proposes damped Newton points rho + t Delta
 # for t = 1, 1/2, ... down to NEWTON_MIN_LENGTH; one whose smallest eigenvalue
@@ -96,17 +97,14 @@ class PureBipartiteState:
         return self.min_sv > RANK_CUTOFF
 
     @property
-    def ket(self):
-        return self.a_psi.reshape(-1)
-
-    @property
-    def density(self):
-        k = self.ket
-        return np.outer(k, k.conj())
-
-    @property
     def marginal_ref(self):
         return self.a_psi @ dagger(self.a_psi)
+
+
+def choi_witness(n, psi):
+    """(id (x) N)(psi), the normalized Choi state of N in the coordinates of psi."""
+    sandwich = kron(psi.a_psi, np.eye(n.dim_out))
+    return sandwich @ n.choi @ dagger(sandwich)
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,8 @@ class DivergenceResult:
     value at the witness.
 
     restarts_used counts ascent starts (0 when certified); per_restart_values
-    holds each start's value, then each witness's.  evaluations counts
-    objective evaluations, the leak check and the witnesses included.
+    holds each start's value.  evaluations counts objective evaluations, the
+    leak check included.
     """
 
     value: float
@@ -219,22 +217,9 @@ def vn_entropy(rho):
     return -_sum_xlogx(w)
 
 
-def apply_extended(n, psi_density, dim_ref):
-    """(id_ref (x) N) applied to an operator on reference (x) input."""
-    din, dout = n.dim_in, n.dim_out
-    rho4 = psi_density.reshape(dim_ref, din, dim_ref, din)
-    c4 = n.choi.reshape(din, dout, din, dout)
-    out = np.einsum("iajb,acbd->icjd", rho4, c4)
-    return out.reshape(dim_ref * dout, dim_ref * dout)
-
-
 def divergence_at(n, m, psi):
     """D((id (x) N)Psi || (id (x) M)Psi) at one pure bipartite witness."""
-    dim_ref = psi.a_psi.shape[0]
-    density = psi.density
-    rho = apply_extended(n, density, dim_ref)
-    sig = apply_extended(m, density, dim_ref)
-    return rel_entropy(rho, sig)
+    return rel_entropy(choi_witness(n, psi), choi_witness(m, psi))
 
 
 def _replacer_target(n):
@@ -275,6 +260,9 @@ def _conditional_replacer(n, m):
 
     The output of N splits as R' (x) B with dim_out = r' * b and b > 1; r' = 1
     is tried first.  gamma = tr_{A R'} Choi_M / dim_in must have full rank.
+    Choi_M may differ from tr_B Choi_N (x) gamma by TP_TOL ||gamma||: for
+    M(X) = tr(X) gamma that difference is N's TP residual (x) gamma, which a
+    certified CPTP N keeps within it.
     """
     din, dout = n.dim_in, n.dim_out
     for b in range(dout, 1, -1):
@@ -283,7 +271,7 @@ def _conditional_replacer(n, m):
         head = din * dout // b
         gamma = partial_trace(m.choi, (head, b), "second") / din
         marginal = partial_trace(n.choi, (head, b), "first")
-        if np.linalg.norm(m.choi - kron(marginal, gamma)) > REPLACER_TOL:
+        if np.linalg.norm(m.choi - kron(marginal, gamma)) > TP_TOL * np.linalg.norm(gamma):
             continue
         w, v = herm_eig(gamma)
         if w[0] > SUPPORT_CUTOFF:
@@ -403,7 +391,7 @@ def _newton_proposals(point, d):
         length /= 2
 
 
-def _ascend(objective, d, x, max_evals, backtrack=False):
+def _ascend(objective, d, x, max_evals):
     """Ascent from the real vector x = ln rho: the last point and its evaluations.
 
     objective(rho) returns f ln 2, its gradient grad in nats up to a multiple
@@ -414,11 +402,12 @@ def _ascend(objective, d, x, max_evals, backtrack=False):
     rho (see _newton_proposals), unless rho's smallest eigenvalue is below
     NEWTON_MIN_EIG, and takes the first one that raises f; when none does it
     falls back to the unit mirror step, halved while it lowers f by more than
-    ASCENT_DROP * max(1, |f|) when backtrack is set.  The ascent returns the
-    first evaluated point whose Frank-Wolfe gap lambda_max(grad) - tr rho grad
-    is at most ASCENT_GAP bits and whose f is not below the current point's
-    by more than ASCENT_DROP * max(1, |f|), a Newton proposal included;
-    otherwise it stops after max_evals evaluations.
+    ASCENT_DROP * max(1, |f|) (never on the certified objective, see
+    _certified_divergence).  The ascent returns the first evaluated point
+    whose Frank-Wolfe gap lambda_max(grad) - tr rho grad is at most
+    ASCENT_GAP bits and whose f is not below the current point's by more than
+    ASCENT_DROP * max(1, |f|), a Newton proposal included; otherwise it stops
+    after max_evals evaluations.
     """
 
     def evaluate(h_w, h_v, p):
@@ -459,7 +448,7 @@ def _ascend(objective, d, x, max_evals, backtrack=False):
             evaluations += 1
             if cand.gap <= ASCENT_GAP and cand.f >= low:
                 return cand, evaluations
-            if backtrack and cand.f < low:
+            if cand.f < low:
                 length /= 2
             else:
                 new = cand
@@ -616,12 +605,12 @@ def _general_objective(n, m):
     return objective
 
 
-def _searched_divergence(n, m, opts, witnesses):
+def _searched_divergence(n, m, opts):
     """D[N||M] for any pair: +inf if the supports leak, else a lower bound.
 
-    The backtracking ascent on _general_objective starts at rho = 1/d and, for
-    r >= 1, at the input marginal of the Gaussian pure state drawn from
-    default_rng((seed, r)).  The best start or supplied witness wins.
+    The ascent on _general_objective starts at rho = 1/d and, for r >= 1, at
+    the input marginal of the Gaussian pure state drawn from
+    default_rng((seed, r)).  The best start wins.
     """
     d = n.dim_in
     if divergence_at(n, m, maximally_entangled(d)) == np.inf:
@@ -637,10 +626,9 @@ def _searched_divergence(n, m, opts, witnesses):
         return _flat((v * np.log(np.maximum(w, TINY))) @ dagger(v))
 
     starts = (start(r) for r in range(opts.restarts))
-    runs = [_ascend(objective, d, x, opts.max_evals, backtrack=True) for x in starts]
+    runs = [_ascend(objective, d, x, opts.max_evals) for x in starts]
     found = [(float(p.f), _witness(p), p.gap <= ASCENT_GAP) for p, _ in runs]
-    found += [(divergence_at(n, m, psi), psi, True) for psi in witnesses]
-    evaluations = 1 + len(witnesses) + sum(used for _, used in runs)
+    evaluations = 1 + sum(used for _, used in runs)
     value, state, converged = max(found, key=lambda c: c[0])
     return DivergenceResult(
         value=value, upper=np.inf, optimizer_state=state, restarts_used=opts.restarts,
@@ -649,14 +637,12 @@ def _searched_divergence(n, m, opts, witnesses):
     )
 
 
-def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
+def channel_divergence(n, m, opts=OptimizerOpts()):
     """Channel relative entropy D[N||M] as an interval [value, upper].
 
     Closed forms and conditional-replacer references are exact or certified
     (see the module docstring).  Other pairs get the restarted ascent, whose
-    value is a lower bound; extra pure bipartite states in `witnesses` are
-    evaluated alongside its starts, so the value dominates every supplied
-    feasible point.
+    value is a lower bound.
     """
     if (n.dim_in, n.dim_out) != (m.dim_in, m.dim_out):
         raise ValueError("channel dimensions do not match")
@@ -675,7 +661,7 @@ def channel_divergence(n, m, opts=OptimizerOpts(), witnesses=()):
     conditional = _conditional_replacer(n, m)
     if conditional is not None:
         return _certified_divergence(n, *conditional)
-    return _searched_divergence(n, m, opts, witnesses)
+    return _searched_divergence(n, m, opts)
 
 
 def _negated(div):

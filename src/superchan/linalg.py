@@ -147,18 +147,18 @@ def mat_sqrt_psd(p, cutoff=SUPPORT_CUTOFF):
     return mat_fn_psd(p, "sqrt", cutoff=cutoff)
 
 
-def mat_inv_sqrt_psd(p, cutoff=SUPPORT_CUTOFF):
-    return mat_fn_psd(p, "inv_sqrt", cutoff=cutoff)
+def mat_inv_sqrt_psd(p):
+    return mat_fn_psd(p, "inv_sqrt")
 
 
-def mat_pow_psd(p, alpha, cutoff=SUPPORT_CUTOFF):
-    return mat_fn_psd(p, "pow", alpha=alpha, cutoff=cutoff)
+def mat_pow_psd(p, alpha):
+    return mat_fn_psd(p, "pow", alpha=alpha)
 
 
-def support_projector(p, cutoff=SUPPORT_CUTOFF):
-    """Projector onto the support (eigenvalues > cutoff) of a PSD matrix."""
+def support_projector(p):
+    """Projector onto the support (eigenvalues > SUPPORT_CUTOFF) of a PSD matrix."""
     w, v = herm_eig(p)
-    return _projector_from_spectrum(w, v, cutoff)
+    return _projector_from_spectrum(w, v, SUPPORT_CUTOFF)
 
 
 def _projector_from_spectrum(w, v, cutoff):
@@ -226,15 +226,15 @@ def fidelity(rho, sigma):
     return max(val, 0.0)
 
 
-def psd_check(x, tol=PSD_TOL):
-    """PSD verdict with the min eigenvalue as certificate."""
-    return _psd_from_spectrum(herm_eigvals(x), tol)
+def psd_check(x):
+    """PSD verdict (min eigenvalue >= -PSD_TOL) with the min eigenvalue as certificate."""
+    return _psd_from_spectrum(herm_eigvals(x))
 
 
-def _psd_from_spectrum(w, tol=PSD_TOL):
+def _psd_from_spectrum(w):
     """psd_check of the matrix whose ascending eigenvalues are w."""
     mn = float(w[0]) if w.size else 0.0
-    return PsdCheck(bool(mn >= -tol), mn)
+    return PsdCheck(bool(mn >= -PSD_TOL), mn)
 
 
 def check_density(rho):
@@ -261,9 +261,16 @@ def matrix_to_json(x):
     return {"rows": int(x.shape[0]), "cols": int(x.shape[1]), "data": data}
 
 
+def _json_dim(value, key):
+    """value as a dimension: a JSON integer >= 1, not a boolean, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key!r} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj):
     """Decode the matrix encoding produced by matrix_to_json."""
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _json_dim(obj["rows"], "rows"), _json_dim(obj["cols"], "cols")
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")

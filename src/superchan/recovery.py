@@ -11,7 +11,6 @@ from .linalg import (
     _check_density_spectrum,
     _fn_from_spectrum,
     _projector_from_spectrum,
-    check_density,
     dagger,
     herm_eig,
     kron,
@@ -49,28 +48,22 @@ def petz(sigma, n):
     return channel_from_kraus(base)
 
 
-def universal_recovery(sigma, n, xi=None):
-    """Average of rotated Petz maps plus an off-support completion onto xi.
+def universal_recovery(sigma, n):
+    """Average of rotated Petz maps plus an off-support completion onto 1/d.
 
     The Choi is the integral of the rotated Petz map, with Kraus operators
     sigma^(1/2 - it/2) K^dag n(sigma)^(-1/2 + it/2), against
     beta_0(t) = (pi/2) / (cosh(pi t) + 1) (Junge, Renner, Sutter, Wilde &
-    Winter, AHP 19, 2018), plus (1 - Pi).T (x) xi for the support projector
-    Pi of n(sigma).  In the eigenbases {s_p} of sigma and {m_q} of n(sigma)
-    the rotation multiplies Kraus entry (p, q) by exp(-i t lam_qp), with
-    lam_qp = (ln s_p - ln m_q) / 2, so the average is the Petz Choi times the
-    Fourier transform of beta_0, omega / sinh omega at
-    omega = lam_qp - lam_q'p'.  Off the supports ln 0 reads as 0; the Petz
-    entries vanish there, so the factor does not matter.
+    Winter, AHP 19, 2018), plus (1 - Pi).T (x) 1/d for the support projector
+    Pi of n(sigma) and d = dim_in.  In the eigenbases {s_p} of sigma and
+    {m_q} of n(sigma) the rotation multiplies Kraus entry (p, q) by
+    exp(-i t lam_qp), with lam_qp = (ln s_p - ln m_q) / 2, so the average is
+    the Petz Choi times the Fourier transform of beta_0, omega / sinh omega
+    at omega = lam_qp - lam_q'p'.  Off the supports ln 0 reads as 0; the
+    Petz entries vanish there, so the factor does not matter.
     """
     (sw, sv), (mw, mv), base = _petz_ingredients(sigma, n)
     dx, dy = n.dim_in, n.dim_out
-    if xi is None:
-        xi = np.eye(dx) / dx
-    else:
-        xi = check_density(np.asarray(xi, dtype=complex))
-        if xi.shape != (dx, dx):
-            raise ValueError("xi must live on the recovery output space")
 
     # Row k holds <s_p| base_k |m_q> at (q, p), the Choi's (input, output) order.
     core = np.stack([(dagger(sv) @ b @ mv).T.reshape(-1) for b in base])
@@ -78,6 +71,6 @@ def universal_recovery(sigma, n, xi=None):
     basis = kron(mv.conj(), sv)
     choi = basis @ schur_sinh_ratio(core.T @ core.conj(), lam) @ dagger(basis)
     pi = _projector_from_spectrum(mw, mv, SUPPORT_CUTOFF)
-    choi = choi + kron((np.eye(dy) - pi).T, xi)
+    choi = choi + kron((np.eye(dy) - pi).T, np.eye(dx) / dx)
     choi = (choi + dagger(choi)) / 2
     return channel_from_choi(choi, dy, dx)

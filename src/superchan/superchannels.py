@@ -17,7 +17,6 @@ from .channels import (
     UNITARY_TOL,
     Channel,
     Flag,
-    _json_dim,
     _on_first_read,
     apply,
     apply_adjoint,
@@ -31,6 +30,7 @@ from .channels import (
 from .linalg import (
     SUPPORT_CUTOFF,
     TRACE_TOL,
+    _json_dim,
     dagger,
     herm_eig,
     kron,
@@ -123,6 +123,8 @@ def super_from_dilation(pre, post, ref_dim=1):
     """Superchannel post o (N (x) id_R) o pre from CPTP pre and post channels."""
     if not is_cptp(pre) or not is_cptp(post):
         raise ValueError("pre and post must be certified CPTP")
+    if ref_dim < 1:
+        raise ValueError(f"ref_dim must be >= 1, got {ref_dim}")
     if pre.dim_out % ref_dim or post.dim_in % ref_dim:
         raise ValueError("ref_dim does not divide the pre/post interface dims")
     a = pre.dim_out // ref_dim
@@ -281,12 +283,6 @@ def alpha_norm(f):
     return float(np.linalg.norm(apply_adjoint(f, np.eye(f.dim_out)), ord=2))
 
 
-def choi_witness(n, psi):
-    """Normalized Choi state of a channel in the coordinates of a witness."""
-    sandwich = kron(psi.a_psi, np.eye(n.dim_out))
-    return sandwich @ n.choi @ dagger(sandwich)
-
-
 def extend_super_with_identity(theta, dim_e):
     """The supermap id_E (x) Theta acting on maps E(x)A -> E(x)B."""
     id_e = super_from_rep(identity_channel(dim_e * dim_e).choi, (dim_e,) * 4)
@@ -322,7 +318,7 @@ def super_from_json(obj):
         theta = super_from_dilation(
             channel_from_json(obj["pre"]),
             channel_from_json(obj["post"]),
-            ref_dim=int(obj.get("ref_dim", 1)),
+            ref_dim=_json_dim(obj.get("ref_dim", 1), "ref_dim"),
         )
         # (pre.dim_out / ref_dim, post.dim_in / ref_dim, pre.dim_in, post.dim_out)
         if dims != theta.dims:

@@ -206,6 +206,36 @@ def test_supermap_dimensions_must_be_json_integers(tmp_path, capsys, value, dila
         assert "'dims' must be an integer >= 1" in capsys.readouterr().err
 
 
+@BAD_DIMS
+def test_dilation_ref_dim_must_be_a_json_integer(tmp_path, capsys, value):
+    theta = cli._haar_mixture_super(np.random.default_rng(84))
+    n = channels.random_channel(2, 2, 2, 84)
+    channel = write_json(tmp_path, "n.json", channels.channel_to_json(n))
+    obj = {**sc.super_to_json(theta), "ref_dim": value}
+    assert cli.main(["apply-super", write_json(tmp_path, "t.json", obj), channel]) == 2
+    assert "'ref_dim' must be an integer >= 1" in capsys.readouterr().err
+
+
+@BAD_DIMS
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_matrix_dimensions_must_be_json_integers(tmp_path, capsys, value, key):
+    n = channels.random_channel(2, 2, 2, 85)
+    sigma = rand_density(85, 2)
+    good_n = write_json(tmp_path, "n.json", channels.channel_to_json(n))
+    good_state = write_json(tmp_path, "s.json", linalg.matrix_to_json(sigma))
+    bad_state = write_json(tmp_path, "bad_s.json", {**linalg.matrix_to_json(sigma), key: value})
+    obj = channels.channel_to_json(n)
+    obj["kraus"][0][key] = value
+    bad_n = write_json(tmp_path, "bad_n.json", obj)
+    for argv in (
+        ["entropy", bad_n],
+        ["recover", bad_state, good_n, good_state],
+        ["recover", good_state, good_n, bad_state],
+    ):
+        assert cli.main(argv) == 2, argv
+        assert f"'{key}' must be an integer >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dims", [[3, 2, 2, 2], [2, 2, 2]], ids=["mismatch", "short"])
 def test_dilation_dims_must_match_its_channels(tmp_path, capsys, dims):
     theta = cli._haar_mixture_super(np.random.default_rng(83))

@@ -247,8 +247,8 @@ def test_fidelity_symmetry():
 def test_psd_check():
     ok = linalg.psd_check(np.eye(2))
     assert ok.is_psd and abs(ok.min_eig - 1.0) < 1e-12
-    assert not linalg.psd_check(np.diag([1.0, -1e-3]), tol=1e-9).is_psd
-    assert linalg.psd_check(np.diag([1.0, -1e-12]), tol=1e-9).is_psd
+    assert not linalg.psd_check(np.diag([1.0, -1e-3])).is_psd
+    assert linalg.psd_check(np.diag([1.0, -1e-12])).is_psd
 
 
 def test_support_projector():

@@ -6,6 +6,10 @@ follows name references from each reached definition, through the package's
 relative imports.  A definition that no root reaches is library code that no
 command runs: it should go, or move into the test that uses it.
 
+Every defaulted parameter of a package function is set by some call in the
+package, so no option exists that no command can change; UNSET_KEPT names
+the exceptions and their reasons.
+
 The same AST holds the records to one constructor: bounds._record is the
 only call of VerificationRecord, so every verdict follows from its sides;
 every Kronecker product to one kernel, linalg.kron, in place of np.kron;
@@ -27,6 +31,21 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 # different adjoint method reach that name from a command.
 KEPT = frozenset(
     {"super_to_json", "replacer_channel", "depolarizing_r_tilde", "adjoint", "__version__"}
+)
+
+
+# Defaulted parameters that no call in the package sets.  verify_refined_dpi's
+# psi and phi are the paper's witness coordinates, and the only test of a
+# record skipped at a witness that is not maximally entangled sets psi; the
+# tests drive the command line through main(argv); Python's descriptor
+# protocol sets __get__'s owner.
+UNSET_KEPT = frozenset(
+    {
+        ("verify_refined_dpi", "psi"),
+        ("verify_refined_dpi", "phi"),
+        ("main", "argv"),
+        ("__get__", "owner"),
+    }
 )
 
 
@@ -99,6 +118,53 @@ def test_every_definition_is_reached_from_a_command():
     )
     assert not unreached, "no command reaches: " + ", ".join(unreached)
 
+
+
+def _functions(tree):
+    """(function node, offset) of every def in tree; offset 1 skips a method's self."""
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child, int(isinstance(node, ast.ClassDef))
+
+
+def _defaulted(fn, offset):
+    """(position in a call, name) of each defaulted parameter; position None if keyword-only."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - offset, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _sets(call, position, name):
+    """True when call passes the parameter at position, or named name."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_is_set_by_some_call():
+    """A defaulted parameter that no call sets is an option no command can change."""
+    package = Package(PACKAGE)
+    calls = {}  # callee name -> calls
+    for tree in package.trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unset = sorted(
+        f"{module}.{fn.name}({name}) (line {fn.lineno})"
+        for module, tree in package.trees.items()
+        for fn, offset in _functions(tree)
+        for position, name in _defaulted(fn, offset)
+        if (fn.name, name) not in UNSET_KEPT
+        and not any(_sets(call, position, name) for call in calls.get(fn.name, ()))
+    )
+    assert not unset, "no call in the package sets: " + ", ".join(unset)
 
 
 def test_records_are_built_only_by_record():

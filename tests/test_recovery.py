@@ -208,7 +208,7 @@ def test_tilde_trace_preserving_subunital():
 def recover_channel(theta, psi, phi, inner, n_tilde):
     """Apply the recovery supermap built from `inner` to a channel on theta's output slot."""
     a, b, _, _ = theta.dims
-    y = channels.apply(inner, sc.choi_witness(n_tilde, phi))
+    y = channels.apply(inner, dv.choi_witness(n_tilde, phi))
     pullback = np.kron(np.linalg.inv(psi.a_psi), np.eye(b))
     choi = pullback @ y @ pullback.conj().T
     return channels.channel_from_choi((choi + choi.conj().T) / 2, a, b)
@@ -224,7 +224,7 @@ def recovery_supermap(theta, m, psi, phi):
     """
     fix = sc.tp_fix_map(sc.generalized_rep(theta, psi, phi))
     assert fix.is_cptp
-    anchor_state = sc.choi_witness(m, psi)
+    anchor_state = dv.choi_witness(m, psi)
     inner = rc.universal_recovery((anchor_state + anchor_state.conj().T) / 2, fix.channel)
     recovered = recover_channel(theta, psi, phi, inner, sc.apply_super(theta, m))
     return inner, linalg.trace_norm(recovered.choi - m.choi)

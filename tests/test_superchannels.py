@@ -127,6 +127,9 @@ def test_identity_superchannel():
     np.testing.assert_allclose(theta.rep.choi, channels.identity_channel(4).choi, atol=1e-12)
     n = channels.random_channel(2, 2, 2, seed=0)
     np.testing.assert_allclose(sc.apply_super(theta, n).choi, n.choi, atol=1e-10)
+    for ref_dim in (0, -1):
+        with pytest.raises(ValueError, match="ref_dim must be >= 1"):
+            sc.super_from_dilation(ident, ident, ref_dim=ref_dim)
 
 
 def test_unitary_sandwich_superchannel():
@@ -416,8 +419,8 @@ def test_generalized_rep_maps_choi_witnesses():
     t_frak = sc.generalized_rep(theta, psi, phi)
     for seed in range(5):
         n = channels.random_channel(2, 2, 2, seed=200 + seed)
-        lhs = channels.apply(t_frak, sc.choi_witness(n, psi))
-        rhs = sc.choi_witness(sc.apply_super(theta, n), phi)
+        lhs = channels.apply(t_frak, dv.choi_witness(n, psi))
+        rhs = dv.choi_witness(sc.apply_super(theta, n), phi)
         assert abs(np.trace(lhs) - 1.0) < 1e-10
         assert np.linalg.norm(lhs - rhs) <= 1e-8
 
@@ -432,8 +435,8 @@ def test_generalized_rep_identity_super_composition():
     t_frak = sc.generalized_rep(ident, psi, phi)
     for seed in range(3):
         n = channels.random_channel(2, 2, 2, seed=300 + seed)
-        lhs = channels.apply(t_frak, sc.choi_witness(n, psi))
-        rhs = sc.choi_witness(n, phi)
+        lhs = channels.apply(t_frak, dv.choi_witness(n, psi))
+        rhs = dv.choi_witness(n, phi)
         assert np.linalg.norm(lhs - rhs) <= 1e-8
 
 
@@ -456,7 +459,7 @@ def test_t_frak_prime_agrees_on_normalized_choi_states():
     fixed = sc.tp_fixed_channel(t_frak, fix.sigma0)
     for seed in range(5):
         n = channels.random_channel(2, 2, 2, seed=400 + seed)
-        state = sc.choi_witness(n, psi)
+        state = dv.choi_witness(n, psi)
         np.testing.assert_allclose(
             channels.apply(fixed, state), channels.apply(t_frak, state), atol=1e-8
         )

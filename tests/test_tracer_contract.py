@@ -36,3 +36,15 @@ def test_every_wrapped_name_resolves(tracer):
 def test_divergence_result_has_the_fields_the_tracer_reads():
     fields = {f.name for f in dataclasses.fields(dv.DivergenceResult)}
     assert {"restarts_used", "is_lower_bound", "per_restart_values", "value"} <= fields
+
+
+def test_a_traced_verify_call_reduces_to_layer_metrics(tracer, tmp_path):
+    """perfbench/run.py --trace 1 traces verify calls and reduces them with layer_metrics."""
+    from superchan import cli
+
+    argv = ["verify", "dpi", "--trials", "1", "--restarts", "1", "--out", str(tmp_path / "r.json")]
+    with tracer.Tracer() as traced:
+        assert cli.main(argv) == 0
+    metrics = tracer.layer_metrics(traced)
+    assert metrics["cli.trial.calls"] == 1
+    assert metrics["divergences.channel_divergence.calls"] == 2
