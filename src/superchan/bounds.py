@@ -38,12 +38,12 @@ from .linalg import (
     check_density,
     dagger,
     fidelity,
+    herm_eigvals,
     kron,
     mat_inv_sqrt_psd,
     mat_pow_psd,
     mat_sqrt_psd,
     matrix_to_json,
-    psd_check,
 )
 from .recovery import universal_recovery
 from .superchannels import (
@@ -148,10 +148,17 @@ def _witness_json(**states):
 
 
 def _alpha_remainder(f, rho):
-    """alpha = ||F*(1)|| and D(rho || alpha^-alpha (F* F rho)^alpha)."""
+    """alpha = ||F*(1)|| and D(rho || alpha^-alpha (F* F rho)^alpha).
+
+    Computed in log space, as alpha D(rho || P) + (alpha - 1) S(rho)
+    + alpha log2 alpha with P = F* F rho, so no power of alpha or of P is
+    formed (alpha^alpha overflows a float near alpha = 144).  P^alpha has
+    P's support, so the support and leak rule is rel_entropy's.
+    """
     alpha = alpha_norm(f)
     pushed = _hermitian(apply_adjoint(f, apply(f, rho)))
-    return alpha, rel_entropy(rho, mat_pow_psd(pushed, alpha) / alpha**alpha)
+    div = alpha * rel_entropy(rho, pushed) + (alpha - 1.0) * vn_entropy(rho)
+    return alpha, div + alpha * float(np.log2(alpha))
 
 
 def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
@@ -167,7 +174,15 @@ def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
     _require_input_slot(theta, n, m)
     before = channel_divergence(n, m, opts)
     after = channel_divergence(apply_super(theta, n), apply_super(theta, m), opts)
-    params = {"dims": list(theta.dims), "restarts": opts.restarts, "max_evals": opts.max_evals}
+    params = {
+        "dims": list(theta.dims),
+        "restarts": opts.restarts,
+        "max_evals": opts.max_evals,
+        "before": _interval(before),
+        "after": _interval(after),
+        "before_evaluations": before.evaluations,
+        "after_evaluations": after.evaluations,
+    }
     wit = _witness_json(before=before.optimizer_state, after=after.optimizer_state)
     return _record("channel-dpi", before.value, after.value, tolerance, opts.seed, params, wit)
 
@@ -337,10 +352,20 @@ def entropy_gain_positive_map(f, rho, seed=0):
     terms = {"power": float(power_term)}
 
     cp = f.flags.cp.status == "yes"
-    out_full_rank = bool(psd_check(frho).min_eig > SUPPORT_CUTOFF)
+    spectrum = herm_eigvals(frho)
+    out_full_rank = bool(spectrum[0] > SUPPORT_CUTOFF)
     if cp and out_full_rank:
-        hat = _hermitian(apply_adjoint(f, mat_pow_psd(frho, alpha))) / alpha
-        terms["adjoint-power"] = float(rel_entropy(rho, hat))
+        # D(rho || F*((F rho)^alpha) / alpha), with F rho divided by s, the
+        # larger of 1 and its smallest eigenvalue, before the power. The
+        # power's eigenvalues are then either unscaled or all at least 1, so
+        # none drops below the absolute support cutoff that the unscaled power
+        # keeps, and it overflows only where F rho's spread does, not its
+        # scale. Dividing by the largest eigenvalue would push the small
+        # ones under the cutoff and turn the term into +inf.
+        s = max(float(spectrum[0]), 1.0)
+        hat = _hermitian(apply_adjoint(f, mat_pow_psd(frho / s, alpha)))
+        div = rel_entropy(rho, hat) - alpha * np.log2(s) + np.log2(alpha)
+        terms["adjoint-power"] = float(div)
     if cp and f.flags.unital.status == "yes":
         terms["unital-scaling"] = float((alpha - 1.0) * vn_entropy(rho))
 

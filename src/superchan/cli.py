@@ -7,13 +7,9 @@ output bytes.
 """
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import sys
-import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -538,6 +534,9 @@ def cmd_verify(args, cfg):
     if args.jobs == 1:
         records = list(map(work, range(trials)))
     else:
+        # Imported only here: concurrent.futures pulls in logging at import.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(work, range(trials)))
     passes = sum(1 for r in records if r.passed)
@@ -578,6 +577,9 @@ def cmd_report(args, cfg):
     blob = _load_json(args.report)
     if not isinstance(blob, dict) or "records" not in blob:
         raise CliError(EXIT_USAGE, f"{args.report}: not a verification report")
+    import csv  # only report writes CSV; every other call skips the import
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
@@ -592,65 +594,107 @@ def cmd_report(args, cfg):
     return EXIT_OK
 
 
-def build_parser():
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_FILE_ARGS = (
+    _arg("--config", help="JSON run configuration file"),
+    _arg("--out", help="output file (default: config output_path or stdout)"),
+)
+# Only divergence and verify read the seed and the restarts.
+_OPTIMIZER_ARGS = (
+    _arg("--seed", type=int, help="override the config seed"),
+    _arg("--restarts", type=int, help="override optimizer restarts"),
+)
+
+# name -> (help, handler, arguments), in the order the full help lists them.
+_COMMANDS = {
+    "entropy": (
+        "channel entropy of a channel JSON file",
+        cmd_entropy,
+        (_arg("channel"), *_FILE_ARGS),
+    ),
+    "divergence": (
+        "channel divergence against a CP reference",
+        cmd_divergence,
+        (_arg("channel"), _arg("reference"), *_FILE_ARGS, *_OPTIMIZER_ARGS),
+    ),
+    "apply-super": (
+        "apply a supermap JSON file to a channel",
+        cmd_apply_super,
+        (_arg("supermap"), _arg("channel"), *_FILE_ARGS),
+    ),
+    "recover": (
+        "recovery maps for (sigma, channel) on an input state",
+        cmd_recover,
+        (
+            _arg("sigma"),
+            _arg("channel"),
+            _arg("input"),
+            _arg("--mode", choices=("petz", "universal", "both"), default="both"),
+            _arg("--original", help="state to compare the recovery against (default: sigma)"),
+            *_FILE_ARGS,
+        ),
+    ),
+    "verify": (
+        "run a seeded verification suite and write a report",
+        cmd_verify,
+        (
+            _arg("suite", choices=SUITES),
+            _arg("--trials", type=int, default=10),
+            _arg(
+                "--jobs",
+                type=int,
+                default=1,
+                help="worker threads (default 1); never affects output bytes",
+            ),
+            *_FILE_ARGS,
+            *_OPTIMIZER_ARGS,
+        ),
+    ),
+    "report": (
+        "project a JSON report to CSV",
+        cmd_report,
+        (_arg("report"), *_FILE_ARGS),
+    ),
+}
+
+
+def _add_command(parser, name):
+    _, fn, arguments = _COMMANDS[name]
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(fn=fn, command=name)
+    return parser
+
+
+def build_parser(command=None):
+    """The parser of one command, or with command=None the full parser.
+
+    A call runs one command, so `main` builds only that command's parser; the
+    full parser, with every command as a subparser, serves the top-level help
+    and the usage errors that name no command.
+    """
+    if command is not None:
+        return _add_command(argparse.ArgumentParser(prog=f"superchan {command}"), command)
     parser = argparse.ArgumentParser(
         prog="superchan",
         description="Channel and superchannel numerics: entropies, divergences, "
         "recovery maps, and verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, optimizer=False):
-        p.add_argument("--config", help="JSON run configuration file")
-        p.add_argument("--out", help="output file (default: config output_path or stdout)")
-        if optimizer:
-            p.add_argument("--seed", type=int, help="override the config seed")
-            p.add_argument("--restarts", type=int, help="override optimizer restarts")
-
-    p = sub.add_parser("entropy", help="channel entropy of a channel JSON file")
-    p.add_argument("channel")
-    common(p)
-    p.set_defaults(fn=cmd_entropy)
-
-    p = sub.add_parser("divergence", help="channel divergence against a CP reference")
-    p.add_argument("channel")
-    p.add_argument("reference")
-    common(p, optimizer=True)
-    p.set_defaults(fn=cmd_divergence)
-
-    p = sub.add_parser("apply-super", help="apply a supermap JSON file to a channel")
-    p.add_argument("supermap")
-    p.add_argument("channel")
-    common(p)
-    p.set_defaults(fn=cmd_apply_super)
-
-    p = sub.add_parser("recover", help="recovery maps for (sigma, channel) on an input state")
-    p.add_argument("sigma")
-    p.add_argument("channel")
-    p.add_argument("input")
-    p.add_argument("--mode", choices=("petz", "universal", "both"), default="both")
-    p.add_argument("--original", help="state to compare the recovery against (default: sigma)")
-    common(p)
-    p.set_defaults(fn=cmd_recover)
-
-    p = sub.add_parser("verify", help="run a seeded verification suite and write a report")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument(
-        "--jobs", type=int, default=1, help="worker threads (default 1); never affects output bytes"
-    )
-    common(p, optimizer=True)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("report", help="project a JSON report to CSV")
-    p.add_argument("report")
-    common(p)
-    p.set_defaults(fn=cmd_report)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         for name in ("seed", "restarts"):
@@ -665,6 +709,8 @@ def main(argv=None):
         return EXIT_INPUT
     except Exception:
         # Any other exception is a defect in the program, not a failed check.
+        import traceback
+
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -162,6 +162,43 @@ def test_positive_map_gain_scaled_cptp_sweep():
         assert rec.slack >= -1e-8
 
 
+def test_positive_map_gain_large_alpha_does_not_overflow():
+    # alpha = 200: alpha^alpha and (F* F rho)^alpha both overflow a float.
+    f = channels.channel_from_kraus([np.sqrt(200.0) * np.eye(2)])
+    rec = bd.entropy_gain_positive_map(f, np.eye(2) / 2)
+    want = -1329.7712379549453  # 2 * 100 * log2(1/100) - 1, by hand
+    assert rec.passed
+    assert rec.lhs == pytest.approx(want, rel=1e-14)
+    assert rec.params["terms"]["power"] == pytest.approx(want, rel=1e-14)
+    assert rec.params["terms"]["adjoint-power"] == pytest.approx(want, rel=1e-14)
+
+
+def test_positive_map_remainders_match_their_direct_forms():
+    cases = []
+    for seed in range(20):
+        rng = np.random.default_rng((86, seed))
+        base = channels.random_channel(2, 3, 3, seed)
+        scale = rng.uniform(0.5, 2.0)
+        f = channels.channel_from_kraus([np.sqrt(scale) * k for k in base.kraus])
+        cases.append((f, rand_density(rng, 2)))
+    # alpha = 23 and F rho = diag(13.8, 4.508): divided by its largest
+    # eigenvalue, the power's small eigenvalue would fall below the cutoff.
+    f = channels.channel_from_kraus([np.sqrt(23.0) * np.diag([1.0, 0.7])])
+    cases.append((f, np.diag([0.6, 0.4]).astype(complex)))
+    for f, rho in cases:
+        rec = bd.entropy_gain_positive_map(f, rho)
+        alpha = rec.params["alpha"]
+        frho = hermitian(channels.apply(f, rho))
+        pushed = hermitian(channels.apply_adjoint(f, frho))
+        power = dv.rel_entropy(rho, linalg.mat_pow_psd(pushed, alpha) / alpha**alpha)
+        hat = hermitian(channels.apply_adjoint(f, linalg.mat_pow_psd(frho, alpha))) / alpha
+        terms = rec.params["terms"]
+        np.testing.assert_allclose(terms["power"], power, rtol=1e-12, atol=1e-10)
+        np.testing.assert_allclose(
+            terms["adjoint-power"], dv.rel_entropy(rho, hat), rtol=1e-12, atol=1e-10
+        )
+
+
 def test_positive_map_gain_sharper_needs_full_rank():
     pure = np.zeros((2, 2), dtype=complex)
     pure[0, 0] = 1.0

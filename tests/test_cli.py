@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import dataclasses
@@ -316,9 +317,30 @@ def test_verify_one_job_runs_on_the_calling_thread(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("verify --jobs 1 started a worker thread")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert cli.main([*argv, inline, "--jobs", "1"]) == 0
     assert (tmp_path / "inline.json").read_bytes() == (tmp_path / "pooled.json").read_bytes()
+
+
+def test_dpi_record_carries_both_divergence_intervals(tmp_path):
+    cfg = cli.RunConfig(restarts=2, max_evals=200, seed=5)
+    out = str(tmp_path / "rep.json")
+    argv = ["verify", "dpi", "--trials", "2", "--config", write_config(tmp_path, seed=5)]
+    assert cli.main([*argv, "--out", out]) == 0
+    records = json.loads((tmp_path / "rep.json").read_text())["records"]
+    for index, rec in enumerate(records):
+        rng = np.random.default_rng((5, index))
+        n, m = cli._pauli_channel(rng), cli._pauli_channel(rng)
+        theta = cli._haar_mixture_super(rng)
+        opts = cli._opts(cfg, cli._trial_seed(5, index))
+        before = dv.channel_divergence(n, m, opts)
+        after = dv.channel_divergence(sc.apply_super(theta, n), sc.apply_super(theta, m), opts)
+        params = rec["params"]
+        assert params["before"] == bd._interval(before)
+        assert params["after"] == bd._interval(after)
+        assert params["before_evaluations"] == before.evaluations
+        assert params["after_evaluations"] == after.evaluations
+        assert (rec["lhs"], rec["rhs"]) == tuple(params[k][0] for k in ("before", "after"))
 
 
 def test_verify_seed_changes_samples(tmp_path):
@@ -351,12 +373,91 @@ def test_optimizer_flags_only_where_read(argv):
     assert err.value.code == 2
 
 
+COMMANDS = ("entropy", "divergence", "apply-super", "recover", "verify", "report")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_matches_full_parser(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args([command, "-h"])
+    assert err.value.code == 0
+    full = capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "-h"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out == full
+    assert full.startswith(f"usage: superchan {command} [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["no-such-command"],
+        ["--seed", "1", "verify", "dpi"],
+        ["verify"],
+        ["recover", "s.json", "n.json"],
+        ["verify", "dpi", "--no-such-flag"],
+    ],
+)
+def test_usage_errors_exit_2(argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+
+
+def test_usage_error_names_the_command(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["report", "r.json", "--seed", "1"])
+    assert "superchan report: error: unrecognized arguments: --seed 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["no-such-command"])
+    assert "superchan: error: argument command: invalid choice" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_on_every_call(tmp_path, monkeypatch):
+    # A cached parser would hide its build cost from every measured call.
+    built = []
+    build = cli.build_parser
+
+    def counting(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    out = str(tmp_path / "rep.json")
+    for _ in range(2):
+        assert cli.main(["verify", "tp-completion", "--out", out]) == 0
+    assert built == ["verify", "verify"]
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, superchan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, superchan.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m in ('concurrent.futures', 'csv')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_entry_point_reads_sys_argv(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "rep.json"
+    argv = ["-m", "superchan.cli", "verify", "additivity", "--trials", "1", "--out", str(out)]
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    from importlib import resources
+
+    schema = json.loads(
+        resources.files("superchan").joinpath("schemas/report.schema.json").read_text()
+    )
+    blob = json.loads(out.read_text())
+    jsonschema.validate(blob, schema)
+    assert blob["suite"] == "additivity" and blob["trials"] == 1
 
 
 def test_verify_single_instance_suite_ignores_trials(tmp_path):
