@@ -32,6 +32,19 @@ def rand_density(seed, dim):
     return rho / np.trace(rho).real
 
 
+def fresh_interpreter_env():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def report_schema():
+    from importlib import resources
+
+    return json.loads(
+        resources.files("superchan").joinpath("schemas/report.schema.json").read_text()
+    )
+
+
 def test_entropy_closed_form_anchors(tmp_path):
     out = str(tmp_path / "out.json")
     rt = write_json(tmp_path, "rt.json", channels.channel_to_json(channels.depolarizing_r_tilde(2, 2)))
@@ -285,12 +298,7 @@ def test_verify_report_matches_schema(tmp_path):
     out = str(tmp_path / "rep.json")
     assert cli.main(["verify", "petz", "--trials", "3", "--out", out]) == 0
     blob = json.loads((tmp_path / "rep.json").read_text())
-    from importlib import resources
-
-    schema = json.loads(
-        resources.files("superchan").joinpath("schemas/report.schema.json").read_text()
-    )
-    jsonschema.validate(blob, schema)
+    jsonschema.validate(blob, report_schema())
     assert blob["summary"]["passes"] == 3
     assert blob["summary"]["failures"] == 0
     assert blob["summary"]["min_slack"] >= -1e-9
@@ -373,10 +381,9 @@ def test_optimizer_flags_only_where_read(argv):
     assert err.value.code == 2
 
 
-COMMANDS = ("entropy", "divergence", "apply-super", "recover", "verify", "report")
-
-
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "command", ("entropy", "divergence", "apply-super", "recover", "verify", "report")
+)
 def test_command_help_matches_full_parser(command, capsys):
     with pytest.raises(SystemExit) as err:
         cli.build_parser().parse_args([command, "-h"])
@@ -432,8 +439,7 @@ def test_main_builds_its_parser_on_every_call(tmp_path, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = fresh_interpreter_env()
     code = (
         "import sys, superchan.cli; print(sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'scipy' or m in ('concurrent.futures', 'csv')))"
@@ -444,19 +450,14 @@ def test_cli_import_loads_no_scipy():
 
 def test_entry_point_reads_sys_argv(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "rep.json"
     argv = ["-m", "superchan.cli", "verify", "additivity", "--trials", "1", "--out", str(out)]
-    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    from importlib import resources
-
-    schema = json.loads(
-        resources.files("superchan").joinpath("schemas/report.schema.json").read_text()
+    done = subprocess.run(
+        [sys.executable, *argv], env=fresh_interpreter_env(), capture_output=True, text=True
     )
+    assert done.returncode == 0, done.stderr
     blob = json.loads(out.read_text())
-    jsonschema.validate(blob, schema)
+    jsonschema.validate(blob, report_schema())
     assert blob["suite"] == "additivity" and blob["trials"] == 1
 
 
