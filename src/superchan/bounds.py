@@ -258,8 +258,7 @@ def verify_refined_dpi(
     coordinates.  Witnesses default to maximally entangled states, which is
     also the covariant fast path: channels sharing a certified covariance
     group get closed-form divergences instead of optimized ones.  The record
-    is skipped when the witness-coordinate map has no trace-preserving
-    completion.
+    is skipped when that completion, with sigma0 = 1/d, is not CP.
     """
     _require_superchannel(theta)
     _require_input_slot(theta, n, m)
@@ -269,13 +268,16 @@ def verify_refined_dpi(
     base_params = {"dims": list(theta.dims)}
     psi0 = psi if psi is not None else maximally_entangled(a)
     phi0 = phi if phi is not None else maximally_entangled(c)
-    fix = tp_fix_map(generalized_rep(theta, psi0, phi0))
-    if not fix.is_cptp:
-        reason = "witness-coordinate representing map has no trace-preserving completion"
+    t_prime = tp_fix_map(generalized_rep(theta, psi0, phi0))
+    cp = t_prime.flags.cp
+    if cp.status != "yes":
+        reason = (
+            "the completion with sigma0 = 1/d of the witness-coordinate "
+            "representing map is not CP"
+        )
         nan = float("nan")
-        params = {**base_params, "reason": reason}
+        params = {**base_params, "reason": reason, "completion_min_eig": float(cp.certificate)}
         return _record("refined-dpi", nan, nan, tolerance, opts.seed, params, {}, skipped=True)
-    t_prime = fix.channel
 
     tn, tm = apply_super(theta, n), apply_super(theta, m)
     if (c, d) == (n.dim_in, n.dim_out):
@@ -296,7 +298,7 @@ def verify_refined_dpi(
         {
             "fidelity": float(fid),
             "path": "telecov" if tn.telecov is not None and tm.telecov is not None else "optimized",
-            "completion_min_eig": float(fix.choi_min_eig),
+            "completion_min_eig": float(cp.certificate),
         }
     )
     wit = _witness_json(

@@ -449,16 +449,16 @@ def _suite_tp_completion(index, seed, cfg):
     base = channel_from_kraus([k1, k2])
     sigma = np.diag([1.99, -0.2]).astype(complex)
     sigma0 = sigma / np.trace(sigma).real
-    fix = tp_fix_map(base, sigma0)
-    tp_res = float(np.linalg.norm(apply_adjoint(fix.channel, np.eye(2)) - np.eye(2)))
-    min_eig = float(fix.choi_min_eig)
+    fixed = tp_fix_map(base, sigma0)
+    tp_res = float(np.linalg.norm(apply_adjoint(fixed, np.eye(2)) - np.eye(2)))
+    min_eig = float(fixed.flags.cp.certificate)
     params = {
         "trial": index,
         "kraus_weights": [float(np.sqrt(2.0)), float(1.0 / np.sqrt(2.0))],
         "sigma_diag": [1.99, -0.2],
         "choi_min_eig": min_eig,
         "tp_residual": tp_res,
-        "cptp": bool(fix.is_cptp),
+        "cptp": fixed.flags.cp.status == "yes",
     }
     return _record(
         "tp-completion",

@@ -28,15 +28,13 @@ from .channels import (
     is_cptp,
 )
 from .linalg import (
-    SUPPORT_CUTOFF,
     TRACE_TOL,
     _json_dim,
+    check_hermitian,
     dagger,
-    herm_eig,
     kron,
     matrix_from_json,
     matrix_to_json,
-    partial_trace,
     permute_systems,
     psd_check,
 )
@@ -47,7 +45,6 @@ TP_PRESERVING_TOL = 1e-8
 R_PRESERVING_TOL = 1e-8
 # random_isometry_super: largest |sum p_i - 1| of the mixing probabilities.
 PROBS_TOL = 1e-10
-SIGMA0_SCAN_CAP = 500
 
 
 class Dilation(NamedTuple):
@@ -71,21 +68,6 @@ class Superchannel:
     def flags(self):
         """The rep's CP flag and certify_tp_preserving of its Choi."""
         return SuperFlags(self.rep.flags.cp, certify_tp_preserving(self.rep, self.dims))
-
-
-class TpFixedMap(NamedTuple):
-    """Trace-preserving completion T'(X) = T(X) + (tr X - tr T(X)) sigma0."""
-
-    sigma0: np.ndarray
-    channel: Channel
-
-    @property
-    def choi_min_eig(self):
-        return self.channel.flags.cp.certificate
-
-    @property
-    def is_cptp(self):
-        return self.channel.flags.cp.status == "yes"
 
 
 class RSubReport(NamedTuple):
@@ -151,81 +133,32 @@ def apply_super(theta, n):
     return channel_from_choi(apply(theta.rep, n.choi), c, d)
 
 
-def tp_fixed_channel(base, sigma0):
-    """The completion T' as a Channel; its Choi adds (1 - T*(1))^t (x) sigma0.
-
-    A base whose correction is exactly zero is its own completion, and is
-    returned with the flags it has already certified.
-    """
-    g = apply_adjoint(base, np.eye(base.dim_out))
-    corr = np.eye(base.dim_in) - g
-    if not corr.any():
-        return base
-    choi = base.choi + kron(corr.T, np.asarray(sigma0, dtype=complex))
-    return channel_from_choi(choi, base.dim_in, base.dim_out)
-
-
-def _sigma0_candidates(k):
-    yield np.full(k, 1.0 / k)
-    if k == 1:
-        return
-    if k == 2:
-        for t in np.linspace(-4.0, 5.0, SIGMA0_SCAN_CAP - 3):
-            yield np.array([t, 1.0 - t])
-        return
-    per_axis = max(2, (SIGMA0_SCAN_CAP - 1) // k)
-    for i in range(k):
-        for t in np.linspace(-3.0, 4.0, per_axis):
-            lam = np.full(k, (1.0 - t) / (k - 1))
-            lam[i] = t
-            yield lam
-
-
 def tp_fix_map(base, sigma0=None):
-    """Trace-preserving completion of a CP map, searching sigma0 if not given.
+    """Trace-preserving completion T'(X) = T(X) + (tr X - tr T(X)) sigma0 of a CP map.
 
-    The search follows the Choi-feasibility route: split (T*(1))^t - 1 into
-    positive/negative/kernel parts, conjugate the Choi by the inverse square
-    root (plus kernel projector), and scan trace-one diagonal candidates in the
-    eigenbasis of the conjugated operator's C(x)D marginal.  Failure returns a
-    non-CP certificate rather than raising.
+    sigma0 is 1/dim_out unless one is given, and T' comes back as a Channel
+    whose Choi adds (1 - T*(1))^t (x) sigma0; its flags.cp certifies whether
+    T' is CP.  A T' that is not CP does not prove that no sigma0 completes T:
+    deciding that is a semidefinite feasibility problem, not solved here.  A
+    base whose correction is exactly zero is its own completion, and is
+    returned with the flags it has already certified.
     """
     if base.flags.cp.status != "yes":
         raise ValueError("trace-preserving completion needs a CP base map")
-    if sigma0 is not None:
-        sigma0 = np.asarray(sigma0, dtype=complex)
-        if abs(np.trace(sigma0) - 1.0) > TRACE_TOL:
-            raise ValueError("sigma0 must have unit trace")
-        return TpFixedMap(sigma0, tp_fixed_channel(base, sigma0))
-
-    din, dout = base.dim_in, base.dim_out
-    g_tilde = apply_adjoint(base, np.eye(dout)).T - np.eye(din)
-    g_tilde = (g_tilde + dagger(g_tilde)) / 2
-    if psd_check(-g_tilde).is_psd:
-        # Trace-nonincreasing base: any PSD sigma0 works, take maximally mixed.
-        sigma0 = np.eye(dout) / dout
-        return TpFixedMap(sigma0, tp_fixed_channel(base, sigma0))
-
-    w, v = herm_eig(g_tilde)
-    scale = np.where(np.abs(w) > SUPPORT_CUTOFF, 1.0 / np.sqrt(np.abs(w)), 1.0)
-    s = (v * scale) @ dagger(v)
-    sandwich = kron(s, np.eye(dout)) @ base.choi @ kron(s, np.eye(dout))
-    m_cd = partial_trace(sandwich, (din, dout), "second")
-    _, basis = herm_eig(m_cd)
-
-    best = None
-    count = 0
-    for lam in _sigma0_candidates(dout):
-        if count >= SIGMA0_SCAN_CAP:
-            break
-        count += 1
-        cand = (basis * lam) @ dagger(basis)
-        fix = TpFixedMap(cand, tp_fixed_channel(base, cand))
-        if best is None or fix.choi_min_eig > best.choi_min_eig:
-            best = fix
-        if best.is_cptp:
-            break
-    return best
+    dout = base.dim_out
+    sigma0 = np.asarray(np.eye(dout) / dout if sigma0 is None else sigma0, dtype=complex)
+    if sigma0.shape != (dout, dout):
+        raise ValueError(f"sigma0 must have shape {(dout, dout)}, got {sigma0.shape}")
+    try:
+        check_hermitian(sigma0)
+    except ValueError as exc:
+        raise ValueError(f"sigma0: {exc}") from None
+    if abs(np.trace(sigma0) - 1.0) > TRACE_TOL:
+        raise ValueError("sigma0 must have unit trace")
+    corr = np.eye(base.dim_in) - apply_adjoint(base, np.eye(dout))
+    if not corr.any():
+        return base
+    return channel_from_choi(base.choi + kron(corr.T, sigma0), base.dim_in, dout)
 
 
 def is_r_subpreserving(theta):

@@ -235,19 +235,20 @@ def test_refined_dpi_telecov_sweep():
 
 
 def test_refined_dpi_skips_without_a_witness_coordinate_completion():
-    # The completion of theta.rep exists, but in the coordinates of a
-    # non-maximally entangled witness the representing map has none.
+    # The completion of theta.rep with sigma0 = 1/d is CP, but in the
+    # coordinates of a non-maximally entangled witness it is not.
     theta = pauli_mixture_super(114)
-    assert sc.tp_fix_map(theta.rep).is_cptp
+    assert sc.tp_fix_map(theta.rep).flags.cp.status == "yes"
     psi = dv.pure_bipartite(np.diag([1.0, 0.5]))
-    fix = sc.tp_fix_map(sc.generalized_rep(theta, psi, dv.maximally_entangled(2)))
-    np.testing.assert_allclose(fix.choi_min_eig, -0.375, atol=1e-12)
+    fixed = sc.tp_fix_map(sc.generalized_rep(theta, psi, dv.maximally_entangled(2)))
+    np.testing.assert_allclose(fixed.flags.cp.certificate, -0.375, atol=1e-12)
     n, m = pauli_channel((115, 0)), pauli_channel((115, 1))
     rec = bd.verify_refined_dpi(theta, n, m, opts=LIGHT, psi=psi)
     assert rec.skipped and not rec.passed
     assert rec.params["reason"] == (
-        "witness-coordinate representing map has no trace-preserving completion"
+        "the completion with sigma0 = 1/d of the witness-coordinate representing map is not CP"
     )
+    np.testing.assert_allclose(rec.params["completion_min_eig"], -0.375, atol=1e-12)
 
 
 def test_entropy_nondecrease_replacer_to_rtilde():
@@ -393,7 +394,7 @@ def tilde_recovery(t_frak, xi=None):
         xi = linalg.check_density(np.asarray(xi, dtype=complex))
         if xi.shape != (dx, dx):
             raise ValueError("xi must live on the recovery output space")
-    return sc.tp_fixed_channel(channels.adjoint(t_frak), xi)
+    return sc.tp_fix_map(channels.adjoint(t_frak), xi)
 
 
 def verify_telecov_entropy_gain(theta, n, tolerance=bd.INEQ_TOL, xi=None):

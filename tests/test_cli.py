@@ -2,10 +2,12 @@ import concurrent.futures
 import copy
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +305,31 @@ def test_verify_report_matches_schema(tmp_path):
     assert blob["summary"]["failures"] == 0
     assert blob["summary"]["min_slack"] >= -1e-9
     assert len(blob["summary"]["config_hash"]) == 16
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path and left unchanged."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_refined_dpi_matches_the_benchmark_reference(tmp_path, seed):
+    # The benchmark's refined-dpi-closed call at this seed, checked as the
+    # benchmark checks it: every lhs and rhs against the captured reference.
+    bench = _perfbench_workloads()
+    w = bench.WORKLOADS["refined-dpi-closed"]
+    out = tmp_path / "rep.json"
+    assert cli.main(bench.verify_argv(w, seed, out)) == 0
+    records = json.loads(out.read_text())["records"]
+    reference = bench.load_reference(w)[seed]
+    assert len(records) == w.trials
+    for trial, (rec, pair) in enumerate(zip(records, reference)):
+        for key, want in zip(("lhs", "rhs"), pair):
+            assert abs(rec[key] - want) <= bench.REFERENCE_TOL, (trial, key, rec[key], want)
 
 
 def test_verify_deterministic_across_jobs_and_runs(tmp_path):

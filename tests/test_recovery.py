@@ -222,10 +222,10 @@ def recovery_supermap(theta, m, psi, phi):
     Returns that recovery channel and the trace-norm residual of recovering
     m from theta(m) through the inverse witness congruence.
     """
-    fix = sc.tp_fix_map(sc.generalized_rep(theta, psi, phi))
-    assert fix.is_cptp
+    fixed = sc.tp_fix_map(sc.generalized_rep(theta, psi, phi))
+    assert fixed.flags.cp.status == "yes"
     anchor_state = dv.choi_witness(m, psi)
-    inner = rc.universal_recovery((anchor_state + anchor_state.conj().T) / 2, fix.channel)
+    inner = rc.universal_recovery((anchor_state + anchor_state.conj().T) / 2, fixed)
     recovered = recover_channel(theta, psi, phi, inner, sc.apply_super(theta, m))
     return inner, linalg.trace_norm(recovered.choi - m.choi)
 

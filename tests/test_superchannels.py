@@ -36,6 +36,12 @@ def random_dilation_super(seed, a=2, b=2, c=2, d=2, r=2):
     return sc.super_from_dilation(pre, post, ref_dim=r)
 
 
+def completion_sigma0(base, fixed):
+    """The sigma0 of T' = T + (tr X - tr T(X)) sigma0, read back at X = 1 - T*(1)."""
+    x = np.eye(base.dim_in) - channels.apply_adjoint(base, np.eye(base.dim_out))
+    return (channels.apply(fixed, x) - channels.apply(base, x)) / np.trace(x @ x)
+
+
 def einsum_rep_choi(pre, post, r):
     """Rep Choi of a dilation by one 4-operand einsum over both Kraus sets (reference route)."""
     a, b = pre.dim_out // r, post.dim_in // r
@@ -282,12 +288,13 @@ def test_tp_fix_trace_nonincreasing_and_image_preservation():
     )
     assert channels.is_cptp(mix.rep)
     fix = sc.tp_fix_map(mix.rep)
-    assert fix.is_cptp
-    np.testing.assert_allclose(fix.sigma0, np.eye(4) / 4, atol=1e-12)
+    assert fix.flags.cp.status == "yes"
+    # mix.rep is trace preserving up to rounding, so sigma0 cannot be read back
+    # from T'; the default completion is the one with sigma0 = 1/4, bit for bit.
+    np.testing.assert_array_equal(fix.choi, sc.tp_fix_map(mix.rep, np.eye(4) / 4).choi)
     # Image preservation needs only tp-preservation of theta, not a CPTP fix.
     theta = random_dilation_super(seed=18)
-    fix2 = sc.tp_fix_map(theta.rep)
-    fixed2 = sc.tp_fixed_channel(theta.rep, fix2.sigma0)
+    fixed2 = sc.tp_fix_map(theta.rep)
     for seed in range(3):
         n = channels.random_channel(2, 2, 2, seed=500 + seed)
         np.testing.assert_allclose(
@@ -299,11 +306,10 @@ def test_tp_fix_scaled_depolarizing_sigma0_growth():
     big_l, n_dim = 100, 4
     alpha = 1 / n_dim + 1 / (n_dim * n_dim * big_l)
     base = channels.channel_from_choi(alpha * np.eye(16), 4, 4)
-    fix = sc.tp_fix_map(base)
-    assert fix.is_cptp
+    fixed = sc.tp_fix_map(base)
+    assert fixed.flags.cp.status == "yes"
     bound = big_l + 1 / n_dim
-    assert np.max(np.linalg.eigvalsh(fix.sigma0)) < bound
-    fixed = sc.tp_fixed_channel(base, fix.sigma0)
+    assert np.max(np.linalg.eigvalsh(completion_sigma0(base, fixed))) < bound
     assert fixed.flags.tp.status == "yes"
 
 
@@ -312,17 +318,14 @@ def test_tp_fix_diagonal_amplifier_explicit_sigma0():
         [np.sqrt(2.0) * np.diag([1.0, 0.0]), np.diag([0.0, 1.0]) / np.sqrt(2.0)]
     )
     sigma0 = np.diag([1.99, -0.2]) / 1.79
-    fix = sc.tp_fix_map(base, sigma0)
-    assert fix.is_cptp and fix.choi_min_eig >= -1e-10
-    fixed = sc.tp_fixed_channel(base, sigma0)
+    fixed = sc.tp_fix_map(base, sigma0)
+    assert fixed.flags.cp.status == "yes" and fixed.flags.cp.certificate >= -1e-10
     assert fixed.flags.tp.certificate <= 1e-12
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvalsh(fixed.choi)),
         [0.11173, 0.44413, 0.55587, 0.88827],
         atol=1e-4,
     )
-    searched = sc.tp_fix_map(base)
-    assert searched.is_cptp
 
 
 def test_tp_fix_sigma0_with_wrong_trace():
@@ -331,13 +334,24 @@ def test_tp_fix_sigma0_with_wrong_trace():
         sc.tp_fix_map(base, np.eye(2))
 
 
+def test_tp_fix_sigma0_with_wrong_shape():
+    base = channels.identity_channel(2)
+    with pytest.raises(ValueError, match=r"sigma0 must have shape \(2, 2\)"):
+        sc.tp_fix_map(base, np.eye(3) / 3)
+
+
+def test_tp_fix_sigma0_not_hermitian():
+    base = channels.identity_channel(2)
+    with pytest.raises(ValueError, match="sigma0: matrix is not Hermitian"):
+        sc.tp_fix_map(base, np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+
 def test_tp_fix_adjoint_formula_and_unitality():
     base = channels.channel_from_kraus(
         [np.sqrt(2.0) * np.diag([1.0, 0.0]), np.diag([0.0, 1.0]) / np.sqrt(2.0)]
     )
     sigma0 = np.diag([1.99, -0.2]) / 1.79
-    fix = sc.tp_fix_map(base, sigma0)
-    adj = channels.adjoint(fix.channel)
+    adj = channels.adjoint(sc.tp_fix_map(base, sigma0))
     np.testing.assert_allclose(
         channels.apply(adj, np.eye(2)), np.eye(2), atol=1e-10
     )
@@ -349,8 +363,7 @@ def test_tp_fix_adjoint_formula_and_unitality():
         expect = channels.apply_adjoint(base, y) + np.trace(y.conj().T @ sigma0) * g_term
         np.testing.assert_allclose(channels.apply(adj, y), expect, atol=1e-9)
     cptp = channels.random_channel(2, 2, 2, seed=20)
-    fix2 = sc.tp_fix_map(cptp, np.eye(2) / 2)
-    adj2 = channels.adjoint(fix2.channel)
+    adj2 = channels.adjoint(sc.tp_fix_map(cptp, np.eye(2) / 2))
     np.testing.assert_allclose(adj2.choi, channels.adjoint(cptp).choi, atol=1e-10)
 
 
@@ -359,11 +372,11 @@ def test_sct_membership_verdicts():
     mix = sc.random_isometry_super(
         [1.0], [channels.haar_isometry(2, 2, rng)], [channels.haar_isometry(2, 2, rng)]
     )
-    assert sc.tp_fix_map(mix.rep).is_cptp
+    assert sc.tp_fix_map(mix.rep).flags.cp.status == "yes"
     generic = random_dilation_super(seed=22)
-    fix2 = sc.tp_fix_map(generic.rep)
-    assert fix2.is_cptp == (fix2.choi_min_eig >= -linalg.PSD_TOL)
-    assert fix2.channel.flags.tp.status == "yes"
+    flags2 = sc.tp_fix_map(generic.rep).flags
+    assert (flags2.cp.status == "yes") == (flags2.cp.certificate >= -linalg.PSD_TOL)
+    assert flags2.tp.status == "yes"
 
 
 def test_r_subpreserving_reports():
@@ -455,8 +468,7 @@ def test_t_frak_prime_agrees_on_normalized_choi_states():
     psi = rand_full_rank_witness(rng, 2)
     phi = rand_full_rank_witness(rng, 3)
     t_frak = sc.generalized_rep(theta, psi, phi)
-    fix = sc.tp_fix_map(t_frak)
-    fixed = sc.tp_fixed_channel(t_frak, fix.sigma0)
+    fixed = sc.tp_fix_map(t_frak)
     for seed in range(5):
         n = channels.random_channel(2, 2, 2, seed=400 + seed)
         state = dv.choi_witness(n, psi)
