@@ -26,7 +26,6 @@ from .divergences import (
     OptimizerOpts,
     channel_divergence,
     channel_entropy,
-    channel_entropy_telecov,
     choi_witness,
     maximally_entangled,
     nudge_full_rank,
@@ -342,10 +341,10 @@ def entropy_gain_positive_map(f, rho, seed=0):
 
     Always evaluates D(rho || alpha^-alpha (F* F rho)^alpha).  When the map is
     certified CP and its output has full rank it also evaluates the sharper
-    reference alpha^-1 F*((F rho)^alpha), and for CP unital maps the scaling
-    bound (alpha - 1) S(rho); the record keeps the largest lower bound, at
-    tolerance EXACT_TOL.  Positivity of the map itself is the caller's
-    responsibility.
+    reference alpha^-1 F*((F rho)^alpha) where forming it stays in the float
+    range, and for CP unital maps the scaling bound (alpha - 1) S(rho); the
+    record keeps the largest lower bound, at tolerance EXACT_TOL.  Positivity
+    of the map itself is the caller's responsibility.
     """
     rho = check_density(rho)
     frho = _hermitian(apply(f, rho))
@@ -356,15 +355,15 @@ def entropy_gain_positive_map(f, rho, seed=0):
     cp = f.flags.cp.status == "yes"
     spectrum = herm_eigvals(frho)
     out_full_rank = bool(spectrum[0] > SUPPORT_CUTOFF)
-    if cp and out_full_rank:
-        # D(rho || F*((F rho)^alpha) / alpha), with F rho divided by s, the
-        # larger of 1 and its smallest eigenvalue, before the power. The
-        # power's eigenvalues are then either unscaled or all at least 1, so
-        # none drops below the absolute support cutoff that the unscaled power
-        # keeps, and it overflows only where F rho's spread does, not its
-        # scale. Dividing by the largest eigenvalue would push the small
-        # ones under the cutoff and turn the term into +inf.
-        s = max(float(spectrum[0]), 1.0)
+    # D(rho || F*((F rho)^alpha) / alpha) is evaluated with F rho divided by s,
+    # the larger of 1 and its smallest eigenvalue, so no eigenvalue of the
+    # power drops below the absolute support cutoff (dividing by the largest
+    # would turn the term +inf). 2 alpha dim_out^2 (lambda_max / s)^alpha
+    # bounds every entry met in forming it; where that passes the float range
+    # the term is left out, as it is for a rank-deficient output.
+    s = max(float(spectrum[0]), 1.0)
+    log_top = alpha * np.log2(spectrum[-1] / s) if out_full_rank else np.inf
+    if cp and log_top + np.log2(2 * alpha * f.dim_out**2) < np.log2(np.finfo(float).max):
         hat = _hermitian(apply_adjoint(f, mat_pow_psd(frho / s, alpha)))
         div = rel_entropy(rho, hat) - alpha * np.log2(s) + np.log2(alpha)
         terms["adjoint-power"] = float(div)
@@ -381,38 +380,27 @@ def entropy_gain_positive_map(f, rho, seed=0):
 def verify_entropy_additivity(n, m):
     """Additivity of channel entropy on a tensor pair, as a residual check.
 
-    The record encodes |S[N (x) M] - S[N] - S[M]| <= tolerance through
-    lhs = 0 and rhs = residual.  Covariance-tagged pairs use the closed form
-    at tolerance EXACT_TOL; otherwise the entropies are certified intervals,
-    the residual is the worst corner of the three, and the tolerance is
-    INEQ_TOL.  params holds each entropy as [lower, upper].
+    The record encodes |S[N (x) M] - S[N] - S[M]| <= EXACT_TOL through
+    lhs = 0 and rhs = residual, the worst corner of the three certified
+    intervals.  params holds each entropy as [lower, upper].
     """
-    joint = tensor_channels(n, m)
-    if n.telecov is not None and m.telecov is not None and joint.telecov is not None:
-        s_n, s_m = [channel_entropy_telecov(n)] * 2, [channel_entropy_telecov(m)] * 2
-        s_joint = [channel_entropy_telecov(joint)] * 2
-        tol = EXACT_TOL
-        path = "telecov"
-        wit = {}
-    else:
-        r_n, r_m, r_joint = channel_entropy(n), channel_entropy(m), channel_entropy(joint)
-        s_n, s_m, s_joint = _interval(r_n), _interval(r_m), _interval(r_joint)
-        tol = INEQ_TOL
-        path = "certified"
-        wit = _witness_json(
-            left=r_n.optimizer_state, right=r_m.optimizer_state, joint=r_joint.optimizer_state
-        )
+    r_n, r_m = channel_entropy(n), channel_entropy(m)
+    r_joint = channel_entropy(tensor_channels(n, m))
+    s_n, s_m, s_joint = _interval(r_n), _interval(r_m), _interval(r_joint)
     residual = max(
         abs(s_joint[1] - s_n[0] - s_m[0]), abs(s_joint[0] - s_n[1] - s_m[1])
     )
     params = {
-        "path": path,
+        "path": "certified",
         "joint": s_joint,
         "left": s_n,
         "right": s_m,
         "rhs_end": "worst corner",
     }
-    return _record("entropy-additivity", 0.0, residual, tol, 0, params, wit)
+    wit = _witness_json(
+        left=r_n.optimizer_state, right=r_m.optimizer_state, joint=r_joint.optimizer_state
+    )
+    return _record("entropy-additivity", 0.0, residual, EXACT_TOL, 0, params, wit)
 
 
 def depolarizing_supermap(dims):

@@ -369,27 +369,13 @@ def compose(n2, n1):
     return Channel(din, dout, choi)
 
 
-def tensor_specs(s1, s2):
-    """Product-group spec; element i * len(s2.reps_in) + j is u1_i (x) u2_j, and so for v."""
-    (u1, v1), (u2, v2) = _group_stacks(s1), _group_stacks(s2)
-
-    def product(a, b):
-        out = kron(a[:, None], b[None, :])
-        return out.reshape((-1,) + out.shape[2:])
-
-    return TeleCovariantSpec(product(u1, u2), product(v1, v2))
-
-
 def tensor_channels(n, m):
-    """Tensor product channel, tagged with the product spec when its residual passes."""
+    """Tensor product channel N (x) M on (in_N in_M) -> (out_N out_M)."""
     din = n.dim_in * m.dim_in
     dout = n.dim_out * m.dim_out
     big = kron(n.choi, m.choi)
     choi = permute_systems(big, (n.dim_in, n.dim_out, m.dim_in, m.dim_out), (0, 2, 1, 3))
-    out = Channel(din, dout, choi)
-    if n.telecov is not None and m.telecov is not None:
-        out = _try_attach_telecov(out, tensor_specs(n.telecov, m.telecov))
-    return out
+    return Channel(din, dout, choi)
 
 
 def is_cptp(n):

@@ -32,7 +32,6 @@ from .bounds import (
 )
 from .channels import (
     ThermalMap,
-    _try_attach_telecov,
     apply,
     apply_adjoint,
     channel_from_json,
@@ -47,11 +46,9 @@ from .channels import (
 )
 from .divergences import (
     OptimizerOpts,
-    _closed_form_result,
     channel_divergence,
     channel_entropy,
     channel_entropy_beta,
-    channel_entropy_telecov,
     maximally_entangled,
 )
 from .linalg import (
@@ -240,13 +237,6 @@ def _opts(cfg, seed):
     return OptimizerOpts(restarts=cfg.restarts, max_evals=cfg.max_evals, seed=int(seed))
 
 
-def _with_telecov(n):
-    """Tag a square channel certified covariant for the closed entropy form."""
-    if n.telecov is not None or n.dim_in != n.dim_out:
-        return n
-    return _try_attach_telecov(n, weyl_heisenberg_spec(n.dim_in))
-
-
 def _result_payload(res, **extra):
     """The interval, evaluation count and witness of a DivergenceResult, as JSON."""
     return {
@@ -272,12 +262,7 @@ def cmd_entropy(args, cfg):
             raise CliError(EXIT_USAGE, f"{args.channel}: invalid thermal block: {exc}")
         res, method = channel_entropy_beta(n, thermal), "beta"
     else:
-        tagged = _with_telecov(n)
-        if tagged.telecov is not None:
-            res = _closed_form_result(channel_entropy_telecov(tagged), n.dim_in)
-            method = "telecov"
-        else:
-            res, method = channel_entropy(n), "certified"
+        res, method = channel_entropy(n), "certified"
     _emit(_dump_json(_result_payload(res, method=method)), args.out or cfg.output_path)
     return EXIT_OK
 
@@ -438,7 +423,8 @@ def _suite_entropy_gain(index, seed, cfg):
 
 def _suite_additivity(index, seed, cfg):
     rng = np.random.default_rng((seed, index))
-    return verify_entropy_additivity(_pauli_channel(rng), _pauli_channel(rng))
+    rec = verify_entropy_additivity(_pauli_channel(rng), _pauli_channel(rng))
+    return replace(rec, seed=_trial_seed(seed, index))
 
 
 def _suite_tp_completion(index, seed, cfg):

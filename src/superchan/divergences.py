@@ -687,13 +687,6 @@ def channel_entropy(n):
     return _negated(_certified_divergence(n, d, np.zeros((d, d))))
 
 
-def channel_entropy_telecov(n):
-    """Exact entropy S(C_N) - log2 dim_in; the covariance tag was checked where it was attached."""
-    if n.telecov is None:
-        raise ValueError("channel carries no tele-covariance data")
-    return vn_entropy(n.normalized_choi) - np.log2(n.dim_in)
-
-
 def channel_entropy_beta(n, thermal):
     """Entropy against the completely thermalizing reference exp(-beta H).
 

@@ -12,6 +12,7 @@ import numpy as np
 from superchan import bounds as bd, channels, divergences as dv, linalg, recovery as rc, superchannels as sc
 
 from stacked_grid import dense_grid
+from telecov_reference import telecov_entropy
 
 LIGHT = dv.OptimizerOpts(restarts=4, max_evals=400, seed=0)
 
@@ -107,12 +108,12 @@ def test_04_depolarizing_closed_form_vs_optimizer():
 
 def test_05_channel_entropy_anchors():
     spec = channels.weyl_heisenberg_spec(2)
-    s_rt = dv.channel_entropy_telecov(
+    s_rt = dv.channel_entropy(
         channels.telecov_channel(spec, channels.depolarizing_r_tilde(2, 2))
-    )
-    s_id = dv.channel_entropy_telecov(
+    ).value
+    s_id = dv.channel_entropy(
         channels.telecov_channel(spec, channels.identity_channel(2))
-    )
+    ).value
     pure = np.zeros((2, 2), dtype=complex)
     pure[0, 0] = 1.0
     s_rep = dv.channel_entropy(channels.replacer_channel(pure, 2)).value
@@ -125,8 +126,13 @@ def test_05_channel_entropy_anchors():
 def test_06_entropy_additivity_closed_form():
     worst = 0.0
     for k in range(20):
-        rec = bd.verify_entropy_additivity(pauli_channel((106, k, 0)), pauli_channel((106, k, 1)))
-        assert rec.params["path"] == "telecov"
+        n, m = pauli_channel((106, k, 0)), pauli_channel((106, k, 1))
+        rec = bd.verify_entropy_additivity(n, m)
+        assert rec.params["path"] == "certified"
+        # The certified joint entropy against the product's closed form.
+        exact = telecov_entropy(channels.tensor_channels(n, m))
+        lower, upper = rec.params["joint"]
+        assert lower - 1e-12 <= exact <= upper + 1e-12
         worst = max(worst, rec.rhs)
     assert worst <= 1e-8
     print(f"PASS entropy-additivity: max residual {worst:.2e} over 20 pairs")

@@ -1,9 +1,12 @@
-import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchan import bounds as bd, channels, divergences as dv, linalg, superchannels as sc
+
+from telecov_reference import telecov_entropy
 
 LIGHT = dv.OptimizerOpts(restarts=4, max_evals=400, seed=0)
 
@@ -173,6 +176,26 @@ def test_positive_map_gain_large_alpha_does_not_overflow():
     assert rec.params["terms"]["adjoint-power"] == pytest.approx(want, rel=1e-14)
 
 
+def test_positive_map_gain_spread_overflow_leaves_out_adjoint_power():
+    # alpha = 1000 and F rho = diag(600, 4): (lambda_max / s)^alpha = 150^1000
+    # overflows a float, so the adjoint-power term is left out, as for a
+    # rank-deficient output, and the record keeps the power term.
+    # Neither call may warn or raise. With F*(1) = alpha 1 (the second map)
+    # the record passes, as the power term equals the gain.
+    diag = channels.channel_from_kraus([np.sqrt(1000.0) * np.diag([1.0, 0.1])])
+    scaled = channels.channel_from_kraus([np.sqrt(1000.0) * np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = bd.entropy_gain_positive_map(diag, np.diag([0.6, 0.4]))
+        passing = bd.entropy_gain_positive_map(scaled, np.diag([0.99, 0.01]))
+    assert rec.params["cp"] and rec.params["output_full_rank"]
+    assert set(rec.params["terms"]) == {"power"}
+    assert np.isfinite(rec.rhs) and rec.rhs == rec.params["terms"]["power"]
+    assert set(passing.params["terms"]) == {"power"}
+    assert passing.passed
+    assert passing.rhs == pytest.approx(passing.lhs, rel=1e-12)
+
+
 def test_positive_map_remainders_match_their_direct_forms():
     cases = []
     for seed in range(20):
@@ -336,7 +359,7 @@ def test_additivity_closed_form_anchors():
     rt = channels.telecov_channel(spec2, channels.depolarizing_r_tilde(2, 2))
     ident = channels.telecov_channel(spec2, channels.identity_channel(2))
     rec = bd.verify_entropy_additivity(rt, rt)
-    assert rec.params["path"] == "telecov"
+    assert rec.params["path"] == "certified"
     assert rec.tolerance == 1e-8
     np.testing.assert_allclose(rec.params["joint"], 2.0, atol=1e-12)
     assert rec.passed
@@ -351,7 +374,7 @@ def test_additivity_closed_form_anchors():
 def test_additivity_pauli_sweep():
     for seed in range(5):
         rec = bd.verify_entropy_additivity(pauli_channel((201, seed)), pauli_channel((202, seed)))
-        assert rec.params["path"] == "telecov"
+        assert rec.params["path"] == "certified"
         assert rec.rhs <= 1e-8
         assert rec.passed
 
@@ -367,13 +390,23 @@ def test_additivity_checks_each_covariance_residual_once(monkeypatch):
     monkeypatch.setattr(channels, "covariance_residual", counting)
     n, m = pauli_channel((203, 0)), pauli_channel((203, 1))
     rec = bd.verify_entropy_additivity(n, m)
-    # One check per twirled factor, and one where tensor_channels attaches
-    # the product spec; the closed-form entropies trust the tags.
-    assert rec.params["path"] == "telecov"
-    assert calls == [2, 2, 4]
-    # A tag the channel fails is not carried to the product.
-    untagged = dataclasses.replace(channels.random_channel(2, 2, 2, 204), telecov=n.telecov)
-    assert channels.tensor_channels(untagged, m).telecov is None
+    # One check per twirled factor, and none after: the certified entropies
+    # read no covariance tag, and tensor_channels attaches none.
+    assert rec.params["path"] == "certified"
+    assert calls == [2, 2]
+    assert channels.tensor_channels(n, m).telecov is None
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(env=st.integers(1, 4), env2=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_additivity_passes_exactly_on_random_pairs(env, env2, seed):
+    n = channels.random_channel(2, 2, env, (seed, 0))
+    m = channels.random_channel(2, 2, env2, (seed, 1))
+    rec = bd.verify_entropy_additivity(n, m)
+    assert rec.params["path"] == "certified"
+    assert rec.tolerance == 1e-8
+    assert rec.passed
+    assert set(rec.witnesses) == {"left", "right", "joint"}
 
 
 def test_additivity_optimized_path():
@@ -381,7 +414,7 @@ def test_additivity_optimized_path():
     m = channels.random_channel(2, 2, 4, 212)
     rec = bd.verify_entropy_additivity(n, m)
     assert rec.params["path"] == "certified"
-    assert rec.tolerance == 1e-3
+    assert rec.tolerance == 1e-8
     assert rec.passed
 
 
@@ -435,7 +468,7 @@ def verify_telecov_entropy_gain(theta, n, tolerance=bd.INEQ_TOL, xi=None):
     s_before = s_after = None
     spec = n.telecov
     if spec is not None and channels.covariance_residual(spec, n) <= channels.COVARIANCE_TOL:
-        s_before = dv.channel_entropy_telecov(n)
+        s_before = telecov_entropy(n)
         out_spec = None
         if (c, d) == (n.dim_in, n.dim_out):
             out_spec = n.telecov
@@ -443,7 +476,7 @@ def verify_telecov_entropy_gain(theta, n, tolerance=bd.INEQ_TOL, xi=None):
             out_spec = channels.weyl_heisenberg_spec(c)
         tn_tagged = channels._try_attach_telecov(tn, out_spec)
         if tn_tagged.telecov is not None:
-            s_after = dv.channel_entropy_telecov(tn_tagged)
+            s_after = telecov_entropy(tn_tagged)
     if s_before is None or s_after is None:
         before, after = dv.channel_entropy(n), dv.channel_entropy(tn)
         # The lower end of the gain: lower S[Theta(N)] against upper S[N].

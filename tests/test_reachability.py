@@ -14,8 +14,9 @@ The same AST holds the records to one constructor: bounds._record is the
 only call of VerificationRecord, so every verdict follows from its sides;
 every Kronecker product to one kernel, linalg.kron, in place of np.kron;
 every Hermitian eigendecomposition to linalg.eigh and linalg.eigvalsh, in
-place of np.linalg.eigh and np.linalg.eigvalsh; and every certificate of a
-channel or superchannel to a property computed on first read.
+place of np.linalg.eigh and np.linalg.eigvalsh; every certificate of a
+channel or superchannel to a property computed on first read; and every
+read of a channel's tele-covariance tag to the divergence closed form.
 """
 
 import ast
@@ -254,3 +255,25 @@ def test_certificates_are_computed_on_first_read():
         or not any(ast.unparse(d) == "_on_first_read" for d in owner.decorator_list)
     )
     assert not eager, "certified outside _on_first_read: " + ", ".join(eager)
+
+
+# The definitions that read a channel's .telecov: the covariant divergence
+# closed form and the verifier that carries the tags through a superchannel.
+# Every channel entropy takes the certified ascent, so nothing else reads it.
+TELECOV_READERS = frozenset({"divergences._same_telecov", "bounds.verify_refined_dpi"})
+
+
+def test_covariance_tags_are_read_only_by_the_divergence_closed_form():
+    """A channel's .telecov is read only where the covariant divergence needs it."""
+    package = Package(PACKAGE)
+    readers = {
+        f"{module}.{', '.join(_defined_names(stmt)) or '<module>'}"
+        for module, tree in package.trees.items()
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "telecov"
+        and isinstance(node.ctx, ast.Load)
+    }
+    stray = sorted(readers - TELECOV_READERS)
+    assert not stray, "telecov read in: " + ", ".join(stray)
