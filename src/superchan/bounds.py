@@ -13,7 +13,6 @@ from typing import Any, Dict
 import numpy as np
 
 from .channels import (
-    _try_attach_telecov,
     apply,
     apply_adjoint,
     channel_from_kraus,
@@ -43,6 +42,7 @@ from .linalg import (
     mat_pow_psd,
     mat_sqrt_psd,
     matrix_to_json,
+    psd_check,
 )
 from .recovery import universal_recovery
 from .superchannels import (
@@ -138,7 +138,7 @@ def _require_input_slot(theta, *chans):
 
 
 def _interval(res):
-    """[lower, upper] of a result, JSON-safe: a one-sided end becomes None."""
+    """[lower, upper] of a result, JSON-safe: an infinite end becomes None."""
     return [_scalar(res.value), _scalar(res.upper)]
 
 
@@ -163,7 +163,8 @@ def _alpha_remainder(f, rho):
 def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
     """Channel divergence never grows under a superchannel.
 
-    slack = D[N||M] - D[Theta(N)||Theta(M)].
+    slack = D[N||M] - D[Theta(N)||Theta(M)], read from the lower end of
+    D[N||M] and the upper end of D[Theta(N)||Theta(M)].
     """
     if not is_cptp(n):
         raise ValueError("first channel must be certified CPTP")
@@ -181,9 +182,11 @@ def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
         "after": _interval(after),
         "before_evaluations": before.evaluations,
         "after_evaluations": after.evaluations,
+        "lhs_end": "lower",
+        "rhs_end": "upper",
     }
     wit = _witness_json(before=before.optimizer_state, after=after.optimizer_state)
-    return _record("channel-dpi", before.value, after.value, tolerance, opts.seed, params, wit)
+    return _record("channel-dpi", before.value, after.upper, tolerance, opts.seed, params, wit)
 
 
 def verify_entropy_gain_remainder(theta, n, psi=None, phi=None, tolerance=INEQ_TOL, seed=0):
@@ -254,16 +257,16 @@ def verify_refined_dpi(
     slack = (D[N||M] - D[Theta(N)||Theta(M)]) + log2 F(C, recovered C), where
     the recovery channel is the universal one built from the Choi state of M
     and the trace-preserving completion of the representing map in witness
-    coordinates.  Witnesses default to maximally entangled states, which is
-    also the covariant fast path: channels sharing a certified covariance
-    group get closed-form divergences instead of optimized ones.  The record
-    is skipped when that completion, with sigma0 = 1/d, is not CP.
+    coordinates.  The drop is read from the lower end of D[N||M] and the
+    upper end of D[Theta(N)||Theta(M)].  Witnesses default to maximally
+    entangled states.  The record is skipped when that completion, with
+    sigma0 = 1/d, is not CP.
     """
     _require_superchannel(theta)
     _require_input_slot(theta, n, m)
     if not is_cptp(n) or not is_cptp(m):
         raise ValueError("both channels must be certified CPTP")
-    a, _, c, d = theta.dims
+    a, _, c, _ = theta.dims
     base_params = {"dims": list(theta.dims)}
     psi0 = psi if psi is not None else maximally_entangled(a)
     phi0 = phi if phi is not None else maximally_entangled(c)
@@ -278,11 +281,8 @@ def verify_refined_dpi(
         params = {**base_params, "reason": reason, "completion_min_eig": float(cp.certificate)}
         return _record("refined-dpi", nan, nan, tolerance, opts.seed, params, {}, skipped=True)
 
-    tn, tm = apply_super(theta, n), apply_super(theta, m)
-    if (c, d) == (n.dim_in, n.dim_out):
-        tn = _try_attach_telecov(tn, n.telecov)
-        tm = _try_attach_telecov(tm, m.telecov)
-    before, after = channel_divergence(n, m, opts), channel_divergence(tn, tm, opts)
+    before = channel_divergence(n, m, opts)
+    after = channel_divergence(apply_super(theta, n), apply_super(theta, m), opts)
 
     sigma = _hermitian(choi_witness(m, psi0))
     rec = universal_recovery(sigma, t_prime)
@@ -290,14 +290,17 @@ def verify_refined_dpi(
     recovered = _hermitian(apply(rec, apply(t_prime, c_state)))
     fid = max(fidelity(c_state, recovered), np.finfo(float).tiny)
 
-    lhs = before.value - after.value
+    lhs = before.value - after.upper
     rhs = -float(np.log2(fid))
     params = dict(base_params)
     params.update(
         {
             "fidelity": float(fid),
-            "path": "telecov" if tn.telecov is not None and tm.telecov is not None else "optimized",
             "completion_min_eig": float(cp.certificate),
+            "before": _interval(before),
+            "after": _interval(after),
+            "lhs_end": "lower",
+            "rhs_end": "point",
         }
     )
     wit = _witness_json(
@@ -342,9 +345,10 @@ def entropy_gain_positive_map(f, rho, seed=0):
     Always evaluates D(rho || alpha^-alpha (F* F rho)^alpha).  When the map is
     certified CP and its output has full rank it also evaluates the sharper
     reference alpha^-1 F*((F rho)^alpha) where forming it stays in the float
-    range, and for CP unital maps the scaling bound (alpha - 1) S(rho); the
-    record keeps the largest lower bound, at tolerance EXACT_TOL.  Positivity
-    of the map itself is the caller's responsibility.
+    range and its rounding within PSD_TOL, and for CP unital maps the scaling
+    bound (alpha - 1) S(rho); the record keeps the largest lower bound, at
+    tolerance EXACT_TOL.  Positivity of the map itself is the caller's
+    responsibility.
     """
     rho = check_density(rho)
     frho = _hermitian(apply(f, rho))
@@ -360,13 +364,16 @@ def entropy_gain_positive_map(f, rho, seed=0):
     # power drops below the absolute support cutoff (dividing by the largest
     # would turn the term +inf). 2 alpha dim_out^2 (lambda_max / s)^alpha
     # bounds every entry met in forming it; where that passes the float range
-    # the term is left out, as it is for a rank-deficient output.
+    # the term is left out, as it is for a rank-deficient output.  The
+    # operand is PSD in exact arithmetic, so an eigenvalue below -PSD_TOL is
+    # its rounding, about eps times its norm; there the term is left out too.
     s = max(float(spectrum[0]), 1.0)
     log_top = alpha * np.log2(spectrum[-1] / s) if out_full_rank else np.inf
     if cp and log_top + np.log2(2 * alpha * f.dim_out**2) < np.log2(np.finfo(float).max):
         hat = _hermitian(apply_adjoint(f, mat_pow_psd(frho / s, alpha)))
-        div = rel_entropy(rho, hat) - alpha * np.log2(s) + np.log2(alpha)
-        terms["adjoint-power"] = float(div)
+        if psd_check(hat).is_psd:
+            div = rel_entropy(rho, hat) - alpha * np.log2(s) + np.log2(alpha)
+            terms["adjoint-power"] = float(div)
     if cp and f.flags.unital.status == "yes":
         terms["unital-scaling"] = float((alpha - 1.0) * vn_entropy(rho))
 

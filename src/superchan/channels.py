@@ -4,7 +4,7 @@ Choi operators are unnormalized, Chat = sum_ij e_ij (x) N(e_ij), and live on
 input (x) output; the normalized variant Chat/dim_in is exposed separately.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -32,8 +32,6 @@ COVARIANCE_TOL = 1e-8
 # twirl of a basis matrix from its one-design value.
 UNITARY_TOL = 1e-10
 TWIRL_TOL = 1e-8
-# Two specs whose stacked representations agree entrywise to this are one group.
-REP_MATCH_TOL = 1e-12
 
 
 class Flag(NamedTuple):
@@ -85,7 +83,6 @@ class Channel:
     dim_out: int
     choi: np.ndarray
     given_kraus: Optional[tuple] = None
-    telecov: Optional[TeleCovariantSpec] = None
 
     def __post_init__(self):
         if self.choi.shape != (self.dim_in * self.dim_out,) * 2:
@@ -317,14 +314,7 @@ def telecov_channel(spec, base):
     res = covariance_residual(spec, out)
     if res > COVARIANCE_TOL:
         raise ValueError(f"twirled channel fails covariance: residual {res:.3e}")
-    return replace(out, telecov=spec)
-
-
-def _try_attach_telecov(ch, spec):
-    """Return the channel tagged covariant when the residual certifies it."""
-    if spec is not None and covariance_residual(spec, ch) <= COVARIANCE_TOL:
-        return replace(ch, telecov=spec)
-    return ch
+    return out
 
 
 def covariance_residual(spec, n):

@@ -1,38 +1,34 @@
 """Entropic functionals: relative entropy, channel divergence, channel entropy.
 
-All logarithms are base 2.  A channel divergence D[N||M] is returned as an
-interval [value, upper] with a witness that attains `value`, and with the
-number of objective evaluations it took:
+All logarithms are base 2.  A channel divergence D[N||M] is returned as a
+certified interval [value, upper] with a witness that attains `value`, and
+with the number of objective evaluations it took.  The divergence at input
+state rho is a concave function of rho, maximized by an ascent (one mirror
+step on ln rho, then damped Newton steps on rho with the exact Hessian,
+regularized where it is nearly flat) and bounded above by its Frank-Wolfe
+duality gap (upper - value <= ASCENT_GAP, up to rounding):
 
-- replacer pairs and channels sharing a tele-covariance group get exact
-  closed forms (value == upper);
-- conditional-replacer references, M(X) = tr_B N(X) (x) gamma, make D a
-  concave function of the input state, maximized by an ascent (one mirror
-  step on ln rho, then damped Newton steps on rho with the exact Hessian,
-  regularized where it is nearly flat)
-  and bounded above by its Frank-Wolfe duality gap
-  (upper - value <= ASCENT_GAP, up to rounding);
-- every other pair gets the same ascent on a general objective from several
-  starts, a lower bound (upper = +inf), or +inf when the supports leak.
+- conditional-replacer references, M(X) = tr_B N(X) (x) gamma, take a
+  cheaper objective that reads gamma only through ln gamma;
+- every other pair takes a general objective, or is +inf when the supports
+  leak.
 
 Both objectives return their Hessian on traceless Hermitian directions,
 built from the divided differences of ln and of x ln x at the spectra that
 each evaluation already decomposes.
 
 Channel entropies negate the divergence to X -> tr(X) 1 or to
-X -> tr(X) exp(-beta H), both conditional replacers, so they are certified.
+X -> tr(X) exp(-beta H), both conditional replacers.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import (
-    REP_MATCH_TOL,
     TP_TOL,
-    _group_stacks,
     _kraus_from_spectrum,
     is_cptp,
     thermal_map,
@@ -52,13 +48,12 @@ from .linalg import (
 
 LEAK_TOL = 1e-8
 RANK_CUTOFF = 1e-6
-REPLACER_TOL = 1e-10
 # The mirror ascent stops at the first evaluated point whose Frank-Wolfe gap,
-# in bits, is this small, or after ASCENT_MAX_ITERS evaluations when certified
-# (max_evals per start otherwise).  Before each evaluation the eigenvalues of
-# rho are floored at ASCENT_FLOOR times the largest: unfloored, steps toward a
-# boundary maximum reach rounding level, where the gradient cancels and the
-# gap is no bound.
+# in bits, is this small, or after ASCENT_MAX_ITERS evaluations on a
+# conditional replacer (max_evals per start otherwise).  Before each
+# evaluation the eigenvalues of rho are floored at ASCENT_FLOOR times the
+# largest: unfloored, steps toward a boundary maximum reach rounding level,
+# where the gradient cancels and the gap is no bound.
 ASCENT_GAP = 1e-10
 ASCENT_MAX_ITERS = 5000
 ASCENT_FLOOR = 1e-12
@@ -118,18 +113,19 @@ class OptimizerOpts:
 class DivergenceResult:
     """The interval [value, upper] holding the quantity; value is its lower end.
 
-    For a divergence, value is the objective at optimizer_state, and upper is
-    +inf when the ascent is one-sided.  The ascent evaluates the objective
-    without rel_entropy's support cutoff, so divergence_at at its witness
-    agrees to rounding while no eigenvalue of the reference state falls
-    below SUPPORT_CUTOFF.  It stops at its first point within ASCENT_GAP that
+    For a divergence, value is the objective at optimizer_state and upper is
+    value plus a Frank-Wolfe gap, so both ends are finite unless the supports
+    leak, where both are +inf.  The ascent evaluates the objective without
+    rel_entropy's support cutoff, so divergence_at at its witness agrees to
+    rounding while no eigenvalue of the reference state falls below
+    SUPPORT_CUTOFF.  It stops at its first point within ASCENT_GAP that
     lowers f by at most ASCENT_DROP * max(1, |f|).  An entropy negates the
     interval: its value is -upper of the divergence, and its upper end is the
     value at the witness.
 
-    restarts_used counts ascent starts (0 when certified); per_restart_values
-    holds each start's value.  evaluations counts objective evaluations, the
-    leak check included.
+    restarts_used counts the general objective's ascent starts (0 on a
+    conditional replacer or a leak), per_restart_values their values and
+    evaluations the objective evaluations.  is_lower_bound is False.
     """
 
     value: float
@@ -140,11 +136,6 @@ class DivergenceResult:
     converged: bool
     is_lower_bound: bool
     evaluations: int
-
-    @property
-    def certified(self):
-        """True when [value, upper] came from a closed form or the certified ascent."""
-        return self.restarts_used == 0 and bool(np.isfinite(self.upper))
 
 
 def pure_bipartite(a_psi):
@@ -220,39 +211,6 @@ def vn_entropy(rho):
 def divergence_at(n, m, psi):
     """D((id (x) N)Psi || (id (x) M)Psi) at one pure bipartite witness."""
     return rel_entropy(choi_witness(n, psi), choi_witness(m, psi))
-
-
-def _replacer_target(n):
-    """The sigma with Choi = 1 (x) sigma, or None if n is not a replacer."""
-    sigma = partial_trace(n.choi, (n.dim_in, n.dim_out), "second") / n.dim_in
-    if np.linalg.norm(n.choi - kron(np.eye(n.dim_in), sigma)) <= REPLACER_TOL:
-        return sigma
-    return None
-
-
-def _same_telecov(n, m):
-    if n.telecov is None or m.telecov is None:
-        return False
-    if n.telecov is m.telecov:
-        return True
-    # One comparison per stacked side; specs of different shapes are different groups.
-    return all(
-        a.shape == b.shape and np.allclose(a, b, rtol=0, atol=REP_MATCH_TOL)
-        for a, b in zip(_group_stacks(n.telecov), _group_stacks(m.telecov))
-    )
-
-
-def _closed_form_result(value, dim):
-    return DivergenceResult(
-        value=value,
-        upper=value,
-        optimizer_state=maximally_entangled(dim),
-        restarts_used=0,
-        per_restart_values=(value,),
-        converged=True,
-        is_lower_bound=False,
-        evaluations=1,
-    )
 
 
 def _conditional_replacer(n, m):
@@ -543,7 +501,17 @@ def _certified_divergence(n, b, ln_gamma):
 
 
 def _general_objective(n, m):
-    """The objective of D[N||M] when supp C_N <= supp C_M, in nats (see _ascend).
+    """The objective of D[N||M] in nats (see _ascend), or None when the supports leak.
+
+    f(rho) = D((id (x) N) psi^rho || (id (x) M) psi^rho), with psi^rho a
+    purification of rho, is concave in rho for every CP map M.  Write
+    rho = sum_x l_x rho_x and omega = sum_x l_x |x><x| (x) psi^{rho_x}.  By
+    the direct-sum rule of the relative entropy, sum_x l_x f(rho_x) =
+    D((id (x) N) omega || (id (x) M) omega).  omega extends rho, so
+    omega = (E (x) id)(psi^rho) for some channel E from the purifying
+    reference to X (x) R; E acts on the reference, so it commutes with N and
+    M, and data processing under E bounds that divergence by f(rho).  So
+    D[N||M] = max_rho f <= f + gap at every rho, with gap the Frank-Wolfe gap.
 
     With C_N = A A^dagger, C_M = B B^dagger (eigenvalues above SUPPORT_CUTOFF),
     P = rho^T (x) 1, Phi = A^dagger P A, G = B^dagger P B = V diag(g) V^dagger
@@ -553,25 +521,37 @@ def _general_objective(n, m):
     divided differences of x ln x (ln g_i + 1 on the diagonal).  The Hessian
     reads tr Phi ln Phi through the divided differences of ln, as the
     certified objective does, and tr Q G ln G through the second divided
-    differences of x ln x; it is computed only when called.
+    differences of x ln x; it and the basis images it reads are computed
+    only when called.
+
+    The supports leak when C_N / d, the Choi state at rho = 1/d, has weight
+    above LEAK_TOL off the support that B keeps; f is then +inf at every
+    full-rank rho.
     """
     d, dout = n.dim_in, n.dim_out
 
-    def factor(choi):
+    def support(choi):
         w, v = herm_eig(choi)
         on = w > SUPPORT_CUTOFF
-        return v[:, on] * np.sqrt(w[on]), w[on]
+        return v[:, on], w[on]
 
-    a, _ = factor(n.choi)
-    b, b_w = factor(m.choi)
-    q = (dagger(b) @ n.choi @ b) / np.outer(b_w, b_w)
+    a_v, a_w = support(n.choi)
+    b_v, b_w = support(m.choi)
+    kept = dagger(b_v) @ n.choi @ b_v
+    if (np.trace(n.choi) - np.trace(kept)).real / d > LEAK_TOL:
+        return None
+    a, b = a_v * np.sqrt(a_w), b_v * np.sqrt(b_w)
+    q = kept / np.sqrt(np.outer(b_w, b_w))
 
-    # Along the basis direction E_i of _traceless_basis, P moves by E_i^T (x) 1,
-    # so Phi by A^dagger (E_i^T (x) 1) A and G likewise.
-    basis = _traceless_basis(d)
-    a_out, b_out = a.reshape(d, dout, -1), b.reshape(d, dout, -1)
-    phi_images = np.einsum("ioa,nji,job->nab", a_out.conj(), basis, a_out).reshape(len(basis), -1)
-    g_images = np.einsum("ioa,nji,job->nab", b_out.conj(), basis, b_out).reshape(len(basis), -1)
+    @cache
+    def images():
+        # Along the basis direction E_i, P moves by E_i^T (x) 1, so Phi by
+        # A^dagger (E_i^T (x) 1) A and G likewise.
+        basis = _traceless_basis(d)
+        return tuple(
+            np.einsum("ioa,nji,job->nab", x.conj(), basis, x).reshape(len(basis), -1)
+            for x in (a.reshape(d, dout, -1), b.reshape(d, dout, -1))
+        )
 
     def objective(rho):
         p = kron(rho.T, np.eye(dout))
@@ -591,6 +571,7 @@ def _general_objective(n, m):
             # Each term in its own eigenbasis; with T the second divided
             # differences of x ln x at g,
             # tr Q D^2(G ln G)[X, Y] = sum_abc Q_ba T_acb (X_ac Y_cb + Y_ac X_cb).
+            phi_images, g_images = images()
             y = _in_eigenbasis(phi_images, phi_v)
             x = _in_eigenbasis(g_images, g_v).reshape(len(g_images), len(g_w), -1)
             phi, g = np.maximum(phi_w, TINY), np.maximum(g_w, TINY)
@@ -606,16 +587,22 @@ def _general_objective(n, m):
 
 
 def _searched_divergence(n, m, opts):
-    """D[N||M] for any pair: +inf if the supports leak, else a lower bound.
+    """D[N||M] for any pair: +inf if the supports leak, else a certified interval.
 
-    The ascent on _general_objective starts at rho = 1/d and, for r >= 1, at
-    the input marginal of the Gaussian pure state drawn from
-    default_rng((seed, r)).  The best start wins.
+    Each ascent on _general_objective gives an [f, f + gap] that holds
+    D[N||M], and the result is their intersection.  The first starts at
+    rho = 1/d; while the intersection is wider than ASCENT_GAP, start
+    r < opts.restarts begins at the input marginal of the Gaussian pure
+    state from default_rng((seed, r)).  A leak counts as one evaluation, the
+    factorization that finds it.
     """
     d = n.dim_in
-    if divergence_at(n, m, maximally_entangled(d)) == np.inf:
-        return _closed_form_result(np.inf, d)
     objective = _general_objective(n, m)
+    if objective is None:
+        return DivergenceResult(
+            value=np.inf, upper=np.inf, optimizer_state=maximally_entangled(d), restarts_used=0,
+            per_restart_values=(np.inf,), converged=True, is_lower_bound=False, evaluations=1,
+        )
 
     def start(r):
         if r == 0:
@@ -625,24 +612,27 @@ def _searched_divergence(n, m, opts):
         w, v = eigh(amp.T @ amp.conj())
         return _flat((v * np.log(np.maximum(w, TINY))) @ dagger(v))
 
-    starts = (start(r) for r in range(opts.restarts))
-    runs = [_ascend(objective, d, x, opts.max_evals) for x in starts]
-    found = [(float(p.f), _witness(p), p.gap <= ASCENT_GAP) for p, _ in runs]
-    evaluations = 1 + sum(used for _, used in runs)
-    value, state, converged = max(found, key=lambda c: c[0])
+    runs = []
+    for r in range(opts.restarts):
+        runs.append(_ascend(objective, d, start(r), opts.max_evals))
+        best = max((p for p, _ in runs), key=lambda p: p.f)
+        upper = min(float(p.f + p.gap) for p, _ in runs)
+        if upper - best.f <= ASCENT_GAP:
+            break
+    value = float(best.f)
     return DivergenceResult(
-        value=value, upper=np.inf, optimizer_state=state, restarts_used=opts.restarts,
-        per_restart_values=tuple(c[0] for c in found), converged=bool(converged),
-        is_lower_bound=True, evaluations=evaluations,
+        value=value, upper=upper, optimizer_state=_witness(best), restarts_used=len(runs),
+        per_restart_values=tuple(float(p.f) for p, _ in runs), converged=upper - value <= ASCENT_GAP,
+        is_lower_bound=False, evaluations=sum(used for _, used in runs),
     )
 
 
 def channel_divergence(n, m, opts=OptimizerOpts()):
-    """Channel relative entropy D[N||M] as an interval [value, upper].
+    """Channel relative entropy D[N||M] as a certified interval [value, upper].
 
-    Closed forms and conditional-replacer references are exact or certified
-    (see the module docstring).  Other pairs get the restarted ascent, whose
-    value is a lower bound.
+    A conditional-replacer reference takes its own objective, every other
+    pair the general one (see the module docstring); only the general one
+    reads opts.
     """
     if (n.dim_in, n.dim_out) != (m.dim_in, m.dim_out):
         raise ValueError("channel dimensions do not match")
@@ -651,13 +641,6 @@ def channel_divergence(n, m, opts=OptimizerOpts()):
     if m.flags.cp.status != "yes":
         raise ValueError("second argument must be certified CP")
 
-    sig_n, sig_m = _replacer_target(n), _replacer_target(m)
-    if sig_n is not None and sig_m is not None:
-        return _closed_form_result(rel_entropy(sig_n, sig_m), n.dim_in)
-    if _same_telecov(n, m):
-        return _closed_form_result(
-            rel_entropy(n.normalized_choi, m.normalized_choi), n.dim_in
-        )
     conditional = _conditional_replacer(n, m)
     if conditional is not None:
         return _certified_divergence(n, *conditional)

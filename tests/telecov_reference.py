@@ -1,7 +1,7 @@
-"""Closed forms for tele-covariant channels, kept as test references.
+"""Closed forms for tele-covariant channels and replacers, kept as test references.
 
-The package computes every channel entropy by the certified ascent; these
-are the exact values that the tests compare it with.
+The package computes every channel entropy and divergence by the certified
+ascent; these are the exact values that the tests compare it with.
 """
 
 import numpy as np
@@ -17,6 +17,26 @@ def telecov_entropy(n):
     product of twirled channels; the caller vouches for that.
     """
     return dv.vn_entropy(n.normalized_choi) - np.log2(n.dim_in)
+
+
+def telecov_divergence(n, m):
+    """D(C_N / d || C_M / d), the divergence D[N||M] of two tele-covariant channels.
+
+    It holds for channels covariant under one group whose input
+    representation is a one-design, such as two channels twirled by the same
+    spec; the caller vouches for that.
+    """
+    return dv.rel_entropy(n.normalized_choi, m.normalized_choi)
+
+
+def replacer_divergence(n, m):
+    """D(sigma_N || sigma_M), the divergence D[N||M] of replacers X -> tr(X) sigma.
+
+    sigma = tr_in C / d_in; the caller vouches that both channels replace.
+    """
+    dims = (n.dim_in, n.dim_out)
+    sigma_n, sigma_m = (linalg.partial_trace(c.choi, dims, "second") / n.dim_in for c in (n, m))
+    return dv.rel_entropy(sigma_n, sigma_m)
 
 
 def tensor_specs(s1, s2):

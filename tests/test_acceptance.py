@@ -206,7 +206,8 @@ def test_12_optimizer_dominates_dense_grid():
         n = channels.random_channel(2, 2, 4, (112, k, 0))
         m = channels.random_channel(2, 2, 4, (112, k, 1))
         opts = dv.OptimizerOpts(restarts=8, max_evals=2000, seed=k)
-        plain = dv.channel_divergence(n, m, opts).value
+        res = dv.channel_divergence(n, m, opts)
+        plain = res.value
         amps, values = dense_grid(n, m, np.random.default_rng((k, 0xFEED)))
         direct = [dv.divergence_at(n, m, dv.pure_bipartite(a)) for a in amps[:50]]
         np.testing.assert_allclose(values[:50], direct, rtol=0, atol=1e-12)
@@ -214,6 +215,8 @@ def test_12_optimizer_dominates_dense_grid():
             dv.channel_divergence(n, m, replace(opts, restarts=1, max_evals=2)).value,
             values.max(),
         )
+        # The certified upper end bounds every grid point too.
+        assert grid <= res.upper + 1e-12
         worst = min(worst, plain - grid)
     assert worst >= -1e-6
     print(f"PASS optimizer-vs-grid: min margin {worst:.2e} over 10 pairs")

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from superchan import bounds as bd, channels, divergences as dv, linalg, superchannels as sc
 
-from telecov_reference import telecov_entropy
+from telecov_reference import telecov_divergence, telecov_entropy
 
 LIGHT = dv.OptimizerOpts(restarts=4, max_evals=400, seed=0)
+PAULI = channels.weyl_heisenberg_spec(2)  # the group that pauli_channel twirls by
 
 
 def pauli_channel(seed, d=2):
@@ -196,6 +197,25 @@ def test_positive_map_gain_spread_overflow_leaves_out_adjoint_power():
     assert passing.rhs == pytest.approx(passing.lhs, rel=1e-12)
 
 
+def test_positive_map_gain_rounding_beyond_psd_tol_leaves_out_adjoint_power():
+    # alpha = 50 and rho off F's eigenbasis: F*((F rho / s)^alpha) has norm
+    # near 1e32, and its rounding leaves an eigenvalue near -4.5e15, far
+    # below -PSD_TOL, which rel_entropy would reject.  The term is left out,
+    # as for overflow, and the record keeps the power term.
+    f = channels.channel_from_kraus([np.sqrt(50.0) * np.diag([1.0, 0.99])])
+    rho = np.array([[0.5, 0.3], [0.3, 0.5]])
+    frho = hermitian(channels.apply(f, rho))
+    s = np.linalg.eigvalsh(frho)[0]
+    hat = hermitian(channels.apply_adjoint(f, linalg.mat_pow_psd(frho / s, 50.0)))
+    assert np.linalg.eigvalsh(hat)[0] < -1e15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = bd.entropy_gain_positive_map(f, rho)
+    assert rec.params["cp"] and rec.params["output_full_rank"]
+    assert set(rec.params["terms"]) == {"power"}
+    assert np.isfinite(rec.lhs) and rec.rhs == rec.params["terms"]["power"]
+
+
 def test_positive_map_remainders_match_their_direct_forms():
     cases = []
     for seed in range(20):
@@ -251,9 +271,20 @@ def test_refined_dpi_identity_theta():
 def test_refined_dpi_telecov_sweep():
     for seed in range(5):
         n, m = pauli_channel((111, seed)), pauli_channel((112, seed))
-        rec = bd.verify_refined_dpi(pauli_mixture_super((113, seed)), n, m, opts=LIGHT)
+        theta = pauli_mixture_super((113, seed))
+        rec = bd.verify_refined_dpi(theta, n, m, opts=LIGHT)
         assert not rec.skipped
-        assert rec.params["path"] == "telecov"
+        # Both pairs are Pauli channels: each certified interval holds its
+        # closed form, and the lhs reads lower before against upper after.
+        after = sc.apply_super(theta, n), sc.apply_super(theta, m)
+        for (lo, hi), exact in zip(
+            (rec.params["before"], rec.params["after"]),
+            (telecov_divergence(n, m), telecov_divergence(*after)),
+        ):
+            assert 0.0 <= hi - lo <= dv.ASCENT_GAP
+            assert lo - 1e-12 <= exact <= hi + 1e-12
+        assert (rec.params["lhs_end"], rec.params["rhs_end"]) == ("lower", "point")
+        assert rec.lhs == rec.params["before"][0] - rec.params["after"][1]
         assert rec.slack >= -1e-3
 
 
@@ -391,10 +422,9 @@ def test_additivity_checks_each_covariance_residual_once(monkeypatch):
     n, m = pauli_channel((203, 0)), pauli_channel((203, 1))
     rec = bd.verify_entropy_additivity(n, m)
     # One check per twirled factor, and none after: the certified entropies
-    # read no covariance tag, and tensor_channels attaches none.
+    # read no covariance.
     assert rec.params["path"] == "certified"
     assert calls == [2, 2]
-    assert channels.tensor_channels(n, m).telecov is None
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -430,14 +460,16 @@ def tilde_recovery(t_frak, xi=None):
     return sc.tp_fix_map(channels.adjoint(t_frak), xi)
 
 
-def verify_telecov_entropy_gain(theta, n, tolerance=bd.INEQ_TOL, xi=None):
-    """Entropy gain on a covariant channel against the simple-recovery bound.
+def verify_telecov_entropy_gain(theta, n, spec, tolerance=bd.INEQ_TOL, xi=None):
+    """Entropy gain on a channel covariant under spec against the simple-recovery bound.
 
     slack = (S[Theta(N)] - S[N]) - (D(C || recovered C) + log2(|A|/|C|)),
     with the recovery built from the adjoint representing map.  The map must
     be trace preserving and subunital in maximally-entangled coordinates;
     violations yield a skipped record.  Entropies use the covariant closed
-    form when certified, otherwise certified intervals.
+    form where covariance_residual certifies N under spec and Theta(N) under
+    spec (same slots) or the Weyl-Heisenberg group (c = d), otherwise
+    certified intervals.
     """
     bd._require_superchannel(theta)
     bd._require_input_slot(theta, n)
@@ -466,17 +498,17 @@ def verify_telecov_entropy_gain(theta, n, tolerance=bd.INEQ_TOL, xi=None):
 
     tn = sc.apply_super(theta, n)
     s_before = s_after = None
-    spec = n.telecov
-    if spec is not None and channels.covariance_residual(spec, n) <= channels.COVARIANCE_TOL:
+    if channels.covariance_residual(spec, n) <= channels.COVARIANCE_TOL:
         s_before = telecov_entropy(n)
         out_spec = None
         if (c, d) == (n.dim_in, n.dim_out):
-            out_spec = n.telecov
+            out_spec = spec
         elif c == d:
             out_spec = channels.weyl_heisenberg_spec(c)
-        tn_tagged = channels._try_attach_telecov(tn, out_spec)
-        if tn_tagged.telecov is not None:
-            s_after = telecov_entropy(tn_tagged)
+        if out_spec is not None and (
+            channels.covariance_residual(out_spec, tn) <= channels.COVARIANCE_TOL
+        ):
+            s_after = telecov_entropy(tn)
     if s_before is None or s_after is None:
         before, after = dv.channel_entropy(n), dv.channel_entropy(tn)
         # The lower end of the gain: lower S[Theta(N)] against upper S[N].
@@ -490,7 +522,7 @@ def verify_telecov_entropy_gain(theta, n, tolerance=bd.INEQ_TOL, xi=None):
 
 
 def test_telecov_gain_identity_theta():
-    rec = verify_telecov_entropy_gain(identity_super(), pauli_channel(221))
+    rec = verify_telecov_entropy_gain(identity_super(), pauli_channel(221), PAULI)
     assert not rec.skipped
     assert rec.params["path"] == "telecov"
     assert rec.lhs == 0.0
@@ -500,7 +532,7 @@ def test_telecov_gain_identity_theta():
 def test_telecov_gain_replacer_to_rtilde():
     rep = channels.tensor_channels(channels.identity_channel(2), channels.depolarizing_r_tilde(2, 2))
     theta = sc.super_from_rep(rep.choi, (2, 2, 2, 2))
-    rec = verify_telecov_entropy_gain(theta, pauli_channel(231))
+    rec = verify_telecov_entropy_gain(theta, pauli_channel(231), PAULI)
     assert not rec.skipped
     assert np.isfinite(rec.params["recovery_term"])
     assert rec.slack >= -1e-9
@@ -510,7 +542,7 @@ def test_telecov_gain_replacer_to_rtilde():
 def test_telecov_gain_mixture_sweep():
     for seed in range(5):
         rec = verify_telecov_entropy_gain(
-            pauli_mixture_super((241, seed)), pauli_channel((242, seed))
+            pauli_mixture_super((241, seed)), pauli_channel((242, seed)), PAULI
         )
         assert not rec.skipped
         assert rec.params["path"] == "telecov"
@@ -519,7 +551,7 @@ def test_telecov_gain_mixture_sweep():
 
 def test_telecov_gain_hypothesis_violation_skips():
     theta = bd.replacer_supermap(channels.channel_from_kraus([np.eye(2, dtype=complex)]), 2, 2)
-    rec = verify_telecov_entropy_gain(theta, pauli_channel(251))
+    rec = verify_telecov_entropy_gain(theta, pauli_channel(251), PAULI)
     assert rec.skipped
     assert not rec.passed
     assert np.isnan(rec.slack)

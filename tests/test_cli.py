@@ -376,7 +376,9 @@ def test_dpi_record_carries_both_divergence_intervals(tmp_path):
         assert params["after"] == bd._interval(after)
         assert params["before_evaluations"] == before.evaluations
         assert params["after_evaluations"] == after.evaluations
-        assert (rec["lhs"], rec["rhs"]) == tuple(params[k][0] for k in ("before", "after"))
+        # The sound ends: lower before, upper after.
+        assert (rec["lhs"], rec["rhs"]) == (params["before"][0], params["after"][1])
+        assert (params["lhs_end"], params["rhs_end"]) == ("lower", "upper")
 
 
 def test_verify_seed_changes_samples(tmp_path):

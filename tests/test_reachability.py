@@ -14,9 +14,9 @@ The same AST holds the records to one constructor: bounds._record is the
 only call of VerificationRecord, so every verdict follows from its sides;
 every Kronecker product to one kernel, linalg.kron, in place of np.kron;
 every Hermitian eigendecomposition to linalg.eigh and linalg.eigvalsh, in
-place of np.linalg.eigh and np.linalg.eigvalsh; every certificate of a
-channel or superchannel to a property computed on first read; and every
-read of a channel's tele-covariance tag to the divergence closed form.
+place of np.linalg.eigh and np.linalg.eigvalsh; and every certificate of a
+channel or superchannel to a property computed on first read.  No channel
+carries a tele-covariance tag.
 """
 
 import ast
@@ -124,7 +124,12 @@ def test_every_definition_is_reached_from_a_command():
 # although no command calls them, and the set shrinks once it stops.  A
 # function that loses its last command caller lands here and fails the test,
 # where counting the tracer's names as roots would let it pass.
-TRACER_ONLY = frozenset({("channels", "compose"), ("linalg", "support_projector")})
+# divergence_at, the divergence at one witness, is what the tests replay a
+# witness with; the ascents evaluate their own objectives, and the general
+# one finds a leak in its own factorization, so no command calls it.
+TRACER_ONLY = frozenset(
+    {("channels", "compose"), ("linalg", "support_projector"), ("divergences", "divergence_at")}
+)
 
 
 def test_tracer_roots_reach_only_the_named_extras():
@@ -257,23 +262,19 @@ def test_certificates_are_computed_on_first_read():
     assert not eager, "certified outside _on_first_read: " + ", ".join(eager)
 
 
-# The definitions that read a channel's .telecov: the covariant divergence
-# closed form and the verifier that carries the tags through a superchannel.
-# Every channel entropy takes the certified ascent, so nothing else reads it.
-TELECOV_READERS = frozenset({"divergences._same_telecov", "bounds.verify_refined_dpi"})
+def test_no_channel_carries_a_covariance_tag():
+    """No .telecov attribute, field or keyword is left in the package.
 
-
-def test_covariance_tags_are_read_only_by_the_divergence_closed_form():
-    """A channel's .telecov is read only where the covariant divergence needs it."""
+    Every channel divergence and entropy takes the certified ascent, so a
+    tele-covariance tag would have no reader.
+    """
     package = Package(PACKAGE)
-    readers = {
-        f"{module}.{', '.join(_defined_names(stmt)) or '<module>'}"
+    found = sorted(
+        f"{module}.py:{node.lineno}"
         for module, tree in package.trees.items()
-        for stmt in tree.body
-        for node in ast.walk(stmt)
-        if isinstance(node, ast.Attribute)
-        and node.attr == "telecov"
-        and isinstance(node.ctx, ast.Load)
-    }
-    stray = sorted(readers - TELECOV_READERS)
-    assert not stray, "telecov read in: " + ", ".join(stray)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "telecov")
+        or (isinstance(node, ast.keyword) and node.arg == "telecov")
+        or (isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "telecov")
+    )
+    assert not found, "telecov tag at: " + ", ".join(found)
