@@ -82,7 +82,7 @@ class Channel:
     dim_in: int
     dim_out: int
     choi: np.ndarray
-    given_kraus: Optional[tuple] = None
+    given_kraus: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.choi.shape != (self.dim_in * self.dim_out,) * 2:
@@ -100,7 +100,7 @@ class Channel:
 
     @_on_first_read
     def kraus(self):
-        """The given Kraus operators, else kraus_from_choi when CP, else None."""
+        """The given Kraus stack, else kraus_from_choi when CP, else None."""
         if self.given_kraus is not None:
             return self.given_kraus
         if self.flags.cp.status != "yes":
@@ -126,35 +126,31 @@ def certify_flags(choi, dim_in, dim_out):
     return ChannelFlags(cp, tp, unital)
 
 
-def _choi_from_kraus(kraus, dim_in, dim_out):
-    """sum_k vec(K_k^T) vec(K_k^T)^dagger, as one matmul over the stacked Kraus operators."""
-    vecs = np.asarray(kraus, dtype=complex).transpose(0, 2, 1).reshape(-1, dim_in * dim_out)
-    return vecs.T @ vecs.conj()
-
-
 def channel_from_kraus(kraus):
-    """Build a channel from dim_out x dim_in Kraus operators."""
-    kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
-    if not kraus:
-        raise ValueError("need at least one Kraus operator")
-    dim_out, dim_in = kraus[0].shape
-    if any(k.shape != (dim_out, dim_in) for k in kraus):
-        raise ValueError("inconsistent Kraus shapes")
-    return Channel(dim_in, dim_out, _choi_from_kraus(kraus, dim_in, dim_out), kraus)
+    """Build a channel from an (r, dim_out, dim_in) Kraus stack or a sequence of matrices.
+
+    The channel keeps them as one complex stack.  Ragged operators, no
+    operator, and input that is not a stack of matrices raise ValueError.
+    """
+    try:
+        kraus = np.asarray(kraus, dtype=complex)
+    except ValueError:
+        raise ValueError("inconsistent Kraus shapes") from None
+    if kraus.ndim != 3 or not kraus.size:
+        raise ValueError(f"need a nonempty (r, dim_out, dim_in) Kraus stack, got {kraus.shape}")
+    r, dim_out, dim_in = kraus.shape
+    # sum_k vec(K_k^T) vec(K_k^T)^dagger, as one matmul over the stack.
+    vecs = kraus.transpose(0, 2, 1).reshape(r, dim_in * dim_out)
+    return Channel(dim_in, dim_out, vecs.T @ vecs.conj(), kraus)
 
 
 def kraus_from_choi(choi, dim_in, dim_out):
-    """Extract a minimal Kraus set from a PSD Choi operator."""
-    w, v = herm_eig(choi)
-    return tuple(_kraus_from_spectrum(w, v, dim_in, dim_out))
+    """A minimal Kraus set of a PSD Choi operator, stacked (r, dim_out, dim_in).
 
-
-def _kraus_from_spectrum(w, v, dim_in, dim_out):
-    """The Kraus operators of kraus_from_choi, stacked (r, dim_out, dim_in), for herm_eig (w, v).
-
-    K_i = sqrt(w_i) unvec(v_i)^T for each eigenvalue w_i above SUPPORT_CUTOFF,
-    in ascending order.
+    K_i = sqrt(w_i) unvec(v_i)^T for each eigenvalue w_i of herm_eig above
+    SUPPORT_CUTOFF, in ascending order.
     """
+    w, v = herm_eig(choi)
     if w[0] < -PSD_TOL:
         raise ValueError(f"Choi is not PSD: min eigenvalue {w[0]:.3e}")
     on = w > SUPPORT_CUTOFF
@@ -198,20 +194,14 @@ def identity_channel(dim):
 
 def depolarizing_r(dim_in, dim_out):
     """Completely depolarizing map X -> tr(X) 1; trace preserving only if dim_out = 1."""
-    kraus = []
-    for b in range(dim_out):
-        for i in range(dim_in):
-            k = np.zeros((dim_out, dim_in), dtype=complex)
-            k[b, i] = 1.0
-            kraus.append(k)
-    return channel_from_kraus(kraus)
+    # Kraus operator dim_in b + i is |b><i|.
+    return channel_from_kraus(np.eye(dim_out * dim_in).reshape(-1, dim_out, dim_in))
 
 
 def depolarizing_r_tilde(dim_in, dim_out):
     """Trace-preserving variant X -> tr(X) 1 / dim_out."""
-    r = depolarizing_r(dim_in, dim_out)
     scale = 1.0 / np.sqrt(dim_out)
-    return channel_from_kraus([scale * k for k in r.kraus])
+    return channel_from_kraus(scale * depolarizing_r(dim_in, dim_out).kraus)
 
 
 def replacer_channel(sigma0, dim_in):
@@ -344,8 +334,7 @@ def random_channel(dim_in, dim_out, env_dim, seed):
         raise ValueError("dim_out * env_dim must be >= dim_in")
     rng = np.random.default_rng(seed)
     v = haar_isometry(dim_out * env_dim, dim_in, rng)
-    blocks = v.reshape(dim_out, env_dim, dim_in)
-    return channel_from_kraus([blocks[:, e, :] for e in range(env_dim)])
+    return channel_from_kraus(v.reshape(dim_out, env_dim, dim_in).transpose(1, 0, 2))
 
 
 def compose(n2, n1):

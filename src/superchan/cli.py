@@ -80,19 +80,6 @@ PETZ_RECOVERY_TOL = 1e-9
 # TP residual.
 TP_COMPLETION_TOL = 1e-12
 
-SUITES = (
-    "dpi",
-    "petz",
-    "entropy-gain-super",
-    "refined-dpi",
-    "entropy-nondecrease",
-    "entropy-gain",
-    "additivity",
-    "tp-completion",
-    "super-div",
-)
-
-
 class CliError(Exception):
     """User-facing failure carrying the process exit code."""
 
@@ -333,7 +320,7 @@ def _random_density(rng, dim):
 def _pauli_channel(rng):
     spec = weyl_heisenberg_spec(2)
     weights = rng.dirichlet(np.ones(4))
-    kraus = [np.sqrt(w) * u for w, u in zip(weights, spec.reps_in)]
+    kraus = np.sqrt(weights)[:, None, None] * spec.reps_in
     return telecov_channel(spec, channel_from_kraus(kraus))
 
 
@@ -417,7 +404,7 @@ def _suite_entropy_gain(index, seed, cfg):
     dout = int(rng.integers(2, 4))
     base = random_channel(din, dout, int(rng.integers(2, 5)), (seed, index, 3))
     scale = float(rng.uniform(0.5, 2.0))
-    f = channel_from_kraus([np.sqrt(scale) * k for k in base.kraus])
+    f = channel_from_kraus(np.sqrt(scale) * base.kraus)
     return entropy_gain_positive_map(f, _random_density(rng, din), seed=_trial_seed(seed, index))
 
 
@@ -627,7 +614,7 @@ _COMMANDS = {
         "run a seeded verification suite and write a report",
         cmd_verify,
         (
-            _arg("suite", choices=SUITES),
+            _arg("suite", choices=tuple(_SUITE_FNS)),
             _arg("--trials", type=int, default=10),
             _arg(
                 "--jobs",

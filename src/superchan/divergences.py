@@ -29,8 +29,8 @@ import numpy as np
 
 from .channels import (
     TP_TOL,
-    _kraus_from_spectrum,
     is_cptp,
+    kraus_from_choi,
     thermal_map,
 )
 from .linalg import (
@@ -197,7 +197,7 @@ def rel_entropy(rho, sigma):
     if leak > LEAK_TOL:
         return np.inf
     first = _sum_xlogx(w)
-    second = float(np.trace(rho @ _fn_from_spectrum(mu, u, "log2", SUPPORT_CUTOFF)).real)
+    second = float(np.trace(rho @ _fn_from_spectrum(mu, u, np.log2, SUPPORT_CUTOFF)).real)
     return first - second
 
 
@@ -434,7 +434,7 @@ def _certified_objective(n, b, ln_gamma):
     din, dout = n.dim_in, n.dim_out
     rp = dout // b
     # Linearly independent Kraus operators keep N^c(rho) full rank.
-    kraus = _kraus_from_spectrum(*herm_eig(n.choi), din, dout)
+    kraus = kraus_from_choi(n.choi, din, dout)
     r = len(kraus)
     # iso[p, c, k] = (<p| (x) <c|) K_k: one block per basis state of R'.
     iso = kraus.reshape(r, rp, b, din).transpose(1, 2, 0, 3)

@@ -105,34 +105,19 @@ def herm_eigvals(m):
     return eigvalsh((m + dagger(m)) / 2)
 
 
-def _fn_table(fn, alpha):
-    if fn == "log2":
-        return np.log2
-    if fn == "sqrt":
-        return np.sqrt
-    if fn == "inv_sqrt":
-        return lambda w: 1.0 / np.sqrt(w)
-    if fn == "pow":
-        if alpha is None:
-            raise ValueError("fn 'pow' requires alpha")
-        return lambda w: w**alpha
-    raise ValueError(f"unknown spectral function {fn!r}")
+def mat_fn_psd(p, f, cutoff=SUPPORT_CUTOFF):
+    """Apply the scalar function f spectrally to a PSD matrix on its support.
 
-
-def mat_fn_psd(p, fn, alpha=None, cutoff=SUPPORT_CUTOFF):
-    """Apply a scalar function spectrally to a PSD matrix on its support.
-
-    Eigenvalues below cutoff are treated as exact zeros: log2/pow/sqrt
-    contribute nothing there and inv_sqrt pseudo-inverts.  Eigenvalues below
-    -PSD_TOL raise.
+    f maps an array of eigenvalues to their images.  Eigenvalues below cutoff
+    are treated as exact zeros and map to 0, so f = 1/sqrt pseudo-inverts.
+    Eigenvalues below -PSD_TOL raise.
     """
     w, v = herm_eig(p)
-    return _fn_from_spectrum(w, v, fn, cutoff, alpha)
+    return _fn_from_spectrum(w, v, f, cutoff)
 
 
-def _fn_from_spectrum(w, v, fn, cutoff, alpha=None):
+def _fn_from_spectrum(w, v, f, cutoff):
     """mat_fn_psd of the matrix whose herm_eig is (w, v)."""
-    f = _fn_table(fn, alpha)
     if w[0] < -PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
@@ -144,15 +129,15 @@ def _fn_from_spectrum(w, v, fn, cutoff, alpha=None):
 
 
 def mat_sqrt_psd(p, cutoff=SUPPORT_CUTOFF):
-    return mat_fn_psd(p, "sqrt", cutoff=cutoff)
+    return mat_fn_psd(p, np.sqrt, cutoff=cutoff)
 
 
 def mat_inv_sqrt_psd(p):
-    return mat_fn_psd(p, "inv_sqrt")
+    return mat_fn_psd(p, lambda w: 1.0 / np.sqrt(w))
 
 
 def mat_pow_psd(p, alpha):
-    return mat_fn_psd(p, "pow", alpha=alpha)
+    return mat_fn_psd(p, lambda w: w**alpha)
 
 
 def support_projector(p):

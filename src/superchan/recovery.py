@@ -20,7 +20,7 @@ from .channels import apply, channel_from_choi, channel_from_kraus
 
 
 def _petz_ingredients(sigma, n):
-    """Spectra of sigma and n(sigma), and the Petz Kraus operators; sigma's also checks it."""
+    """Spectra of sigma and n(sigma), and the Petz Kraus stack; sigma's also checks it."""
     sigma = np.asarray(sigma, dtype=complex)
     s_spec = herm_eig(sigma)
     _check_density_spectrum(sigma, s_spec.eigenvalues)
@@ -31,9 +31,10 @@ def _petz_ingredients(sigma, n):
     nsig = apply(n, sigma)
     nsig = (nsig + dagger(nsig)) / 2
     m_spec = herm_eig(nsig)
-    sig_sqrt = _fn_from_spectrum(*s_spec, "sqrt", SUPPORT_CUTOFF)
-    nsig_isqrt = _fn_from_spectrum(*m_spec, "inv_sqrt", SUPPORT_CUTOFF)
-    base = tuple(sig_sqrt @ dagger(k) @ nsig_isqrt for k in n.kraus)
+    sig_sqrt = _fn_from_spectrum(*s_spec, np.sqrt, SUPPORT_CUTOFF)
+    nsig_isqrt = _fn_from_spectrum(*m_spec, lambda w: 1.0 / np.sqrt(w), SUPPORT_CUTOFF)
+    # sqrt(sigma) K_k^dagger n(sigma)^(-1/2), stacked (r, dim_in, dim_out).
+    base = sig_sqrt @ n.kraus.conj().transpose(0, 2, 1) @ nsig_isqrt
     return s_spec, m_spec, base
 
 
@@ -66,7 +67,7 @@ def universal_recovery(sigma, n):
     dx, dy = n.dim_in, n.dim_out
 
     # Row k holds <s_p| base_k |m_q> at (q, p), the Choi's (input, output) order.
-    core = np.stack([(dagger(sv) @ b @ mv).T.reshape(-1) for b in base])
+    core = (dagger(sv) @ base @ mv).transpose(0, 2, 1).reshape(len(base), -1)
     lam = 0.5 * (_support_log(sw)[None, :] - _support_log(mw)[:, None]).reshape(-1)
     basis = kron(mv.conj(), sv)
     choi = basis @ schur_sinh_ratio(core.T @ core.conj(), lam) @ dagger(basis)

@@ -112,8 +112,8 @@ def super_from_dilation(pre, post, ref_dim=1):
     a = pre.dim_out // ref_dim
     b = post.dim_in // ref_dim
     c, d = pre.dim_in, post.dim_out
-    pk = np.stack([k.reshape(a, ref_dim, c) for k in pre.kraus])
-    qk = np.stack([k.reshape(d, b, ref_dim) for k in post.kraus])
+    pk = pre.kraus.reshape(-1, a, ref_dim, c)
+    qk = post.kraus.reshape(-1, d, b, ref_dim)
     # Sum over the Kraus pairs of each side, then one matmul over the
     # reference pair (r, s): c8[abmdefng] = sum_rs pre[armesn] post[dbrgfs].
     pre_rs = np.tensordot(pk, pk.conj(), axes=(0, 0)).transpose(0, 2, 3, 5, 1, 4)
@@ -170,24 +170,29 @@ def is_r_subpreserving(theta):
 
 
 def random_isometry_super(probs, isometries_pre, isometries_post):
-    """Superchannel N -> sum_i p_i V_i o N o U_i with a classical flag register."""
+    """Superchannel N -> sum_i p_i V_i o N o U_i with a classical flag register.
+
+    The isometries come as two stacks (or sequences) of one matrix per
+    probability, U_i of shape (a, c) and V_i of shape (d, b).
+    """
     probs = np.asarray(probs, dtype=float)
     if abs(probs.sum() - 1.0) > PROBS_TOL or np.any(probs < 0):
         raise ValueError("probs must be a probability vector")
-    us = [np.asarray(u, dtype=complex) for u in isometries_pre]
-    vs = [np.asarray(v, dtype=complex) for v in isometries_post]
-    if len(us) != len(probs) or len(vs) != len(probs):
-        raise ValueError("need one pre and one post isometry per probability")
-    for w in us + vs:
-        if np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1])) > UNITARY_TOL:
-            raise ValueError("input is not an isometry")
+    us = np.asarray(isometries_pre, dtype=complex)
+    vs = np.asarray(isometries_post, dtype=complex)
     r = len(probs)
+    if len(us) != r or len(vs) != r:
+        raise ValueError("need one pre and one post isometry per probability")
+    for w in (us, vs):
+        gram = np.swapaxes(w.conj(), 1, 2) @ w - np.eye(w.shape[2])
+        if np.linalg.norm(gram, axis=(1, 2)).max() > UNITARY_TOL:
+            raise ValueError("input is not an isometry")
     # The flag register is the last factor: pre's one Kraus operator stacks
     # sqrt(p_i) U_i over its value i, and post's i-th reads V_i at flag i.
-    u_stack = np.stack([np.sqrt(p) * u for p, u in zip(probs, us)], axis=1)
-    v_flagged = np.einsum("ydb,yi->ydbi", np.stack(vs), np.eye(r))
-    pre = channel_from_kraus([u_stack.reshape(-1, u_stack.shape[-1])])
-    post = channel_from_kraus(list(v_flagged.reshape(r, v_flagged.shape[1], -1)))
+    u_stack = (np.sqrt(probs)[:, None, None] * us).transpose(1, 0, 2)
+    v_flagged = np.einsum("ydb,yi->ydbi", vs, np.eye(r))
+    pre = channel_from_kraus(u_stack.reshape(1, -1, us.shape[2]))
+    post = channel_from_kraus(v_flagged.reshape(r, vs.shape[1], -1))
     return super_from_dilation(pre, post, ref_dim=r)
 
 

@@ -56,6 +56,22 @@ def test_kraus_shape_mismatch():
         channels.channel_from_kraus([np.eye(2), np.eye(3)])
 
 
+@pytest.mark.parametrize(
+    "kraus, named",
+    [
+        pytest.param([], "nonempty", id="empty-list"),
+        pytest.param(np.zeros((0, 2, 2)), "nonempty", id="empty-stack"),
+        pytest.param([np.eye(2), np.ones((2, 3))], "inconsistent Kraus shapes", id="ragged"),
+        pytest.param(np.eye(2), "(r, dim_out, dim_in)", id="2-d"),
+        pytest.param(np.eye(2)[None, None], "(r, dim_out, dim_in)", id="4-d"),
+    ],
+)
+def test_channel_from_kraus_rejects_what_is_not_a_stack(kraus, named):
+    with pytest.raises(ValueError) as err:
+        channels.channel_from_kraus(kraus)
+    assert named in str(err.value)
+
+
 def test_apply_depolarizing_and_replacer():
     r = channels.depolarizing_r(2, 2)
     np.testing.assert_allclose(channels.apply(r, np.diag([1.0, 0.0])), np.eye(2), atol=1e-12)
@@ -393,7 +409,7 @@ def test_channel_certificates_are_computed_on_first_read(decompositions):
     assert decompositions == [("eigvalsh", (6, 6)), ("eigh", (6, 6))]
     assert from_choi.kraus is kraus and from_choi.flags is from_choi.flags
     assert len(decompositions) == 2
-    # A Kraus-built channel returns the tuple it was given.
+    # A Kraus-built channel returns the stack it was given.
     decompositions.clear()
     assert from_kraus.kraus is from_kraus.given_kraus
     assert all(np.array_equal(a, b) for a, b in zip(from_kraus.kraus, given))
@@ -578,19 +594,49 @@ def test_stacked_kraus_and_choi_kernels_match_loop_references(dims, rank, seed):
     choi = g @ g.conj().T
     choi /= np.trace(choi).real
     w, v = linalg.herm_eig(choi)
-    stacked = channels._kraus_from_spectrum(w, v, din, dout)
+    stacked = channels.kraus_from_choi(choi, din, dout)
     loop = loop_kraus_from_spectrum(w, v, din, dout)
     assert len(loop) == min(rank, din * dout)
     assert stacked.shape == (len(loop), dout, din)
     for a, b in zip(stacked, loop):
         assert np.abs(a - b).max() <= 1e-14
-    rebuilt = channels._choi_from_kraus(stacked, din, dout)
+    rebuilt = channels.channel_from_kraus(stacked).choi
     assert np.abs(rebuilt - loop_choi_from_kraus(loop, din, dout)).max() <= 1e-14
     # The constructors go through the same kernels.
     ch = channels.channel_from_choi(choi, din, dout)
     assert len(ch.kraus) == len(loop)
     assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, stacked))
     assert np.abs(channels.channel_from_kraus(loop).choi - rebuilt).max() <= 1e-14
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    env=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_every_constructor_holds_one_complex_kraus_stack(dims, env, seed):
+    din, dout = dims
+    n = channels.random_channel(din, dout, max(env, -(-din // dout)), seed)
+    encoded = json.loads(json.dumps(channels.channel_to_json(n)))
+    built = {
+        "random_channel": n,
+        "from a list": channels.channel_from_kraus(list(n.kraus)),
+        "from a stack": channels.channel_from_kraus(n.kraus),
+        "channel_from_choi": channels.channel_from_choi(n.choi, din, dout),
+        "json codec": channels.channel_from_json(encoded),
+        "depolarizing_r": channels.depolarizing_r(din, dout),
+        "identity_channel": channels.identity_channel(din),
+    }
+    for name, ch in built.items():
+        kraus = ch.kraus
+        assert isinstance(kraus, np.ndarray) and kraus.dtype == complex, name
+        assert kraus.shape[1:] == (ch.dim_out, ch.dim_in), name
+        rebuilt = channels.channel_from_kraus(kraus).choi
+        np.testing.assert_allclose(rebuilt, ch.choi, rtol=0, atol=1e-12, err_msg=name)
+    # The same operators give the same Choi, bit for bit, whatever holds them.
+    for name in ("from a list", "from a stack", "json codec"):
+        assert np.array_equal(built[name].choi, n.choi), name
 
 
 def test_apply_kraus_equals_apply_choi():

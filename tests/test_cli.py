@@ -144,6 +144,19 @@ def test_entropy_non_finite_channel_is_usage_error(tmp_path, capsys, edit, named
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kraus, named",
+    [
+        pytest.param([np.eye(2), np.ones((2, 3))], "inconsistent Kraus shapes", id="ragged"),
+        pytest.param([], "nonempty", id="empty"),
+    ],
+)
+def test_entropy_kraus_that_do_not_stack_is_usage_error(tmp_path, capsys, kraus, named):
+    obj = {"dim_in": 2, "dim_out": 2, "kraus": [linalg.matrix_to_json(k) for k in kraus]}
+    assert cli.main(["entropy", write_json(tmp_path, "bad.json", obj)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_divergence_value_replays_from_witness(tmp_path):
     cfg = write_config(tmp_path)
     n = channels.random_channel(2, 2, 4, 51)

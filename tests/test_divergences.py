@@ -59,7 +59,7 @@ def rel_entropy_five_eig(rho, sigma, leak_tol=dv.LEAK_TOL):
     w, _ = linalg.herm_eig(rho)
     on = w > 0
     first = float(np.sum(w[on] * np.log2(w[on])))
-    second = float(np.trace(rho @ linalg.mat_fn_psd(sigma, "log2")).real)
+    second = float(np.trace(rho @ linalg.mat_fn_psd(sigma, np.log2)).real)
     return first - second
 
 

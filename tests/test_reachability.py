@@ -14,8 +14,9 @@ The same AST holds the records to one constructor: bounds._record is the
 only call of VerificationRecord, so every verdict follows from its sides;
 every Kronecker product to one kernel, linalg.kron, in place of np.kron;
 every Hermitian eigendecomposition to linalg.eigh and linalg.eigvalsh, in
-place of np.linalg.eigh and np.linalg.eigvalsh; and every certificate of a
-channel or superchannel to a property computed on first read.  No channel
+place of np.linalg.eigh and np.linalg.eigvalsh; every certificate of a
+channel or superchannel to a property computed on first read; and every Kraus
+set to one (r, d_out, d_in) stack that no Python loop walks.  No channel
 carries a tele-covariance tag.
 """
 
@@ -278,3 +279,38 @@ def test_no_channel_carries_a_covariance_tag():
         or (isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "telecov")
     )
     assert not found, "telecov tag at: " + ", ".join(found)
+
+
+# Functions that may loop over a channel's Kraus operators: the JSON encoder
+# writes one matrix per operator.
+KRAUS_LOOPS_KEPT = frozenset({"channel_to_json"})
+
+
+def _iterables(node, owner=None):
+    """(iterable, owner) of each for loop and comprehension, owner the innermost def's name."""
+    if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+        yield node.iter, owner
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _iterables(child, owner)
+
+
+def test_kraus_stacks_are_not_looped_over():
+    """No for loop or comprehension iterates over a .kraus attribute outside KRAUS_LOOPS_KEPT.
+
+    A Kraus set is one (r, d_out, d_in) array, so a product over it is one
+    batched matmul or broadcast, not one Python step per operator.
+    """
+    package = Package(PACKAGE)
+    loops = sorted(
+        f"{module}.py:{iterable.lineno} in {owner or '<module>'}"
+        for module, tree in package.trees.items()
+        for iterable, owner in _iterables(tree)
+        if owner not in KRAUS_LOOPS_KEPT
+        and any(
+            isinstance(sub, ast.Attribute) and sub.attr in ("kraus", "given_kraus")
+            for sub in ast.walk(iterable)
+        )
+    )
+    assert not loops, "loop over Kraus operators at: " + ", ".join(loops)

@@ -149,6 +149,44 @@ def test_universal_matches_rotated_average():
         np.testing.assert_allclose(r.choi, simpson_universal(sig, n), rtol=0, atol=1e-12)
 
 
+def loop_petz_kraus(sig, n):
+    """sqrt(sig) K^dagger n(sig)^(-1/2), one product per Kraus operator (reference route)."""
+    nsig = channels.apply(n, sig)
+    sig_sqrt = linalg.mat_sqrt_psd(sig)
+    nsig_isqrt = linalg.mat_inv_sqrt_psd((nsig + nsig.conj().T) / 2)
+    return [sig_sqrt @ k.conj().T @ nsig_isqrt for k in n.kraus]
+
+
+def loop_universal_choi(sig, n):
+    """The universal recovery's closed-form Choi, one Kraus operator at a time (reference route)."""
+    nsig = channels.apply(n, sig)
+    nsig = (nsig + nsig.conj().T) / 2
+    (sw, sv), (mw, mv) = linalg.herm_eig(sig), linalg.herm_eig(nsig)
+    core = np.stack([(sv.conj().T @ b @ mv).T.reshape(-1) for b in loop_petz_kraus(sig, n)])
+    lam = 0.5 * (rc._support_log(sw)[None, :] - rc._support_log(mw)[:, None]).reshape(-1)
+    basis = np.kron(mv.conj(), sv)
+    choi = basis @ linalg.schur_sinh_ratio(core.T @ core.conj(), lam) @ basis.conj().T
+    comp = np.eye(n.dim_out) - linalg.support_projector(nsig)
+    choi = choi + np.kron(comp.T, np.eye(n.dim_in) / n.dim_in)
+    return (choi + choi.conj().T) / 2
+
+
+def test_batched_petz_and_universal_match_the_per_kraus_loop():
+    rng = np.random.default_rng(9)
+    # (d, rank of sigma, dim_out, env), as in test_universal_matches_rotated_average.
+    cases = ((2, 2, 2, 2), (2, 1, 2, 2), (3, 3, 2, 3), (3, 2, 3, 2), (2, 1, 2, 1))
+    for d, rank, dim_out, env in cases:
+        n = channels.random_channel(d, dim_out, env, seed=23 + d * rank)
+        sig = rand_state(rng, d, rank=rank).astype(complex)
+        loop = loop_petz_kraus(sig, n)
+        petz = rc.petz(sig, n)
+        assert petz.kraus.shape == (len(loop), d, dim_out)
+        for a, b in zip(petz.kraus, loop):
+            assert np.abs(a - b).max() <= 1e-14
+        universal = rc.universal_recovery(sig, n).choi
+        assert np.abs(universal - loop_universal_choi(sig, n)).max() <= 1e-14
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
     d=st.integers(2, 3),

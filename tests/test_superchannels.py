@@ -410,6 +410,19 @@ def test_random_isometry_super_validation():
     np.testing.assert_allclose(single.rep.choi, direct.rep.choi, atol=1e-10)
 
 
+def test_random_isometry_super_checks_every_isometry_and_count():
+    rng = np.random.default_rng(25)
+    good = np.stack([channels.haar_isometry(2, 2, rng) for _ in range(2)])
+    # Only the last isometry of the bad stack is off, so every one is checked.
+    bad = good * np.array([1.0, 2.0])[:, None, None]
+    for pre, post in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="not an isometry"):
+            sc.random_isometry_super([0.5, 0.5], pre, post)
+    for pre, post in ((good[:1], good), (good, good[:1]), (good[:1], good[:1])):
+        with pytest.raises(ValueError, match="one pre and one post"):
+            sc.random_isometry_super([0.5, 0.5], pre, post)
+
+
 def test_generalized_rep_maximally_entangled_scaling():
     theta = random_dilation_super(seed=25)
     t_frak = sc.generalized_rep(theta, dv.maximally_entangled(2), dv.maximally_entangled(2))
