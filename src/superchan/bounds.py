@@ -36,11 +36,10 @@ from .linalg import (
     check_density,
     dagger,
     fidelity,
+    herm_eig,
     herm_eigvals,
     kron,
-    mat_inv_sqrt_psd,
-    mat_pow_psd,
-    mat_sqrt_psd,
+    mat_fn_psd,
     matrix_to_json,
     psd_check,
 )
@@ -84,13 +83,14 @@ class VerificationRecord:
         return bool(self.slack >= -self.tolerance)
 
 
-def _record(check_id, lhs, rhs, tolerance, seed, params, witnesses, skipped=False):
+def _record(check_id, lhs, rhs, tolerance, params, witnesses, skipped=False):
+    """The record of one check, at seed 0; `superchan verify` stamps its trial seed."""
     return VerificationRecord(
         check_id=check_id,
         lhs=float(lhs),
         rhs=float(rhs),
         tolerance=float(tolerance),
-        seed=int(seed),
+        seed=0,
         params=dict(params),
         witnesses=dict(witnesses),
         skipped=skipped,
@@ -186,10 +186,10 @@ def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
         "rhs_end": "upper",
     }
     wit = _witness_json(before=before.optimizer_state, after=after.optimizer_state)
-    return _record("channel-dpi", before.value, after.upper, tolerance, opts.seed, params, wit)
+    return _record("channel-dpi", before.value, after.upper, tolerance, params, wit)
 
 
-def verify_entropy_gain_remainder(theta, n, psi=None, phi=None, tolerance=INEQ_TOL, seed=0):
+def verify_entropy_gain_remainder(theta, n, psi=None, phi=None, tolerance=INEQ_TOL):
     """Channel-entropy gain under a superchannel against its remainder bound.
 
     slack = S[Theta(N)] - S[N] - (D(C || C_alpha) + [S(psi marginal) - S(phi
@@ -219,9 +219,9 @@ def verify_entropy_gain_remainder(theta, n, psi=None, phi=None, tolerance=INEQ_T
     delta_prime = vn_entropy(psi0.marginal_ref) - vn_entropy(phi0.marginal_ref)
     gamma_term = None
     if a == c:
-        connect = channel_from_kraus(
-            [mat_sqrt_psd(psi0.marginal_ref) @ mat_inv_sqrt_psd(phi0.marginal_ref)]
-        )
+        sqrt_psi = mat_fn_psd(*herm_eig(psi0.marginal_ref), np.sqrt)
+        inv_sqrt_phi = mat_fn_psd(*herm_eig(phi0.marginal_ref), lambda w: 1.0 / np.sqrt(w))
+        connect = channel_from_kraus([sqrt_psi @ inv_sqrt_phi])
         gamma_term = _scalar(_alpha_remainder(connect, phi0.marginal_ref)[1])
     params = {
         "entropy_before": _interval(before),
@@ -237,7 +237,6 @@ def verify_entropy_gain_remainder(theta, n, psi=None, phi=None, tolerance=INEQ_T
         after.value - before.upper,
         rho_alpha_term + delta_prime,
         tolerance,
-        seed,
         params,
         {},
     )
@@ -279,7 +278,7 @@ def verify_refined_dpi(
         )
         nan = float("nan")
         params = {**base_params, "reason": reason, "completion_min_eig": float(cp.certificate)}
-        return _record("refined-dpi", nan, nan, tolerance, opts.seed, params, {}, skipped=True)
+        return _record("refined-dpi", nan, nan, tolerance, params, {}, skipped=True)
 
     before = channel_divergence(n, m, opts)
     after = channel_divergence(apply_super(theta, n), apply_super(theta, m), opts)
@@ -306,10 +305,10 @@ def verify_refined_dpi(
     wit = _witness_json(
         psi=psi0, phi=phi0, before=before.optimizer_state, after=after.optimizer_state
     )
-    return _record("refined-dpi", lhs, rhs, tolerance, opts.seed, params, wit)
+    return _record("refined-dpi", lhs, rhs, tolerance, params, wit)
 
 
-def verify_entropy_gain_rsub(theta, n, tolerance=INEQ_TOL, seed=0):
+def verify_entropy_gain_rsub(theta, n, tolerance=INEQ_TOL):
     """Channel entropy never decreases under a depolarize-subpreserving supermap.
 
     slack = S[Theta(N)] - S[N], read from the lower end of S[Theta(N)] and
@@ -334,12 +333,10 @@ def verify_entropy_gain_rsub(theta, n, tolerance=INEQ_TOL, seed=0):
         "rhs_end": "upper",
     }
     wit = _witness_json(before=before.optimizer_state, after=after.optimizer_state)
-    return _record(
-        "entropy-nondecrease", after.value, before.upper, tolerance, seed, params, wit
-    )
+    return _record("entropy-nondecrease", after.value, before.upper, tolerance, params, wit)
 
 
-def entropy_gain_positive_map(f, rho, seed=0):
+def entropy_gain_positive_map(f, rho):
     """Entropy gain of a positive map against its relative-entropy remainders.
 
     Always evaluates D(rho || alpha^-alpha (F* F rho)^alpha).  When the map is
@@ -350,7 +347,7 @@ def entropy_gain_positive_map(f, rho, seed=0):
     tolerance EXACT_TOL.  Positivity of the map itself is the caller's
     responsibility.
     """
-    rho = check_density(rho)
+    rho = check_density(rho, herm_eigvals(rho))
     frho = _hermitian(apply(f, rho))
     gain = vn_entropy(frho) - vn_entropy(rho)
     alpha, power_term = _alpha_remainder(f, rho)
@@ -370,8 +367,8 @@ def entropy_gain_positive_map(f, rho, seed=0):
     s = max(float(spectrum[0]), 1.0)
     log_top = alpha * np.log2(spectrum[-1] / s) if out_full_rank else np.inf
     if cp and log_top + np.log2(2 * alpha * f.dim_out**2) < np.log2(np.finfo(float).max):
-        hat = _hermitian(apply_adjoint(f, mat_pow_psd(frho / s, alpha)))
-        if psd_check(hat).is_psd:
+        hat = _hermitian(apply_adjoint(f, mat_fn_psd(*herm_eig(frho / s), lambda w: w**alpha)))
+        if psd_check(herm_eigvals(hat)).is_psd:
             div = rel_entropy(rho, hat) - alpha * np.log2(s) + np.log2(alpha)
             terms["adjoint-power"] = float(div)
     if cp and f.flags.unital.status == "yes":
@@ -380,7 +377,7 @@ def entropy_gain_positive_map(f, rho, seed=0):
     params = {"alpha": float(alpha), "terms": terms, "cp": cp, "output_full_rank": out_full_rank}
     wit = {"rho": matrix_to_json(rho), "map": channel_to_json(f)}
     return _record(
-        "entropy-gain-positive-map", gain, max(terms.values()), EXACT_TOL, seed, params, wit
+        "entropy-gain-positive-map", gain, max(terms.values()), EXACT_TOL, params, wit
     )
 
 
@@ -407,7 +404,7 @@ def verify_entropy_additivity(n, m):
     wit = _witness_json(
         left=r_n.optimizer_state, right=r_m.optimizer_state, joint=r_joint.optimizer_state
     )
-    return _record("entropy-additivity", 0.0, residual, EXACT_TOL, 0, params, wit)
+    return _record("entropy-additivity", 0.0, residual, EXACT_TOL, params, wit)
 
 
 def depolarizing_supermap(dims):

@@ -13,7 +13,6 @@ from .linalg import (
     PSD_TOL,
     SUPPORT_CUTOFF,
     _json_dim,
-    _psd_from_spectrum,
     check_hermitian,
     dagger,
     eigvalsh,
@@ -23,6 +22,7 @@ from .linalg import (
     matrix_to_json,
     partial_trace,
     permute_systems,
+    psd_check,
 )
 
 TP_TOL = 1e-10
@@ -115,7 +115,7 @@ class ThermalMap(NamedTuple):
 
 def certify_flags(choi, dim_in, dim_out):
     """Certify cp/tp/unital of a Hermitian Choi operator from its eigenvalues and marginals."""
-    cp_chk = _psd_from_spectrum(eigvalsh((choi + dagger(choi)) / 2))
+    cp_chk = psd_check(eigvalsh((choi + dagger(choi)) / 2))
     cp = Flag("yes" if cp_chk.is_psd else "no", cp_chk.min_eig)
     tr_out = partial_trace(choi, (dim_in, dim_out), "first")
     tp_res = float(np.linalg.norm(tr_out - np.eye(dim_in)))

@@ -55,6 +55,7 @@ from .linalg import (
     check_density,
     dagger,
     fidelity,
+    herm_eigvals,
     matrix_from_json,
     matrix_to_json,
     trace_norm,
@@ -197,7 +198,7 @@ def _load_state(path, dim=None):
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"{path}: invalid matrix: {exc}")
     try:
-        rho = check_density(x)
+        rho = check_density(x, herm_eigvals(x))
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"{path}: not a density matrix: {exc}")
     if dim is not None and rho.shape[0] != dim:
@@ -359,7 +360,6 @@ def _suite_petz(index, seed, cfg):
         0.0,
         residual,
         PETZ_RECOVERY_TOL,
-        _trial_seed(seed, index),
         {"trial": index, "dim_in": din, "dim_out": dout},
         {"sigma": matrix_to_json(sigma)},
     )
@@ -370,9 +370,7 @@ def _suite_entropy_gain_super(index, seed, cfg):
     theta = _haar_mixture_super(rng, terms=1)
     n = _pauli_channel(rng)
     mes = maximally_entangled(2)
-    rec = verify_entropy_gain_remainder(
-        theta, n, psi=mes, phi=mes, tolerance=cfg.ineq_tol, seed=_trial_seed(seed, index)
-    )
+    rec = verify_entropy_gain_remainder(theta, n, psi=mes, phi=mes, tolerance=cfg.ineq_tol)
     return replace(rec, params={"trial": index, **rec.params})
 
 
@@ -393,9 +391,7 @@ def _suite_entropy_nondecrease(index, seed, cfg):
     rng = np.random.default_rng((seed, index))
     theta = _haar_mixture_super(rng)
     n = random_channel(2, 2, 2, (seed, index, 2))
-    return verify_entropy_gain_rsub(
-        theta, n, tolerance=cfg.ineq_tol, seed=_trial_seed(seed, index)
-    )
+    return verify_entropy_gain_rsub(theta, n, tolerance=cfg.ineq_tol)
 
 
 def _suite_entropy_gain(index, seed, cfg):
@@ -405,13 +401,12 @@ def _suite_entropy_gain(index, seed, cfg):
     base = random_channel(din, dout, int(rng.integers(2, 5)), (seed, index, 3))
     scale = float(rng.uniform(0.5, 2.0))
     f = channel_from_kraus(np.sqrt(scale) * base.kraus)
-    return entropy_gain_positive_map(f, _random_density(rng, din), seed=_trial_seed(seed, index))
+    return entropy_gain_positive_map(f, _random_density(rng, din))
 
 
 def _suite_additivity(index, seed, cfg):
     rng = np.random.default_rng((seed, index))
-    rec = verify_entropy_additivity(_pauli_channel(rng), _pauli_channel(rng))
-    return replace(rec, seed=_trial_seed(seed, index))
+    return verify_entropy_additivity(_pauli_channel(rng), _pauli_channel(rng))
 
 
 def _suite_tp_completion(index, seed, cfg):
@@ -438,7 +433,6 @@ def _suite_tp_completion(index, seed, cfg):
         0.0,
         max(0.0, -min_eig, tp_res),
         TP_COMPLETION_TOL,
-        _trial_seed(seed, index),
         params,
         {"sigma0": matrix_to_json(sigma0)},
     )
@@ -448,8 +442,7 @@ def _suite_super_div(index, seed, cfg):
     n0 = random_channel(2, 2, 4, (seed, index, 4))
     theta = replacer_supermap(n0, 2, 2)
     gamma = depolarizing_supermap((2, 2, 2, 2))
-    ts = _trial_seed(seed, index)
-    opts = _opts(cfg, ts)
+    opts = _opts(cfg, _trial_seed(seed, index))
     base = channel_divergence(n0, depolarizing_r(2, 2), opts)
     witness = random_channel(4, 4, 2, (seed, index, 5))
     heavy = channel_divergence(
@@ -470,7 +463,6 @@ def _suite_super_div(index, seed, cfg):
         heavy.value,
         base.upper - 1.0,
         cfg.ineq_tol,
-        ts,
         params,
         {"witness": channel_to_json(witness)},
     )
@@ -502,7 +494,7 @@ def cmd_verify(args, cfg):
     seed = cfg.seed
 
     def work(index):
-        return fn(index, seed, cfg)
+        return replace(fn(index, seed, cfg), seed=_trial_seed(seed, index))
 
     if args.jobs == 1:
         records = list(map(work, range(trials)))
@@ -550,13 +542,16 @@ def cmd_report(args, cfg):
     blob = _load_json(args.report)
     if not isinstance(blob, dict) or "records" not in blob:
         raise CliError(EXIT_USAGE, f"{args.report}: not a verification report")
+    records = blob["records"]
+    if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+        raise CliError(EXIT_USAGE, f"{args.report}: 'records' must be a list of objects")
     import csv  # only report writes CSV; every other call skips the import
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for index, rec in enumerate(blob["records"]):
+    for index, rec in enumerate(records):
         row = [index]
         for col in _CSV_COLUMNS[1:-1]:
             val = rec.get(col)

@@ -35,15 +35,15 @@ from .channels import (
 )
 from .linalg import (
     SUPPORT_CUTOFF,
-    _fn_from_spectrum,
-    _projector_from_spectrum,
-    _psd_from_spectrum,
     dagger,
     eigh,
     eigvalsh,
     herm_eig,
     kron,
+    mat_fn_psd,
     partial_trace,
+    psd_check,
+    support_projector,
 )
 
 LEAK_TOL = 1e-8
@@ -166,7 +166,7 @@ def nudge_full_rank(psi):
 def _psd_eig(x, name):
     """herm_eig of x; raises naming x when it is not PSD."""
     w, v = herm_eig(x)
-    chk = _psd_from_spectrum(w)
+    chk = psd_check(w)
     if not chk.is_psd:
         raise ValueError(f"{name} is not PSD: min eigenvalue {chk.min_eig:.3e}")
     return w, v
@@ -192,12 +192,12 @@ def rel_entropy(rho, sigma):
     # and its log2.
     w, _ = _psd_eig(rho, "rho")
     mu, u = _psd_eig(sigma, "sigma")
-    proj = _projector_from_spectrum(mu, u, SUPPORT_CUTOFF)
+    proj = support_projector(mu, u)
     leak = np.trace(rho @ (np.eye(rho.shape[0]) - proj)).real
     if leak > LEAK_TOL:
         return np.inf
     first = _sum_xlogx(w)
-    second = float(np.trace(rho @ _fn_from_spectrum(mu, u, np.log2, SUPPORT_CUTOFF)).real)
+    second = float(np.trace(rho @ mat_fn_psd(mu, u, np.log2)).real)
     return first - second
 
 

@@ -4,7 +4,9 @@ trace norm, fidelity.
 
 kron is the package's one Kronecker product, and eigh and eigvalsh its one
 Hermitian eigendecomposition; no module calls np.kron, np.linalg.eigh or
-np.linalg.eigvalsh.
+np.linalg.eigvalsh.  The spectral functions (mat_fn_psd, support_projector,
+psd_check, check_density) read the spectrum that the caller took with
+herm_eig or herm_eigvals, so one decomposition serves all that need it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,6 @@ PSD_TOL = 1e-9
 HERM_TOL = 1e-9
 # Largest |tr rho - 1| of a state or a trace-one operator.
 TRACE_TOL = 1e-8
-
-
-class SpectralDecomposition(NamedTuple):
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 class PsdCheck(NamedTuple):
@@ -93,10 +90,9 @@ def check_hermitian(m):
 
 
 def herm_eig(m):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition (w, v) of a Hermitian matrix, eigenvalues ascending."""
     m = check_hermitian(m)
-    w, v = eigh((m + dagger(m)) / 2)
-    return SpectralDecomposition(w, v)
+    return eigh((m + dagger(m)) / 2)
 
 
 def herm_eigvals(m):
@@ -105,19 +101,13 @@ def herm_eigvals(m):
     return eigvalsh((m + dagger(m)) / 2)
 
 
-def mat_fn_psd(p, f, cutoff=SUPPORT_CUTOFF):
-    """Apply the scalar function f spectrally to a PSD matrix on its support.
+def mat_fn_psd(w, v, f, cutoff=SUPPORT_CUTOFF):
+    """f applied spectrally on the support of the PSD matrix whose herm_eig is (w, v).
 
     f maps an array of eigenvalues to their images.  Eigenvalues below cutoff
     are treated as exact zeros and map to 0, so f = 1/sqrt pseudo-inverts.
     Eigenvalues below -PSD_TOL raise.
     """
-    w, v = herm_eig(p)
-    return _fn_from_spectrum(w, v, f, cutoff)
-
-
-def _fn_from_spectrum(w, v, f, cutoff):
-    """mat_fn_psd of the matrix whose herm_eig is (w, v)."""
     if w[0] < -PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
@@ -128,27 +118,9 @@ def _fn_from_spectrum(w, v, f, cutoff):
     return (out + dagger(out)) / 2
 
 
-def mat_sqrt_psd(p, cutoff=SUPPORT_CUTOFF):
-    return mat_fn_psd(p, np.sqrt, cutoff=cutoff)
-
-
-def mat_inv_sqrt_psd(p):
-    return mat_fn_psd(p, lambda w: 1.0 / np.sqrt(w))
-
-
-def mat_pow_psd(p, alpha):
-    return mat_fn_psd(p, lambda w: w**alpha)
-
-
-def support_projector(p):
-    """Projector onto the support (eigenvalues > SUPPORT_CUTOFF) of a PSD matrix."""
-    w, v = herm_eig(p)
-    return _projector_from_spectrum(w, v, SUPPORT_CUTOFF)
-
-
-def _projector_from_spectrum(w, v, cutoff):
-    """support_projector of the matrix whose herm_eig is (w, v)."""
-    on = w > cutoff
+def support_projector(w, v):
+    """Projector onto the eigenvectors v of eigenvalues w above SUPPORT_CUTOFF (a herm_eig)."""
+    on = w > SUPPORT_CUTOFF
     out = (v[:, on]) @ dagger(v[:, on])
     return (out + dagger(out)) / 2
 
@@ -205,32 +177,22 @@ def trace_norm(x):
 
 def fidelity(rho, sigma):
     """Fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2 of PSD operators."""
-    a = mat_sqrt_psd(rho, cutoff=0.0)
-    b = mat_sqrt_psd(sigma, cutoff=0.0)
+    a = mat_fn_psd(*herm_eig(rho), np.sqrt, cutoff=0.0)
+    b = mat_fn_psd(*herm_eig(sigma), np.sqrt, cutoff=0.0)
     val = trace_norm(a @ b) ** 2
     return max(val, 0.0)
 
 
-def psd_check(x):
-    """PSD verdict (min eigenvalue >= -PSD_TOL) with the min eigenvalue as certificate."""
-    return _psd_from_spectrum(herm_eigvals(x))
-
-
-def _psd_from_spectrum(w):
-    """psd_check of the matrix whose ascending eigenvalues are w."""
+def psd_check(w):
+    """PSD verdict (min >= -PSD_TOL) of ascending eigenvalues w, with the min as certificate."""
     mn = float(w[0]) if w.size else 0.0
     return PsdCheck(bool(mn >= -PSD_TOL), mn)
 
 
-def check_density(rho):
-    """Raise unless rho is a density operator (Hermitian, PSD, unit trace)."""
+def check_density(rho, w):
+    """Raise unless the Hermitian rho, with ascending eigenvalues w, is PSD with unit trace."""
     rho = np.asarray(rho)
-    return _check_density_spectrum(rho, herm_eigvals(rho))
-
-
-def _check_density_spectrum(rho, w):
-    """check_density of a Hermitian rho whose ascending eigenvalues are w."""
-    chk = _psd_from_spectrum(w)
+    chk = psd_check(w)
     if not chk.is_psd:
         raise ValueError(f"state is not PSD: min eigenvalue {chk.min_eig:.3e}")
     tr = np.trace(rho).real

@@ -8,13 +8,13 @@ import numpy as np
 
 from .linalg import (
     SUPPORT_CUTOFF,
-    _check_density_spectrum,
-    _fn_from_spectrum,
-    _projector_from_spectrum,
+    check_density,
     dagger,
     herm_eig,
     kron,
+    mat_fn_psd,
     schur_sinh_ratio,
+    support_projector,
 )
 from .channels import apply, channel_from_choi, channel_from_kraus
 
@@ -22,20 +22,20 @@ from .channels import apply, channel_from_choi, channel_from_kraus
 def _petz_ingredients(sigma, n):
     """Spectra of sigma and n(sigma), and the Petz Kraus stack; sigma's also checks it."""
     sigma = np.asarray(sigma, dtype=complex)
-    s_spec = herm_eig(sigma)
-    _check_density_spectrum(sigma, s_spec.eigenvalues)
+    sw, sv = herm_eig(sigma)
+    check_density(sigma, sw)
     if sigma.shape != (n.dim_in, n.dim_in):
         raise ValueError("sigma dimension must match the channel input")
     if n.flags.cp.status != "yes":
         raise ValueError("recovery needs a CP channel")
     nsig = apply(n, sigma)
     nsig = (nsig + dagger(nsig)) / 2
-    m_spec = herm_eig(nsig)
-    sig_sqrt = _fn_from_spectrum(*s_spec, np.sqrt, SUPPORT_CUTOFF)
-    nsig_isqrt = _fn_from_spectrum(*m_spec, lambda w: 1.0 / np.sqrt(w), SUPPORT_CUTOFF)
+    mw, mv = herm_eig(nsig)
+    sig_sqrt = mat_fn_psd(sw, sv, np.sqrt)
+    nsig_isqrt = mat_fn_psd(mw, mv, lambda w: 1.0 / np.sqrt(w))
     # sqrt(sigma) K_k^dagger n(sigma)^(-1/2), stacked (r, dim_in, dim_out).
     base = sig_sqrt @ n.kraus.conj().transpose(0, 2, 1) @ nsig_isqrt
-    return s_spec, m_spec, base
+    return (sw, sv), (mw, mv), base
 
 
 def _support_log(w):
@@ -71,7 +71,7 @@ def universal_recovery(sigma, n):
     lam = 0.5 * (_support_log(sw)[None, :] - _support_log(mw)[:, None]).reshape(-1)
     basis = kron(mv.conj(), sv)
     choi = basis @ schur_sinh_ratio(core.T @ core.conj(), lam) @ dagger(basis)
-    pi = _projector_from_spectrum(mw, mv, SUPPORT_CUTOFF)
+    pi = support_projector(mw, mv)
     choi = choi + kron((np.eye(dy) - pi).T, np.eye(dx) / dx)
     choi = (choi + dagger(choi)) / 2
     return channel_from_choi(choi, dy, dx)

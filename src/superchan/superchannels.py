@@ -32,6 +32,7 @@ from .linalg import (
     _json_dim,
     check_hermitian,
     dagger,
+    herm_eigvals,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -165,7 +166,7 @@ def is_r_subpreserving(theta):
     """PSD check of the Choi of (depolarize_CD - Theta(depolarize_AB))."""
     a, b, c, d = theta.dims
     diff = np.eye(c * d) - apply(theta.rep, np.eye(a * b))
-    chk = psd_check(diff)
+    chk = psd_check(herm_eigvals(diff))
     return RSubReport(chk.is_psd, chk.min_eig, float(np.linalg.norm(diff)) <= R_PRESERVING_TOL)
 
 

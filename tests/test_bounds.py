@@ -206,7 +206,8 @@ def test_positive_map_gain_rounding_beyond_psd_tol_leaves_out_adjoint_power():
     rho = np.array([[0.5, 0.3], [0.3, 0.5]])
     frho = hermitian(channels.apply(f, rho))
     s = np.linalg.eigvalsh(frho)[0]
-    hat = hermitian(channels.apply_adjoint(f, linalg.mat_pow_psd(frho / s, 50.0)))
+    power = linalg.mat_fn_psd(*linalg.herm_eig(frho / s), lambda w: w**50.0)
+    hat = hermitian(channels.apply_adjoint(f, power))
     assert np.linalg.eigvalsh(hat)[0] < -1e15
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -233,8 +234,10 @@ def test_positive_map_remainders_match_their_direct_forms():
         alpha = rec.params["alpha"]
         frho = hermitian(channels.apply(f, rho))
         pushed = hermitian(channels.apply_adjoint(f, frho))
-        power = dv.rel_entropy(rho, linalg.mat_pow_psd(pushed, alpha) / alpha**alpha)
-        hat = hermitian(channels.apply_adjoint(f, linalg.mat_pow_psd(frho, alpha))) / alpha
+        pushed_pow = linalg.mat_fn_psd(*linalg.herm_eig(pushed), lambda w: w**alpha)
+        frho_pow = linalg.mat_fn_psd(*linalg.herm_eig(frho), lambda w: w**alpha)
+        power = dv.rel_entropy(rho, pushed_pow / alpha**alpha)
+        hat = hermitian(channels.apply_adjoint(f, frho_pow)) / alpha
         terms = rec.params["terms"]
         np.testing.assert_allclose(terms["power"], power, rtol=1e-12, atol=1e-10)
         np.testing.assert_allclose(
@@ -337,7 +340,7 @@ def assert_reference_ordering(n, m, m_tilde):
 
     Checked at the maximally entangled state and at each side's witness.
     """
-    assert linalg.psd_check(m_tilde.choi - m.choi).is_psd
+    assert linalg.psd_check(linalg.herm_eigvals(m_tilde.choi - m.choi)).is_psd
     states = [dv.maximally_entangled(n.dim_in)]
     states += [dv.channel_divergence(n, ref, LIGHT).optimizer_state for ref in (m, m_tilde)]
     for state in states:
@@ -454,7 +457,8 @@ def tilde_recovery(t_frak, xi=None):
     if xi is None:
         xi = np.eye(dx) / dx
     else:
-        xi = linalg.check_density(np.asarray(xi, dtype=complex))
+        xi = np.asarray(xi, dtype=complex)
+        xi = linalg.check_density(xi, linalg.herm_eigvals(xi))
         if xi.shape != (dx, dx):
             raise ValueError("xi must live on the recovery output space")
     return sc.tp_fix_map(channels.adjoint(t_frak), xi)
@@ -479,12 +483,13 @@ def verify_telecov_entropy_gain(theta, n, spec, tolerance=bd.INEQ_TOL, xi=None):
     tp_res = float(
         np.linalg.norm(channels.apply_adjoint(t_frak, np.eye(c * d)) - np.eye(a * b))
     )
-    sub = linalg.psd_check(np.eye(c * d) - hermitian(channels.apply(t_frak, np.eye(a * b))))
+    sub_diff = np.eye(c * d) - hermitian(channels.apply(t_frak, np.eye(a * b)))
+    sub = linalg.psd_check(linalg.herm_eigvals(sub_diff))
     params = {"dims": list(theta.dims), "tp_residual": tp_res, "subunital_min_eig": sub.min_eig}
 
     def skipped(reason):
         nan, merged = float("nan"), {**params, "reason": reason}
-        return bd._record("telecov-entropy-gain", nan, nan, tolerance, 0, merged, {}, skipped=True)
+        return bd._record("telecov-entropy-gain", nan, nan, tolerance, merged, {}, skipped=True)
 
     if tp_res > bd.EXACT_TOL:
         return skipped("representing map is not trace preserving in witness coordinates")
@@ -518,7 +523,7 @@ def verify_telecov_entropy_gain(theta, n, spec, tolerance=bd.INEQ_TOL, xi=None):
         params["path"] = "telecov"
     params["recovery_term"] = float(bound)
     wit = {"choi_state": linalg.matrix_to_json(c_state)}
-    return bd._record("telecov-entropy-gain", s_after - s_before, bound, tolerance, 0, params, wit)
+    return bd._record("telecov-entropy-gain", s_after - s_before, bound, tolerance, params, wit)
 
 
 def test_telecov_gain_identity_theta():

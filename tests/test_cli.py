@@ -357,6 +357,22 @@ def test_verify_deterministic_across_jobs_and_runs(tmp_path):
     assert b1 == (tmp_path / "r2.json").read_bytes()
 
 
+@pytest.mark.parametrize("suite", tuple(cli._SUITE_FNS))
+def test_every_suite_is_byte_identical_across_jobs_and_stamps_trial_seeds(tmp_path, suite):
+    seed = 1
+    argv = ["verify", suite, "--trials", "2", "--seed", str(seed), "--out"]
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    assert cli.main([*argv, str(one), "--jobs", "1"]) == 0
+    assert cli.main([*argv, str(two), "--jobs", "2"]) == 0
+    assert one.read_bytes() == two.read_bytes()
+    records = json.loads(one.read_text())["records"]
+    assert [rec["seed"] for rec in records] == [
+        cli._trial_seed(seed, index) for index in range(len(records))
+    ]
+    # The seed is stamped by verify alone: a suite's own record carries 0.
+    assert cli._SUITE_FNS[suite](0, seed, cli.RunConfig()).seed == 0
+
+
 def test_verify_one_job_runs_on_the_calling_thread(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, seed=3)
     pooled, inline = str(tmp_path / "pooled.json"), str(tmp_path / "inline.json")
@@ -533,7 +549,7 @@ def test_verify_single_instance_suite_ignores_trials(tmp_path):
 
 
 def test_verify_failure_sets_exit_code(tmp_path, monkeypatch):
-    failing = bd._record("petz-recovery", 0.0, 1.0, 1e-9, 0, {}, {})
+    failing = bd._record("petz-recovery", 0.0, 1.0, 1e-9, {}, {})
     assert not failing.passed
     monkeypatch.setitem(cli._SUITE_FNS, "petz", lambda i, s, c: failing)
     out = str(tmp_path / "rep.json")
@@ -563,9 +579,15 @@ def test_report_csv_projection(tmp_path):
         assert json.loads(row[9])["dim_in"] in (2, 3)
 
 
-def test_report_rejects_non_report_input(tmp_path):
+def test_report_rejects_non_report_input(tmp_path, capsys):
     plain = write_json(tmp_path, "plain.json", {"value": 1.0})
     assert cli.main(["report", plain]) == 2
+    # Malformed records exit 2 at the boundary, naming the problem, not 4.
+    for name, records in (("scalar.json", 5), ("numbers.json", [1, 2])):
+        capsys.readouterr()
+        assert cli.main(["report", write_json(tmp_path, name, {"records": records})]) == 2
+        err = capsys.readouterr().err
+        assert "'records' must be a list of objects" in err and "Traceback" not in err
 
 
 def test_config_validation(tmp_path, capsys):

@@ -18,6 +18,10 @@ def rand_state(rng, d):
     return p / np.trace(p).real
 
 
+def sqrt_psd(rho):
+    return linalg.mat_fn_psd(*linalg.herm_eig(rho), np.sqrt)
+
+
 def dephasing(p):
     z = np.diag([1.0, -1.0]).astype(complex)
     return channels.channel_from_kraus([np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * z])
@@ -49,17 +53,17 @@ def rel_entropy_five_eig(rho, sigma, leak_tol=dv.LEAK_TOL):
     if rho.shape != sigma.shape:
         raise ValueError("shape mismatch")
     for name, x in (("rho", rho), ("sigma", sigma)):
-        chk = linalg.psd_check(x)
+        chk = linalg.psd_check(linalg.herm_eigvals(x))
         if not chk.is_psd:
             raise ValueError(f"{name} is not PSD: min eigenvalue {chk.min_eig:.3e}")
-    proj = linalg.support_projector(sigma)
+    proj = linalg.support_projector(*linalg.herm_eig(sigma))
     leak = np.trace(rho @ (np.eye(rho.shape[0]) - proj)).real
     if leak > leak_tol:
         return np.inf
     w, _ = linalg.herm_eig(rho)
     on = w > 0
     first = float(np.sum(w[on] * np.log2(w[on])))
-    second = float(np.trace(rho @ linalg.mat_fn_psd(sigma, np.log2)).real)
+    second = float(np.trace(rho @ linalg.mat_fn_psd(*linalg.herm_eig(sigma), np.log2)).real)
     return first - second
 
 
@@ -513,7 +517,7 @@ def test_general_objective_gradient_matches_central_differences(din, dout, kind,
     rho = rand_state(rng, din)
     f, grad, hessian = objective(rho)
     # The objective at rho is the divergence at the purification of rho.
-    amp = linalg.mat_sqrt_psd(rho).T
+    amp = sqrt_psd(rho).T
     at = dv.divergence_at(n, m, dv.pure_bipartite(amp))
     assert abs(f / np.log(2) - at) <= 1e-10 * max(1.0, abs(at))
     # Central differences along a Hermitian basis, against tr(h grad).
@@ -553,7 +557,7 @@ def test_general_divergence_is_concave_in_the_input_state(din, dout, kind, t, se
     m = general_reference(kind, n, rng, seed)
     rho1, rho2 = rand_state(rng, din), rand_state(rng, din)
     f1, f2, mixed = (
-        dv.divergence_at(n, m, dv.pure_bipartite(linalg.mat_sqrt_psd(rho).T))
+        dv.divergence_at(n, m, dv.pure_bipartite(sqrt_psd(rho).T))
         for rho in (rho1, rho2, t * rho1 + (1 - t) * rho2)
     )
     assert mixed >= t * f1 + (1 - t) * f2 - 1e-12 * max(1.0, abs(mixed))

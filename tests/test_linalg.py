@@ -59,33 +59,38 @@ def test_herm_eig_eigenvalue_sum_is_trace():
         assert abs(w.sum() - np.trace(m).real) < 1e-10
 
 
+def mat_fn(p, f):
+    """mat_fn_psd of the matrix p, decomposed here."""
+    return linalg.mat_fn_psd(*linalg.herm_eig(p), f)
+
+
 def test_mat_fn_psd_examples():
-    np.testing.assert_allclose(linalg.mat_fn_psd(np.eye(3), np.log2), np.zeros((3, 3)), atol=1e-14)
+    np.testing.assert_allclose(mat_fn(np.eye(3), np.log2), np.zeros((3, 3)), atol=1e-14)
     np.testing.assert_allclose(
-        linalg.mat_pow_psd(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]), atol=1e-12
+        mat_fn(np.diag([4.0, 9.0]), lambda w: w**0.5), np.diag([2.0, 3.0]), atol=1e-12
     )
     np.testing.assert_allclose(
-        linalg.mat_inv_sqrt_psd(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-12
+        mat_fn(np.diag([4.0, 0.0]), lambda w: 1.0 / np.sqrt(w)), np.diag([0.5, 0.0]), atol=1e-12
     )
 
 
 def test_mat_fn_psd_rejects_negative():
     with pytest.raises(ValueError):
-        linalg.mat_sqrt_psd(np.diag([1.0, -1e-3]))
+        mat_fn(np.diag([1.0, -1e-3]), np.sqrt)
 
 
 def test_mat_fn_psd_pow_one_is_identity():
     rng = np.random.default_rng(11)
     for _ in range(10):
         p = rand_psd(rng, 4)
-        np.testing.assert_allclose(linalg.mat_pow_psd(p, 1.0), p, atol=1e-10)
+        np.testing.assert_allclose(mat_fn(p, lambda w: w**1.0), p, atol=1e-10)
 
 
 def test_mat_fn_psd_exp_log_round_trip():
     rng = np.random.default_rng(12)
     for _ in range(10):
         p = rand_psd(rng, 3) + 0.5 * np.eye(3)
-        w, v = np.linalg.eigh(linalg.mat_fn_psd(p, np.log2))
+        w, v = np.linalg.eigh(mat_fn(p, np.log2))
         back = (v * np.exp2(w)) @ v.conj().T
         np.testing.assert_allclose(back, p, atol=1e-8)
 
@@ -245,15 +250,15 @@ def test_fidelity_symmetry():
 
 
 def test_psd_check():
-    ok = linalg.psd_check(np.eye(2))
+    ok = linalg.psd_check(linalg.herm_eigvals(np.eye(2)))
     assert ok.is_psd and abs(ok.min_eig - 1.0) < 1e-12
-    assert not linalg.psd_check(np.diag([1.0, -1e-3])).is_psd
-    assert linalg.psd_check(np.diag([1.0, -1e-12])).is_psd
+    assert not linalg.psd_check(linalg.herm_eigvals(np.diag([1.0, -1e-3]))).is_psd
+    assert linalg.psd_check(linalg.herm_eigvals(np.diag([1.0, -1e-12]))).is_psd
 
 
 def test_support_projector():
     p = np.diag([0.5, 0.0, 2.0])
-    proj = linalg.support_projector(p)
+    proj = linalg.support_projector(*linalg.herm_eig(p))
     np.testing.assert_allclose(proj, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
 
 
@@ -274,8 +279,8 @@ def test_matrix_from_json_rejects_non_finite(bad):
 
 
 def test_check_density():
-    with pytest.raises(ValueError):
-        linalg.check_density(np.diag([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        linalg.check_density(np.diag([1.5, -0.5]))
-    linalg.check_density(np.diag([0.5, 0.5]))
+    for bad in (np.diag([0.6, 0.6]), np.diag([1.5, -0.5])):
+        with pytest.raises(ValueError):
+            linalg.check_density(bad, linalg.herm_eigvals(bad))
+    good = np.diag([0.5, 0.5])
+    linalg.check_density(good, linalg.herm_eigvals(good))

@@ -14,10 +14,11 @@ The same AST holds the records to one constructor: bounds._record is the
 only call of VerificationRecord, so every verdict follows from its sides;
 every Kronecker product to one kernel, linalg.kron, in place of np.kron;
 every Hermitian eigendecomposition to linalg.eigh and linalg.eigvalsh, in
-place of np.linalg.eigh and np.linalg.eigvalsh; every certificate of a
-channel or superchannel to a property computed on first read; and every Kraus
-set to one (r, d_out, d_in) stack that no Python loop walks.  No channel
-carries a tele-covariance tag.
+place of np.linalg.eigh and np.linalg.eigvalsh; every spectral job to one
+public linalg function, with no private twin imported from linalg; every
+certificate of a channel or superchannel to a property computed on first
+read; and every Kraus set to one (r, d_out, d_in) stack that no Python loop
+walks.  No channel carries a tele-covariance tag.
 """
 
 import ast
@@ -128,9 +129,7 @@ def test_every_definition_is_reached_from_a_command():
 # divergence_at, the divergence at one witness, is what the tests replay a
 # witness with; the ascents evaluate their own objectives, and the general
 # one finds a leak in its own factorization, so no command calls it.
-TRACER_ONLY = frozenset(
-    {("channels", "compose"), ("linalg", "support_projector"), ("divergences", "divergence_at")}
-)
+TRACER_ONLY = frozenset({("channels", "compose"), ("divergences", "divergence_at")})
 
 
 def test_tracer_roots_reach_only_the_named_extras():
@@ -138,6 +137,31 @@ def test_tracer_roots_reach_only_the_named_extras():
     from_cli = package.reached(package.references("cli", package.trees["cli"]))
     assert package.reached(_tracer_roots()) - from_cli == TRACER_ONLY
 
+
+
+# Private linalg names that another module may import: _json_dim, the JSON
+# dimension check that channels and superchannels share.
+PRIVATE_LINALG_IMPORTS_KEPT = frozenset({"_json_dim"})
+
+
+def test_no_module_imports_a_private_linalg_helper():
+    """Outside linalg, only its public functions are imported, apart from the named exemption.
+
+    Each spectral job in linalg has one implementation, a public function that
+    reads the decomposition its caller made; a private twin imported around
+    it would be a second copy of that job.
+    """
+    package = Package(PACKAGE)
+    found = sorted(
+        f"{module}.py:{stmt.lineno} ({alias.name})"
+        for module, tree in package.trees.items()
+        if module != "linalg"
+        for stmt in ast.walk(tree)
+        if isinstance(stmt, ast.ImportFrom) and stmt.level == 1 and stmt.module == "linalg"
+        for alias in stmt.names
+        if alias.name.startswith("_") and alias.name not in PRIVATE_LINALG_IMPORTS_KEPT
+    )
+    assert not found, "private linalg name imported at: " + ", ".join(found)
 
 
 def _functions(tree):

@@ -134,7 +134,8 @@ def simpson_universal(sig, n):
     ws = (ts[1] - ts[0]) / 3.0 * simpson * 0.5 * np.pi / (np.cosh(np.pi * ts) + 1.0)
     choi = sum(w * rotated_petz(sig, n, t / 2).choi for t, w in zip(ts, ws))
     nsig = channels.apply(n, sig)
-    comp = np.eye(n.dim_out) - linalg.support_projector((nsig + nsig.conj().T) / 2)
+    nsig = (nsig + nsig.conj().T) / 2
+    comp = np.eye(n.dim_out) - linalg.support_projector(*linalg.herm_eig(nsig))
     return choi + np.kron(comp.T, np.eye(n.dim_in) / n.dim_in)
 
 
@@ -152,8 +153,10 @@ def test_universal_matches_rotated_average():
 def loop_petz_kraus(sig, n):
     """sqrt(sig) K^dagger n(sig)^(-1/2), one product per Kraus operator (reference route)."""
     nsig = channels.apply(n, sig)
-    sig_sqrt = linalg.mat_sqrt_psd(sig)
-    nsig_isqrt = linalg.mat_inv_sqrt_psd((nsig + nsig.conj().T) / 2)
+    sig_sqrt = linalg.mat_fn_psd(*linalg.herm_eig(sig), np.sqrt)
+    nsig_isqrt = linalg.mat_fn_psd(
+        *linalg.herm_eig((nsig + nsig.conj().T) / 2), lambda w: 1.0 / np.sqrt(w)
+    )
     return [sig_sqrt @ k.conj().T @ nsig_isqrt for k in n.kraus]
 
 
@@ -166,7 +169,7 @@ def loop_universal_choi(sig, n):
     lam = 0.5 * (rc._support_log(sw)[None, :] - rc._support_log(mw)[:, None]).reshape(-1)
     basis = np.kron(mv.conj(), sv)
     choi = basis @ linalg.schur_sinh_ratio(core.T @ core.conj(), lam) @ basis.conj().T
-    comp = np.eye(n.dim_out) - linalg.support_projector(nsig)
+    comp = np.eye(n.dim_out) - linalg.support_projector(mw, mv)
     choi = choi + np.kron(comp.T, np.eye(n.dim_in) / n.dim_in)
     return (choi + choi.conj().T) / 2
 
