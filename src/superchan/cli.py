@@ -41,7 +41,6 @@ from .channels import (
     haar_isometry,
     is_cptp,
     random_channel,
-    telecov_channel,
     weyl_heisenberg_spec,
 )
 from .divergences import (
@@ -319,10 +318,9 @@ def _random_density(rng, dim):
 
 
 def _pauli_channel(rng):
-    spec = weyl_heisenberg_spec(2)
+    """The Pauli channel sum_g w_g U_g . U_g^dagger, w Dirichlet, which is its own twirl."""
     weights = rng.dirichlet(np.ones(4))
-    kraus = np.sqrt(weights)[:, None, None] * spec.reps_in
-    return telecov_channel(spec, channel_from_kraus(kraus))
+    return channel_from_kraus(np.sqrt(weights)[:, None, None] * weyl_heisenberg_spec(2).reps_in)
 
 
 def _haar_mixture_super(rng, terms=2):
@@ -332,9 +330,8 @@ def _haar_mixture_super(rng, terms=2):
 
 
 def _pauli_mixture_super(rng):
-    spec = weyl_heisenberg_spec(2)
-    pre = [spec.reps_in[i] for i in rng.integers(0, 4, size=3)]
-    post = [spec.reps_in[i] for i in rng.integers(0, 4, size=3)]
+    paulis = weyl_heisenberg_spec(2).reps_in
+    pre, post = paulis[rng.integers(0, 4, size=3)], paulis[rng.integers(0, 4, size=3)]
     return random_isometry_super(rng.dirichlet(np.ones(3)), pre, post)
 
 

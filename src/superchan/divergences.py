@@ -268,7 +268,7 @@ def _in_eigenbasis(images, v):
     n, k = len(images), len(v)
     xv = (images.reshape(-1, k) @ v).reshape(n, k, k)
     # (X V)^T conj(V) = (V^dagger X V)^T, the conjugate of V^dagger X V.
-    return (xv.transpose(0, 2, 1).reshape(-1, k) @ v.conj()).reshape(n, -1).conj()
+    return (xv.transpose(0, 2, 1).reshape(-1, k) @ v.conj()).reshape(n, k * k).conj()
 
 
 def _traceless_basis(d):
@@ -456,7 +456,7 @@ def _certified_objective(n, b, ln_gamma):
     signed_adjoint = np.ascontiguousarray(dagger(forward)) * sign.reshape(-1)
     # S F(E_i), then F(E_i), for the basis E_i of _traceless_basis, as rows.
     n_dir = din * din - 1
-    images = _traceless_basis(din).reshape(n_dir, -1) @ forward.T
+    images = _traceless_basis(din).reshape(n_dir, din * din) @ forward.T
     images = np.concatenate([images * sign.reshape(-1), images])
 
     def objective(rho):
@@ -549,7 +549,7 @@ def _general_objective(n, m):
         # A^dagger (E_i^T (x) 1) A and G likewise.
         basis = _traceless_basis(d)
         return tuple(
-            np.einsum("ioa,nji,job->nab", x.conj(), basis, x).reshape(len(basis), -1)
+            np.einsum("ioa,nji,job->nab", x.conj(), basis, x).reshape(len(basis), x.shape[2] ** 2)
             for x in (a.reshape(d, dout, -1), b.reshape(d, dout, -1))
         )
 
@@ -573,12 +573,13 @@ def _general_objective(n, m):
             # tr Q D^2(G ln G)[X, Y] = sum_abc Q_ba T_acb (X_ac Y_cb + Y_ac X_cb).
             phi_images, g_images = images()
             y = _in_eigenbasis(phi_images, phi_v)
-            x = _in_eigenbasis(g_images, g_v).reshape(len(g_images), len(g_w), -1)
+            x = _in_eigenbasis(g_images, g_v).reshape(len(g_images), len(g_w), len(g_w))
             phi, g = np.maximum(phi_w, TINY), np.maximum(g_w, TINY)
             kernel = _divided_differences(phi, ln_phi, 1 / phi).reshape(-1)
             _, second = _divided_differences(g, g * ln_g, ln_g + 1, 1 / g)
             u = np.einsum("acb,ba,jcb->jac", second, qv, x)
-            cross = (x.reshape(len(g_images), -1) @ u.reshape(len(g_images), -1).T).real
+            flat = len(g_images), len(g_w) ** 2
+            cross = (x.reshape(flat) @ u.reshape(flat).T).real
             return (y.conj() @ (kernel * y).T).real - cross - cross.T
 
         return f, partial_trace(k, (d, dout), "first").T, hessian

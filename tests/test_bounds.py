@@ -9,7 +9,7 @@ from superchan import bounds as bd, channels, divergences as dv, linalg, superch
 from telecov_reference import telecov_divergence, telecov_entropy
 
 LIGHT = dv.OptimizerOpts(restarts=4, max_evals=400, seed=0)
-PAULI = channels.weyl_heisenberg_spec(2)  # the group that pauli_channel twirls by
+PAULI = channels.weyl_heisenberg_spec(2)  # the group every pauli_channel is covariant under
 
 
 def pauli_channel(seed, d=2):

@@ -410,6 +410,36 @@ def test_dpi_record_carries_both_divergence_intervals(tmp_path):
         assert (params["lhs_end"], params["rhs_end"]) == ("lower", "upper")
 
 
+def test_pauli_channels_are_their_own_twirl():
+    """Each sampled Pauli channel equals its Weyl-Heisenberg twirl and passes the covariance check.
+
+    The suites draw them straight from the stack, without twirling; this
+    checks, over the trial generators of seeds 0-63 and trials 0-9, that
+    nothing is lost by that.
+    """
+    spec = channels.weyl_heisenberg_spec(2)
+    for seed in range(64):
+        for index in range(10):
+            rng = np.random.default_rng((seed, index))
+            for n in (cli._pauli_channel(rng), cli._pauli_channel(rng)):
+                twirled = channels.telecov_channel(spec, n)
+                assert np.abs(n.choi - twirled.choi).max() <= 1e-15
+                assert channels.covariance_residual(spec, n) <= 1e-14
+
+
+def test_entropy_of_a_preparation_channel(tmp_path):
+    """A 1 -> 2 channel file, the preparation of rho, has entropy S(rho)."""
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    w, v = np.linalg.eigh(rho)
+    prep = channels.channel_from_kraus((np.sqrt(w)[:, None] * v.T)[:, :, None])
+    path = write_json(tmp_path, "prep.json", channels.channel_to_json(prep))
+    out = str(tmp_path / "out.json")
+    assert cli.main(["entropy", path, "--out", out]) == 0
+    blob = json.loads((tmp_path / "out.json").read_text())
+    assert blob["method"] == "certified"
+    np.testing.assert_allclose([blob["value"], blob["upper"]], dv.vn_entropy(rho), atol=1e-12)
+
+
 def test_verify_seed_changes_samples(tmp_path):
     o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert cli.main(["verify", "petz", "--trials", "2", "--seed", "1", "--out", o1]) == 0

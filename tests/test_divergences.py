@@ -265,6 +265,37 @@ def test_channel_entropy_beta():
     assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
 
 
+def preparation(rho):
+    """The 1 -> d channel that prepares rho, from the Kraus stack sqrt(w_i) |v_i>."""
+    w, v = np.linalg.eigh(rho)
+    return channels.channel_from_kraus((np.sqrt(np.clip(w, 0, None))[:, None] * v.T)[:, :, None])
+
+
+def test_preparation_channels_take_their_states_quantities():
+    """At dim_in = 1 each channel quantity is that of the prepared states."""
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    sigma = np.array([[0.4, -0.1j], [0.1j, 0.6]])
+    n, m = preparation(rho), preparation(sigma)
+    for res, want in (
+        (dv.channel_entropy(n), dv.vn_entropy(rho)),
+        (
+            dv.channel_entropy_beta(n, channels.ThermalMap(np.diag([0.0, 1.0]), 0.5)),
+            -dv.rel_entropy(rho, np.diag([1.0, np.exp(-0.5)])),
+        ),
+        (dv.channel_divergence(n, m), dv.rel_entropy(rho, sigma)),
+        (dv.channel_divergence(m, n), dv.rel_entropy(sigma, rho)),
+    ):
+        np.testing.assert_allclose([res.value, res.upper], want, atol=1e-12)
+    # A rank-deficient reference takes the general objective: D(|0><0| || |0><0| / 2) = 1.
+    pure, half = preparation(np.diag([1.0, 0.0])), preparation(np.diag([0.5, 0.0]))
+    res = dv.channel_divergence(pure, half)
+    np.testing.assert_allclose([res.value, res.upper], 1.0, atol=1e-12)
+    # Both objectives' Hessians live on the traceless 1 x 1 matrices, which are {0}.
+    one = np.eye(1, dtype=complex)
+    for objective in (dv._general_objective(pure, half), dv._certified_objective(n, 2, np.zeros((2, 2)))):
+        assert objective(one)[2]().shape == (0, 0)
+
+
 def test_state_dpi():
     rng = np.random.default_rng(7)
     for trial in range(500):
