@@ -378,6 +378,8 @@ def channel_to_json(n):
 
 def channel_from_json(obj):
     dim_in, dim_out = _json_dim(obj["dim_in"], "dim_in"), _json_dim(obj["dim_out"], "dim_out")
+    if "kraus" in obj and "choi" in obj:
+        raise ValueError("channel JSON holds both 'kraus' and 'choi'")
     if "kraus" in obj:
         kraus = [matrix_from_json(k) for k in obj["kraus"]]
         n = channel_from_kraus(kraus)

@@ -22,7 +22,7 @@ X -> tr(X) exp(-beta H), both conditional replacers.
 """
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -513,50 +513,46 @@ def _general_objective(n, m):
     M, and data processing under E bounds that divergence by f(rho).  So
     D[N||M] = max_rho f <= f + gap at every rho, with gap the Frank-Wolfe gap.
 
-    With C_N = A A^dagger, C_M = B B^dagger (eigenvalues above SUPPORT_CUTOFF),
-    P = rho^T (x) 1, Phi = A^dagger P A, G = B^dagger P B = V diag(g) V^dagger
-    and Q = B^+ C_N B^+dagger, f = [tr Phi ln Phi - tr Q G ln G] / ln 2.  The
-    gradient is tr_out[A (ln Phi + 1) A^dagger - B V (Gam o V^dagger Q V) V^dagger B^dagger]^T,
-    Gam_ij = ln(g_i g_j) / 2 + w coth w with w = ln(g_i / g_j) / 2 being the
-    divided differences of x ln x (ln g_i + 1 on the diagonal).  The Hessian
-    reads tr Phi ln Phi through the divided differences of ln, as the
-    certified objective does, and tr Q G ln G through the second divided
-    differences of x ln x; it and the basis images it reads are computed
-    only when called.
+    With C_N = A A^dagger, C_M = B B^dagger (eigenvalues above SUPPORT_CUTOFF)
+    and Q = (B^+ C_N B^+dagger)^T, f = [tr Phi ln Phi - tr Q G ln G] / ln 2,
+    where Phi = N^c(rho) and G = M^c(rho) = V diag(g) V^dagger are the
+    complementary outputs of the minimal Kraus stacks that A and B reshape
+    into.  Each is one block map of rho, as the certified objective's N^c
+    block is, so an evaluation takes one matmul and one eigh per term, and
+    the gradient is ln Phi + 1 and V (Gam o V^dagger Q V) V^dagger sent back
+    through the adjoint maps, with Gam_ij = ln(g_i g_j) / 2 + w coth w,
+    w = ln(g_i / g_j) / 2, the divided differences of x ln x (ln g_i + 1 on
+    the diagonal).  The Hessian reads tr Phi ln Phi through the divided
+    differences of ln, as the certified objective does, and tr Q G ln G
+    through the second divided differences of x ln x; it is computed only
+    when called.
 
     The supports leak when C_N / d, the Choi state at rho = 1/d, has weight
     above LEAK_TOL off the support that B keeps; f is then +inf at every
     full-rank rho.
     """
     d, dout = n.dim_in, n.dim_out
-
-    def support(choi):
-        w, v = herm_eig(choi)
-        on = w > SUPPORT_CUTOFF
-        return v[:, on], w[on]
-
-    a_v, a_w = support(n.choi)
-    b_v, b_w = support(m.choi)
+    b_w, b_v = herm_eig(m.choi)
+    on = b_w > SUPPORT_CUTOFF
+    b_w, b_v = b_w[on], b_v[:, on]
     kept = dagger(b_v) @ n.choi @ b_v
     if (np.trace(n.choi) - np.trace(kept)).real / d > LEAK_TOL:
         return None
-    a, b = a_v * np.sqrt(a_w), b_v * np.sqrt(b_w)
-    q = kept / np.sqrt(np.outer(b_w, b_w))
-
-    @cache
-    def images():
-        # Along the basis direction E_i, P moves by E_i^T (x) 1, so Phi by
-        # A^dagger (E_i^T (x) 1) A and G likewise.
-        basis = _traceless_basis(d)
-        return tuple(
-            np.einsum("ioa,nji,job->nab", x.conj(), basis, x).reshape(len(basis), x.shape[2] ** 2)
-            for x in (a.reshape(d, dout, -1), b.reshape(d, dout, -1))
-        )
+    q = (kept / np.sqrt(np.outer(b_w, b_w))).T
+    # Block o of a complementary map stacks the rows <o| K_k of the Kraus operators.
+    n_blocks = kraus_from_choi(n.choi, d, dout).transpose(1, 0, 2)
+    m_blocks = (b_v * np.sqrt(b_w)).reshape(d, dout, -1).transpose(1, 2, 0)
+    rn, rm = n_blocks.shape[1], m_blocks.shape[1]
+    n_forward, m_forward = _block_superop(n_blocks), _block_superop(m_blocks)
+    n_adjoint = np.ascontiguousarray(dagger(n_forward))
+    m_adjoint = np.ascontiguousarray(dagger(m_forward))
+    # F(E_i) for the basis E_i of _traceless_basis, as rows, for each map F.
+    basis = _traceless_basis(d).reshape(d * d - 1, d * d)
+    n_images, m_images = basis @ n_forward.T, basis @ m_forward.T
 
     def objective(rho):
-        p = kron(rho.T, np.eye(dout))
-        phi_w, phi_v = eigh(dagger(a) @ p @ a)
-        g_w, g_v = eigh(dagger(b) @ p @ b)
+        phi_w, phi_v = eigh((n_forward @ rho.reshape(-1)).reshape(rn, rn))
+        g_w, g_v = eigh((m_forward @ rho.reshape(-1)).reshape(rm, rm))
         ln_phi = np.log(np.maximum(phi_w, TINY))
         ln_g = np.log(np.maximum(g_w, TINY))
         qv = dagger(g_v) @ q @ g_v
@@ -564,25 +560,24 @@ def _general_objective(n, m):
         w = (ln_g[:, None] - ln_g) / 2
         w_coth_w = np.divide(w, np.tanh(w), out=np.ones_like(w), where=w != 0)
         gam = (ln_g[:, None] + ln_g) / 2 + w_coth_w
-        k = a @ ((phi_v * (ln_phi + 1)) @ dagger(phi_v)) @ dagger(a)
-        k -= b @ (g_v @ (gam * qv) @ dagger(g_v)) @ dagger(b)
+        grad = n_adjoint @ ((phi_v * (ln_phi + 1)) @ dagger(phi_v)).reshape(-1)
+        grad -= m_adjoint @ (g_v @ (gam * qv) @ dagger(g_v)).reshape(-1)
 
         def hessian():
             # Each term in its own eigenbasis; with T the second divided
             # differences of x ln x at g,
             # tr Q D^2(G ln G)[X, Y] = sum_abc Q_ba T_acb (X_ac Y_cb + Y_ac X_cb).
-            phi_images, g_images = images()
-            y = _in_eigenbasis(phi_images, phi_v)
-            x = _in_eigenbasis(g_images, g_v).reshape(len(g_images), len(g_w), len(g_w))
+            y = _in_eigenbasis(n_images, phi_v)
+            x = _in_eigenbasis(m_images, g_v).reshape(len(m_images), rm, rm)
             phi, g = np.maximum(phi_w, TINY), np.maximum(g_w, TINY)
             kernel = _divided_differences(phi, ln_phi, 1 / phi).reshape(-1)
             _, second = _divided_differences(g, g * ln_g, ln_g + 1, 1 / g)
             u = np.einsum("acb,ba,jcb->jac", second, qv, x)
-            flat = len(g_images), len(g_w) ** 2
+            flat = len(m_images), rm * rm
             cross = (x.reshape(flat) @ u.reshape(flat).T).real
             return (y.conj() @ (kernel * y).T).real - cross - cross.T
 
-        return f, partial_trace(k, (d, dout), "first").T, hessian
+        return f, grad.reshape(d, d), hessian
 
     return objective
 

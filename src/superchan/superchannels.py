@@ -253,6 +253,8 @@ def super_to_json(theta):
 
 def super_from_json(obj):
     dims = tuple(_json_dim(x, "dims") for x in obj["dims"])
+    if "rep_choi" in obj and ("pre" in obj or "post" in obj):
+        raise ValueError("superchannel JSON holds both a dilation ('pre'/'post') and 'rep_choi'")
     if "pre" in obj:
         theta = super_from_dilation(
             channel_from_json(obj["pre"]),

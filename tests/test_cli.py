@@ -157,6 +157,24 @@ def test_entropy_kraus_that_do_not_stack_is_usage_error(tmp_path, capsys, kraus,
     assert named in capsys.readouterr().err
 
 
+def test_channel_json_with_both_forms_is_usage_error(tmp_path, capsys):
+    # Read alone, the Kraus set (the identity) has entropy -1 and the Choi
+    # (X -> tr(X) 1/2) has entropy 1; neither may be dropped silently.
+    obj = channels.channel_to_json(channels.identity_channel(2))
+    obj["choi"] = linalg.matrix_to_json(channels.replacer_channel(np.eye(2) / 2, 2).choi)
+    assert cli.main(["entropy", write_json(tmp_path, "both.json", obj)]) == 2
+    assert "both 'kraus' and 'choi'" in capsys.readouterr().err
+
+
+def test_supermap_json_with_both_forms_is_usage_error(tmp_path, capsys):
+    n = channels.random_channel(2, 2, 2, 86)
+    channel = write_json(tmp_path, "n.json", channels.channel_to_json(n))
+    obj = sc.super_to_json(cli._haar_mixture_super(np.random.default_rng(86)))
+    obj["rep_choi"] = sc.super_to_json(bd.replacer_supermap(n, 2, 2))["rep_choi"]
+    assert cli.main(["apply-super", write_json(tmp_path, "t.json", obj), channel]) == 2
+    assert "'rep_choi'" in capsys.readouterr().err
+
+
 def test_divergence_value_replays_from_witness(tmp_path):
     cfg = write_config(tmp_path)
     n = channels.random_channel(2, 2, 4, 51)

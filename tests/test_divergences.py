@@ -540,6 +540,10 @@ def assert_hessian_matches_central_differences(objective, rho, hessian):
     kind=st.sampled_from(["full-rank", "mixture", "rank-deficient", "non-tp"]),
     seed=st.integers(0, 2**16),
 )
+@example(din=4, dout=2, kind="full-rank", seed=0)
+@example(din=4, dout=2, kind="rank-deficient", seed=1)
+@example(din=4, dout=4, kind="mixture", seed=2)
+@example(din=4, dout=4, kind="non-tp", seed=3)
 def test_general_objective_gradient_matches_central_differences(din, dout, kind, seed):
     rng = np.random.default_rng(seed)
     n = channels.random_channel(din, dout, 2, seed)

@@ -18,7 +18,8 @@ place of np.linalg.eigh and np.linalg.eigvalsh; every spectral job to one
 public linalg function, with no private twin imported from linalg; every
 certificate of a channel or superchannel to a property computed on first
 read; and every Kraus set to one (r, d_out, d_in) stack that no Python loop
-walks.  No channel carries a tele-covariance tag.
+walks.  No channel carries a tele-covariance tag, and no divergence
+objective forms a Kronecker product or a partial trace per evaluation.
 """
 
 import ast
@@ -349,3 +350,24 @@ def test_kraus_stacks_are_not_looped_over():
         )
     )
     assert not loops, "loop over Kraus operators at: " + ", ".join(loops)
+
+
+def test_objective_evaluations_take_no_kronecker_product_or_partial_trace():
+    """No nested objective function in divergences.py calls kron or partial_trace.
+
+    Each objective sends rho through block maps built once per channel pair,
+    so an evaluation is matmuls and eigendecompositions, with no Kronecker
+    product to form and no trace to take.
+    """
+    tree = Package(PACKAGE).trees["divergences"]
+    nested = [fn for fn, _ in _functions(tree) if fn.name == "objective" and fn not in tree.body]
+    assert nested
+    calls = sorted(
+        f"divergences.py:{node.lineno} ({name})"
+        for fn in nested
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        in ("kron", "partial_trace")
+    )
+    assert not calls, "objective evaluation calls: " + ", ".join(calls)
