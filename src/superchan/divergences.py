@@ -74,6 +74,7 @@ DIVDIFF_TOL = 1e-6
 LN2 = np.log(2)
 TINY = np.finfo(float).tiny
 _TRACELESS_BASES = {}  # dim -> the read-only basis of _traceless_basis
+_MAXIMALLY_ENTANGLED = {}  # dim -> the state of maximally_entangled
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,12 @@ def pure_bipartite(a_psi):
 
 
 def maximally_entangled(dim):
-    return pure_bipartite(np.eye(dim) / np.sqrt(dim))
+    """The maximally entangled state of dim, built once per dim; its a_psi is read-only."""
+    if dim not in _MAXIMALLY_ENTANGLED:
+        psi = pure_bipartite(np.eye(dim) / np.sqrt(dim))
+        psi.a_psi.setflags(write=False)
+        _MAXIMALLY_ENTANGLED.setdefault(dim, psi)
+    return _MAXIMALLY_ENTANGLED[dim]
 
 
 def nudge_full_rank(psi):

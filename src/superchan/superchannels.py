@@ -46,6 +46,8 @@ TP_PRESERVING_TOL = 1e-8
 R_PRESERVING_TOL = 1e-8
 # random_isometry_super: largest |sum p_i - 1| of the mixing probabilities.
 PROBS_TOL = 1e-10
+# tp_fix_map: a correction within dim_out * EPS entrywise is rounding of T*(1).
+EPS = np.finfo(float).eps
 
 
 class Dilation(NamedTuple):
@@ -103,7 +105,13 @@ def super_from_rep(rep_choi, dims):
 
 
 def super_from_dilation(pre, post, ref_dim=1):
-    """Superchannel post o (N (x) id_R) o pre from CPTP pre and post channels."""
+    """Superchannel post o (N (x) id_R) o pre from CPTP pre and post channels.
+
+    The representing map is built from its Kraus operators, one per pair
+    (P_j, Q_k) of pre and post Kraus operators: K_jk = sum_r (P_j^r)^T (x)
+    Q_k^r with P_j^r = (1_A (x) <r|) P_j and Q_k^r = Q_k (1_B (x) |r>), so
+    rep.kraus is that stack and reading it decomposes nothing.
+    """
     if not is_cptp(pre) or not is_cptp(post):
         raise ValueError("pre and post must be certified CPTP")
     if ref_dim < 1:
@@ -115,14 +123,8 @@ def super_from_dilation(pre, post, ref_dim=1):
     c, d = pre.dim_in, post.dim_out
     pk = pre.kraus.reshape(-1, a, ref_dim, c)
     qk = post.kraus.reshape(-1, d, b, ref_dim)
-    # Sum over the Kraus pairs of each side, then one matmul over the
-    # reference pair (r, s): c8[abmdefng] = sum_rs pre[armesn] post[dbrgfs].
-    pre_rs = np.tensordot(pk, pk.conj(), axes=(0, 0)).transpose(0, 2, 3, 5, 1, 4)
-    post_rs = np.tensordot(qk, qk.conj(), axes=(0, 0)).transpose(2, 5, 0, 1, 3, 4)
-    c8 = pre_rs.reshape(-1, ref_dim**2) @ post_rs.reshape(ref_dim**2, -1)
-    rep_choi = c8.reshape(a, c, a, c, d, b, d, b).transpose(0, 5, 1, 4, 2, 7, 3, 6)
-    rep_choi = rep_choi.reshape(a * b * c * d, a * b * c * d)
-    rep = channel_from_choi(rep_choi, a * b, c * d)
+    kraus = np.einsum("jarc,kdbr->jkcdab", pk, qk).reshape(-1, c * d, a * b)
+    rep = channel_from_kraus(kraus)
     return Superchannel((a, b, c, d), rep, Dilation(pre, post, ref_dim))
 
 
@@ -140,9 +142,19 @@ def tp_fix_map(base, sigma0=None):
     sigma0 is 1/dim_out unless one is given, and T' comes back as a Channel
     whose Choi adds (1 - T*(1))^t (x) sigma0; its flags.cp certifies whether
     T' is CP.  A T' that is not CP does not prove that no sigma0 completes T:
-    deciding that is a semidefinite feasibility problem, not solved here.  A
-    base whose correction is exactly zero is its own completion, and is
-    returned with the flags it has already certified.
+    deciding that is a semidefinite feasibility problem, not solved here.
+
+    A base whose correction lies entrywise within d EPS, d = dim_out, is its
+    own completion, and is returned with the flags it has already certified.
+    T' = T then holds to working precision: T*(1)_ij = sum_b conj(C_(ib),(jb))
+    is a sum of d terms (the other products with 1 are exact zeros), and
+    1 - s is exact for s in [1/2, 2] (Sterbenz) or 0 - s off the diagonal, so
+    the computed correction is off by at most (d - 1) EPS/sqrt(2) sum_b
+    |C_(ib),(jb)| per entry.  C is PSD, so by Cauchy-Schwarz that sum is at
+    most sqrt(T*(1)_ii T*(1)_jj) = 1 + O(EPS).  The exact correction is thus
+    within 2 d EPS of zero entrywise, and T' - T, its transpose (x) sigma0,
+    within 2 d EPS max|sigma0| of zero: a change the rounding of T*(1)
+    cannot tell from none.
     """
     if base.flags.cp.status != "yes":
         raise ValueError("trace-preserving completion needs a CP base map")
@@ -157,7 +169,7 @@ def tp_fix_map(base, sigma0=None):
     if abs(np.trace(sigma0) - 1.0) > TRACE_TOL:
         raise ValueError("sigma0 must have unit trace")
     corr = np.eye(base.dim_in) - apply_adjoint(base, np.eye(dout))
-    if not corr.any():
+    if np.abs(corr).max() <= dout * EPS:
         return base
     return channel_from_choi(base.choi + kron(corr.T, sigma0), base.dim_in, dout)
 
@@ -179,6 +191,8 @@ def random_isometry_super(probs, isometries_pre, isometries_post):
     probs = np.asarray(probs, dtype=float)
     if abs(probs.sum() - 1.0) > PROBS_TOL or np.any(probs < 0):
         raise ValueError("probs must be a probability vector")
+    # A sum within PROBS_TOL of 1 can leave pre's TP residual above TP_TOL.
+    probs = probs / probs.sum()
     us = np.asarray(isometries_pre, dtype=complex)
     vs = np.asarray(isometries_post, dtype=complex)
     r = len(probs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from superchan import channels, divergences as dv, linalg, superchannels as sc
+from superchan import bounds, channels, cli, divergences as dv, linalg, superchannels as sc
 
 
 def rand_full_rank_witness(rng, d):
@@ -52,6 +52,35 @@ def einsum_rep_choi(pre, post, r):
     return c8.reshape(a * b * c * d, a * b * c * d)
 
 
+def tensordot_rep_choi(pre, post, r):
+    """Rep Choi of a dilation from each side's Kraus-pair sums and one matmul over the
+    reference pair (r, s), c8[abmdefng] = sum_rs pre[armesn] post[dbrgfs] (reference route)."""
+    a, b = pre.dim_out // r, post.dim_in // r
+    c, d = pre.dim_in, post.dim_out
+    pk = pre.kraus.reshape(-1, a, r, c)
+    qk = post.kraus.reshape(-1, d, b, r)
+    pre_rs = np.tensordot(pk, pk.conj(), axes=(0, 0)).transpose(0, 2, 3, 5, 1, 4)
+    post_rs = np.tensordot(qk, qk.conj(), axes=(0, 0)).transpose(2, 5, 0, 1, 3, 4)
+    c8 = pre_rs.reshape(-1, r**2) @ post_rs.reshape(r**2, -1)
+    rep_choi = c8.reshape(a, c, a, c, d, b, d, b).transpose(0, 5, 1, 4, 2, 7, 3, 6)
+    return rep_choi.reshape(a * b * c * d, a * b * c * d)
+
+
+def kraus_pair_stack(pre, post, r):
+    """K_jk = sum_r (P_j^r)^T (x) Q_k^r, one np.kron per (j, k, r) (reference route)."""
+    a, b = pre.dim_out // r, post.dim_in // r
+    out = []
+    for p in pre.kraus:
+        for q in post.kraus:
+            out.append(
+                sum(
+                    np.kron(p.reshape(a, r, -1)[:, s, :].T, q.reshape(-1, b, r)[:, :, s])
+                    for s in range(r)
+                )
+            )
+    return np.array(out)
+
+
 def isometry_channel(dim_in, dim_out, rng):
     """Channel whose Kraus operators are the env blocks of a Haar isometry.
 
@@ -78,6 +107,25 @@ def test_dilation_matches_einsum_reference(r, dims, seed):
     assert np.abs(theta.rep.choi - want).max() <= 1e-14
     ref = sc.super_from_rep(want, (a, b, c, d))
     assert [f.status for f in theta.flags] == [f.status for f in ref.flags]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    r=st.integers(1, 3),
+    dims=st.tuples(*[st.integers(1, 3)] * 4),
+    envs=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    seed=st.integers(0, 2**16),
+)
+def test_kraus_pair_rep_matches_tensordot_reference(r, dims, envs, seed):
+    a, b, c, d = dims
+    pre = channels.random_channel(c, a * r, max(envs[0], -(-c // (a * r))), seed)
+    post = channels.random_channel(b * r, d, max(envs[1], -(-(b * r) // d)), seed + 1)
+    theta = sc.super_from_dilation(pre, post, ref_dim=r)
+    assert np.abs(theta.rep.choi - tensordot_rep_choi(pre, post, r)).max() <= 1e-14
+    # The rep keeps the Kraus stack it was built from, one per (pre, post) pair.
+    assert theta.rep.kraus is theta.rep.given_kraus
+    assert theta.rep.kraus.shape == (len(pre.kraus) * len(post.kraus), c * d, a * b)
+    assert np.abs(theta.rep.kraus - kraus_pair_stack(pre, post, r)).max() <= 1e-15
 
 
 @st.composite
@@ -328,6 +376,40 @@ def test_tp_fix_diagonal_amplifier_explicit_sigma0():
     )
 
 
+@pytest.fixture
+def completions(monkeypatch):
+    """(base, T') of every tp_fix_map call that bounds and cli make while the test runs."""
+    calls = []
+
+    def recording(base, sigma0=None):
+        fixed = sc.tp_fix_map(base, sigma0)
+        calls.append((base, fixed))
+        return fixed
+
+    monkeypatch.setattr(bounds, "tp_fix_map", recording)
+    monkeypatch.setattr(cli, "tp_fix_map", recording)
+    return calls
+
+
+def test_tp_fix_returns_a_base_within_rounding(completions):
+    # Every refined-dpi rep is trace preserving; its correction is rounding
+    # (up to 1.5 eps at these seeds), so no trial builds a second T.
+    cfg = cli.RunConfig()
+    for seed in range(64):
+        for trial in range(5):
+            cli._suite_refined_dpi(trial, seed, cfg)
+    assert len(completions) == 320
+    assert all(fixed is base for base, fixed in completions)
+    # A correction of 1e-12 is not rounding, and tp-completion's is O(1).
+    completions.clear()
+    near = channels.channel_from_kraus([np.sqrt(1 - 1e-12) * np.eye(2)])
+    fixed = sc.tp_fix_map(near)
+    assert fixed is not near and fixed.flags.tp.certificate < 1e-15
+    cli._suite_tp_completion(0, 0, cfg)
+    ((base, fixed),) = completions
+    assert fixed is not base and fixed.flags.tp.status == "yes"
+
+
 def test_tp_fix_sigma0_with_wrong_trace():
     base = channels.identity_channel(2)
     with pytest.raises(ValueError):
@@ -408,6 +490,17 @@ def test_random_isometry_super_validation():
         channels.channel_from_kraus([u]), channels.channel_from_kraus([u])
     )
     np.testing.assert_allclose(single.rep.choi, direct.rep.choi, atol=1e-10)
+
+
+def test_random_isometry_super_builds_probs_within_probs_tol():
+    # The sum is 1 + 9e-11, inside PROBS_TOL; unnormalized, pre's TP residual
+    # read 1.27e-10, beyond TP_TOL, and the build raised.
+    eye = np.eye(2)
+    theta = sc.random_isometry_super([0.5, 0.5 + 9e-11], [eye, eye], [eye, eye])
+    pre, post, _ = theta.dilation
+    assert channels.is_cptp(pre) and channels.is_cptp(post)
+    assert pre.flags.tp.certificate < 1e-15
+    assert theta.flags.tp_preserving.status == "yes"
 
 
 def test_random_isometry_super_checks_every_isometry_and_count():
