@@ -130,13 +130,6 @@ def _require_superchannel(theta):
         raise ValueError("supermap does not preserve trace-preserving maps")
 
 
-def _require_input_slot(theta, *chans):
-    a, b = theta.dims[0], theta.dims[1]
-    for n in chans:
-        if (n.dim_in, n.dim_out) != (a, b):
-            raise ValueError("channel dimensions do not match the supermap input slot")
-
-
 def _interval(res):
     """[lower, upper] of a result, JSON-safe: an infinite end becomes None."""
     return [_scalar(res.value), _scalar(res.upper)]
@@ -166,12 +159,7 @@ def verify_channel_dpi(n, m, theta, opts=OptimizerOpts(), tolerance=INEQ_TOL):
     slack = D[N||M] - D[Theta(N)||Theta(M)], read from the lower end of
     D[N||M] and the upper end of D[Theta(N)||Theta(M)].
     """
-    if not is_cptp(n):
-        raise ValueError("first channel must be certified CPTP")
-    if m.flags.cp.status != "yes":
-        raise ValueError("second channel must be certified CP")
     _require_superchannel(theta)
-    _require_input_slot(theta, n, m)
     before = channel_divergence(n, m, opts)
     after = channel_divergence(apply_super(theta, n), apply_super(theta, m), opts)
     params = {
@@ -202,9 +190,6 @@ def verify_entropy_gain_remainder(theta, n, psi=None, phi=None, tolerance=INEQ_T
     entropies' witnesses, blended to full rank when needed.
     """
     _require_superchannel(theta)
-    _require_input_slot(theta, n)
-    if not is_cptp(n):
-        raise ValueError("channel must be certified CPTP")
     a, _, c, _ = theta.dims
     before, after = channel_entropy(n), channel_entropy(apply_super(theta, n))
 
@@ -262,9 +247,10 @@ def verify_refined_dpi(
     sigma0 = 1/d, is not CP.
     """
     _require_superchannel(theta)
-    _require_input_slot(theta, n, m)
     if not is_cptp(n) or not is_cptp(m):
         raise ValueError("both channels must be certified CPTP")
+    # apply_super checks the input slot, on the skipped path too.
+    theta_n, theta_m = apply_super(theta, n), apply_super(theta, m)
     a, _, c, _ = theta.dims
     base_params = {"dims": list(theta.dims)}
     psi0 = psi if psi is not None else maximally_entangled(a)
@@ -281,7 +267,7 @@ def verify_refined_dpi(
         return _record("refined-dpi", nan, nan, tolerance, params, {}, skipped=True)
 
     before = channel_divergence(n, m, opts)
-    after = channel_divergence(apply_super(theta, n), apply_super(theta, m), opts)
+    after = channel_divergence(theta_n, theta_m, opts)
 
     sigma = _hermitian(choi_witness(m, psi0))
     rec = universal_recovery(sigma, t_prime)
@@ -315,7 +301,6 @@ def verify_entropy_gain_rsub(theta, n, tolerance=INEQ_TOL):
     the upper end of S[N].
     """
     _require_superchannel(theta)
-    _require_input_slot(theta, n)
     report = is_r_subpreserving(theta)
     if not report.verdict:
         raise ValueError(

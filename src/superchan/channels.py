@@ -27,8 +27,8 @@ from .linalg import (
 TP_TOL = 1e-10
 COVARIANCE_TOL = 1e-8
 # check_telecov_spec: largest ||u^dag u - 1|| of a representation element (and
-# random_isometry_super of an isometry), and largest deviation of the input
-# twirl of a basis matrix from its one-design value.
+# random_isometry_super of each pre isometry), and largest deviation of the
+# input twirl of a basis matrix from its one-design value.
 UNITARY_TOL = 1e-10
 TWIRL_TOL = 1e-8
 

@@ -360,18 +360,17 @@ def _ascend(objective, d, x, max_evals):
 
     objective(rho) returns f ln 2, its gradient grad in nats up to a multiple
     of 1, and a function that returns the Hessian of f ln 2 on the traceless
-    Hermitian basis of _traceless_basis.  The first step is the unit mirror
-    step x <- x + grad, whose fixed points are the stationary points of f.
-    Every later step first tries damped, regularized Newton proposals on
-    rho (see _newton_proposals), unless rho's smallest eigenvalue is below
-    NEWTON_MIN_EIG, and takes the first one that raises f; when none does it
-    falls back to the unit mirror step, halved while it lowers f by more than
-    ASCENT_DROP * max(1, |f|) (never on the certified objective, see
+    Hermitian basis of _traceless_basis.  From each point the ascent evaluates
+    proposals in turn and moves to the first one it accepts: from every point
+    but the first, unless rho's smallest eigenvalue is below NEWTON_MIN_EIG,
+    the damped, regularized Newton proposals (see _newton_proposals), taken
+    when they raise f; then the unit mirror step x <- x + grad, whose fixed
+    points are the stationary points of f, halved while it lowers f by more
+    than ASCENT_DROP * max(1, |f|) (never on the certified objective, see
     _certified_divergence).  The ascent returns the first evaluated point
     whose Frank-Wolfe gap lambda_max(grad) - tr rho grad is at most
     ASCENT_GAP bits and whose f is not below the current point's by more than
-    ASCENT_DROP * max(1, |f|), a Newton proposal included; otherwise it stops
-    after max_evals evaluations.
+    ASCENT_DROP * max(1, |f|); otherwise it stops after max_evals evaluations.
     """
 
     def evaluate(h_w, h_v, p):
@@ -385,41 +384,35 @@ def _ascend(objective, d, x, max_evals):
         return _AscentPoint(h_w, rho, p, h_v, f / LN2, gap / LN2, _flat(grad), hessian)
 
     def mirror(x):
-        return evaluate(*_floored(*eigh(x.view(complex).reshape(d, d))))
+        return _floored(*eigh(x.view(complex).reshape(d, d)))
 
-    start = point = mirror(x)
-    evaluations = 1
-    while point.gap > ASCENT_GAP and evaluations < max_evals:
-        low = point.f - ASCENT_DROP * max(1.0, abs(point.f))
-        new = None
-        newton = point is not start and point.p[0] >= NEWTON_MIN_EIG
-        for spectrum in _newton_proposals(point, d) if newton else ():
-            cand = evaluate(*spectrum)
-            evaluations += 1
-            # Certified and no lower than rounding: f there differs from the
-            # current point's by rounding alone, so stop at it.
-            if cand.gap <= ASCENT_GAP and cand.f >= low:
-                return cand, evaluations
-            if cand.f > point.f:
-                new = cand
-                break
-            if evaluations >= max_evals:
-                return point, evaluations
+    def proposals(point, newton):
+        """(spectrum, is_newton) of each proposal from point, in the order tried."""
+        if newton and point.p[0] >= NEWTON_MIN_EIG:
+            for spectrum in _newton_proposals(point, d):
+                yield spectrum, True
         x = _flat((point.v * point.ln_p) @ dagger(point.v))
         length = 1.0
-        while new is None and evaluations < max_evals:
-            cand = mirror(x + length * point.step)
-            evaluations += 1
-            if cand.gap <= ASCENT_GAP and cand.f >= low:
-                return cand, evaluations
-            if cand.f < low:
-                length /= 2
-            else:
-                new = cand
-        if new is None:
-            break
-        point = new
-    return point, evaluations
+        while True:
+            yield mirror(x + length * point.step), False
+            length /= 2
+
+    cand = evaluate(*mirror(x))
+    evaluations, low, accepted = 1, -np.inf, True
+    while True:
+        # Certified and no lower than rounding: f there differs from the
+        # current point's by rounding alone, so stop at it.
+        if cand.gap <= ASCENT_GAP and cand.f >= low:
+            return cand, evaluations
+        if accepted:
+            point, low = cand, cand.f - ASCENT_DROP * max(1.0, abs(cand.f))
+            pending = proposals(point, newton=evaluations > 1)
+        if evaluations >= max_evals:
+            return point, evaluations
+        spectrum, newton = next(pending)
+        cand = evaluate(*spectrum)
+        evaluations += 1
+        accepted = cand.f > point.f if newton else cand.f >= low
 
 
 def _certified_objective(n, b, ln_gamma):
@@ -497,12 +490,20 @@ def _certified_divergence(n, b, ln_gamma):
     """
     din = n.dim_in
     objective = _certified_objective(n, b, ln_gamma)
-    point, evaluations = _ascend(objective, din, np.zeros(2 * din * din), ASCENT_MAX_ITERS)
-    f, gap = float(point.f), float(point.gap)
+    run = _ascend(objective, din, np.zeros(2 * din * din), ASCENT_MAX_ITERS)
+    return _result_of_runs([run], restarts_used=0)
+
+
+def _result_of_runs(runs, restarts_used):
+    """[max f, min(f + gap)] over ascents (point, evaluations), each of which holds D[N||M]."""
+    best = max((point for point, _ in runs), key=lambda point: point.f)
+    value = float(best.f)
+    upper = min(float(point.f + point.gap) for point, _ in runs)
     return DivergenceResult(
-        value=f, upper=f + gap, optimizer_state=_witness(point), restarts_used=0,
-        per_restart_values=(f,), converged=gap <= ASCENT_GAP, is_lower_bound=False,
-        evaluations=evaluations,
+        value=value, upper=upper, optimizer_state=_witness(best), restarts_used=restarts_used,
+        per_restart_values=tuple(float(point.f) for point, _ in runs),
+        converged=upper - value <= ASCENT_GAP, is_lower_bound=False,
+        evaluations=sum(used for _, used in runs),
     )
 
 
@@ -617,16 +618,10 @@ def _searched_divergence(n, m, opts):
     runs = []
     for r in range(opts.restarts):
         runs.append(_ascend(objective, d, start(r), opts.max_evals))
-        best = max((p for p, _ in runs), key=lambda p: p.f)
-        upper = min(float(p.f + p.gap) for p, _ in runs)
-        if upper - best.f <= ASCENT_GAP:
+        result = _result_of_runs(runs, restarts_used=len(runs))
+        if result.converged:
             break
-    value = float(best.f)
-    return DivergenceResult(
-        value=value, upper=upper, optimizer_state=_witness(best), restarts_used=len(runs),
-        per_restart_values=tuple(float(p.f) for p, _ in runs), converged=upper - value <= ASCENT_GAP,
-        is_lower_bound=False, evaluations=sum(used for _, used in runs),
-    )
+    return result
 
 
 def channel_divergence(n, m, opts=OptimizerOpts()):
@@ -649,38 +644,22 @@ def channel_divergence(n, m, opts=OptimizerOpts()):
     return _searched_divergence(n, m, opts)
 
 
-def _negated(div):
-    """The entropy interval [-upper, -value] from a divergence result."""
-    return replace(
-        div,
-        value=-div.upper,
-        upper=-div.value,
-        per_restart_values=tuple(-v for v in div.per_restart_values),
-    )
+def _entropy(n, ln_gamma):
+    """-D[N||M] as [-upper, -value], for the conditional replacer M(X) = tr(X) exp(ln_gamma)."""
+    if not is_cptp(n):
+        raise ValueError("channel must be certified CPTP")
+    div = _certified_divergence(n, n.dim_out, ln_gamma)
+    negated = tuple(-v for v in div.per_restart_values)
+    return replace(div, value=-div.upper, upper=-div.value, per_restart_values=negated)
 
 
 def channel_entropy(n):
-    """Channel entropy, the negated divergence to the depolarizing map.
-
-    The depolarizing map R(X) = tr(X) 1 is the conditional replacer with B
-    the whole output and gamma = 1, so every certified CPTP channel takes the
-    certified ascent and the result is a certified interval.
-    """
-    if not is_cptp(n):
-        raise ValueError("channel must be certified CPTP")
-    d = n.dim_out
-    return _negated(_certified_divergence(n, d, np.zeros((d, d))))
+    """Channel entropy, the negated divergence to the depolarizing map R(X) = tr(X) 1."""
+    return _entropy(n, np.zeros((n.dim_out, n.dim_out)))
 
 
 def channel_entropy_beta(n, thermal):
-    """Entropy against the completely thermalizing reference exp(-beta H).
-
-    The reference is the conditional replacer with B the whole output and
-    ln gamma = -beta H, so the result is a certified interval at every beta.
-    """
-    if not is_cptp(n):
-        raise ValueError("channel must be certified CPTP")
+    """Entropy against the completely thermalizing reference exp(-beta H), at every beta."""
     if thermal_map(thermal).dim_out != n.dim_out:  # also rejects beta < 0 and H < 0
         raise ValueError("hamiltonian dimension does not match the channel output")
-    ln_gamma = -thermal.beta * np.asarray(thermal.hamiltonian, dtype=complex)
-    return _negated(_certified_divergence(n, n.dim_out, ln_gamma))
+    return _entropy(n, -thermal.beta * np.asarray(thermal.hamiltonian, dtype=complex))

@@ -198,16 +198,19 @@ def random_isometry_super(probs, isometries_pre, isometries_post):
     r = len(probs)
     if len(us) != r or len(vs) != r:
         raise ValueError("need one pre and one post isometry per probability")
-    for w in (us, vs):
-        gram = np.swapaxes(w.conj(), 1, 2) @ w - np.eye(w.shape[2])
-        if np.linalg.norm(gram, axis=(1, 2)).max() > UNITARY_TOL:
-            raise ValueError("input is not an isometry")
     # The flag register is the last factor: pre's one Kraus operator stacks
     # sqrt(p_i) U_i over its value i, and post's i-th reads V_i at flag i.
     u_stack = (np.sqrt(probs)[:, None, None] * us).transpose(1, 0, 2)
     v_flagged = np.einsum("ydb,yi->ydbi", vs, np.eye(r))
     pre = channel_from_kraus(u_stack.reshape(1, -1, us.shape[2]))
     post = channel_from_kraus(v_flagged.reshape(r, vs.shape[1], -1))
+    # Post's TP residual is the root-sum-square of the V_i's residuals
+    # V_i^dagger V_i - 1, so its certificate checks them all.  Pre's is their
+    # p-weighted sum for the U_i, so each U_i is also checked alone.  The
+    # build reads these same certificates, so every input that passes builds.
+    gram = np.swapaxes(us.conj(), 1, 2) @ us - np.eye(us.shape[2])
+    if np.linalg.norm(gram, axis=(1, 2)).max() > UNITARY_TOL or not (is_cptp(pre) and is_cptp(post)):
+        raise ValueError("input is not an isometry")
     return super_from_dilation(pre, post, ref_dim=r)
 
 

@@ -476,7 +476,6 @@ def verify_telecov_entropy_gain(theta, n, spec, tolerance=bd.INEQ_TOL, xi=None):
     certified intervals.
     """
     bd._require_superchannel(theta)
-    bd._require_input_slot(theta, n)
     a, b, c, d = theta.dims
     mes = dv.maximally_entangled
     t_frak = sc.generalized_rep(theta, mes(a), mes(c))

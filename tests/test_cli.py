@@ -583,6 +583,66 @@ def test_additivity_records_are_certified_and_carry_their_trial_seed(tmp_path, s
         assert rec["seed"] == cli._trial_seed(seed, index)
 
 
+END = {"lower": 0, "upper": 1}
+
+
+def lower_end_of_difference(p, minuend, subtrahend):
+    """The lower end of the interval difference p[minuend] - p[subtrahend]."""
+    assert p["lhs_end"] == "lower"
+    return p[minuend][0] - p[subtrahend][1]
+
+
+def worst_corner(p):
+    assert p["rhs_end"] == "worst corner"
+    joint, left, right = p["joint"], p["left"], p["right"]
+    return max(abs(joint[1] - left[0] - right[0]), abs(joint[0] - left[1] - right[1]))
+
+
+def refined_dpi_rhs(p):
+    assert p["rhs_end"] == "point"
+    return -float(np.log2(p["fidelity"]))
+
+
+# Each check's (lhs, rhs) from its params and the ends it names; None marks a
+# side that is not a function of params: the Petz residual, the positive-map
+# gain and the entropy-gain-super remainder bound.
+REPLAY = {
+    "channel-dpi": lambda p: (p["before"][END[p["lhs_end"]]], p["after"][END[p["rhs_end"]]]),
+    "petz-recovery": lambda p: (0.0, None),
+    "entropy-gain-super": lambda p: (
+        lower_end_of_difference(p, "entropy_after", "entropy_before"),
+        None,
+    ),
+    "refined-dpi": lambda p: (lower_end_of_difference(p, "before", "after"), refined_dpi_rhs(p)),
+    "entropy-nondecrease": lambda p: (
+        p["after"][END[p["lhs_end"]]],
+        p["before"][END[p["rhs_end"]]],
+    ),
+    "entropy-gain-positive-map": lambda p: (None, max(p["terms"].values())),
+    "entropy-additivity": lambda p: (0.0, worst_corner(p)),
+    "tp-completion": lambda p: (0.0, max(0.0, -p["choi_min_eig"], p["tp_residual"])),
+    "super-div-lb": lambda p: (
+        p["divergence"][END[p["lhs_end"]]],
+        p["base_divergence"][END[p["rhs_end"]]] - 1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITE_FNS))
+def test_every_record_replays_from_its_params(tmp_path, suite):
+    # Bit for bit: a side that reads the wrong end of an interval, or a
+    # corner too few, cannot hide behind the tolerance.
+    out = tmp_path / "rep.json"
+    for seed in range(4):
+        argv = ["verify", suite, "--trials", "3", "--seed", str(seed), "--out", str(out)]
+        assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAIL)
+        for rec in json.loads(out.read_text())["records"]:
+            assert not rec["skipped"]
+            lhs, rhs = REPLAY[rec["check_id"]](rec["params"])
+            assert lhs is None or lhs == rec["lhs"]
+            assert rhs is None or rhs == rec["rhs"]
+
+
 def test_verify_single_instance_suite_ignores_trials(tmp_path):
     out = str(tmp_path / "rep.json")
     assert cli.main(["verify", "tp-completion", "--trials", "5", "--out", out]) == 0

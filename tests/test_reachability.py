@@ -20,6 +20,9 @@ certificate of a channel or superchannel to a property computed on first
 read; and every Kraus set to one (r, d_out, d_in) stack that no Python loop
 walks.  No channel carries a tele-covariance tag, and no divergence
 objective forms a Kronecker product or a partial trace per evaluation.
+
+The mutation table of tests/mutation_audit.py names source lines, and each
+must occur exactly once.
 """
 
 import ast
@@ -371,3 +374,16 @@ def test_objective_evaluations_take_no_kronecker_product_or_partial_trace():
         in ("kron", "partial_trace")
     )
     assert not calls, "objective evaluation calls: " + ", ".join(calls)
+
+
+def test_every_mutant_line_occurs_once():
+    """Each defect of tests/mutation_audit.py names a line that occurs exactly once.
+
+    An edit that moves or rewrites a mutated line must update the table, or
+    the audit would mutate nothing and report the defect as caught.
+    """
+    import mutation_audit
+
+    assert len({m.name for m in mutation_audit.MUTANTS}) == len(mutation_audit.MUTANTS)
+    counts = {m.name: mutation_audit.occurrences(m, ROOT) for m in mutation_audit.MUTANTS}
+    assert all(n == 1 for n in counts.values()), counts

@@ -503,6 +503,66 @@ def test_random_isometry_super_builds_probs_within_probs_tol():
     assert theta.flags.tp_preserving.status == "yes"
 
 
+def largest_passing_scale(stack, weights, residual):
+    """The stack with column j of its i-th matrix scaled by sqrt(1 + s w_ij), for
+    the largest s (to rounding) at which residual(stack) is at most 1e-10."""
+    def scaled(s):
+        return stack * np.sqrt(1 + s * weights)[:, None, :]
+
+    lo, hi = 0.0, 1e-9
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if residual(scaled(mid)) <= 1e-10 else (lo, mid)
+    return scaled(lo)
+
+
+def test_random_isometry_super_builds_every_stack_it_accepts():
+    # Post's TP residual is the root-sum-square of the isometries' residuals:
+    # two at 9.0e-11 each passed a check of each alone, and the build raised
+    # "pre and post must be certified CPTP" on post's 1.27e-10 > TP_TOL.
+    eye = np.eye(2)
+    v = np.diag([1.0, np.sqrt(1 + 9e-11)])
+    assert np.linalg.norm(v.T @ v - eye) <= channels.UNITARY_TOL
+    with pytest.raises(ValueError, match="not an isometry"):
+        sc.random_isometry_super([0.5, 0.5], [eye, eye], [v, v])
+    # Stacks at the edge of each side's check, to rounding, either build or
+    # are refused as isometries: no accepted stack fails in the build.
+    def gram(w):
+        return np.swapaxes(w.conj(), 1, 2) @ w - np.eye(w.shape[2])
+
+    edges = (
+        lambda w: np.linalg.norm(gram(w), axis=(1, 2)).max(),  # each pre isometry
+        lambda w: np.linalg.norm(gram(w)),  # post's stack, jointly
+    )
+    rng = np.random.default_rng(32)
+    built = 0
+    for _ in range(40):
+        r, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        stacks = [np.stack([channels.haar_isometry(2 * d, d, rng) for _ in range(r)]) for _ in "uv"]
+        for side, residual in enumerate(edges):
+            args = list(stacks)
+            args[side] = largest_passing_scale(stacks[side], rng.random((r, d)), residual)
+            try:
+                sc.random_isometry_super(np.full(r, 1 / r), *args)
+                built += 1
+            except ValueError as err:
+                assert "not an isometry" in str(err)
+    assert built
+    theta = sc.random_isometry_super([0.5, 0.5], [eye, eye], [eye, v])
+    assert theta.dilation.post.flags.tp.certificate <= channels.TP_TOL
+
+
+@pytest.mark.parametrize("scale, status", [(1 - 0.99e-8, "yes"), (1 + 1.01e-8, "no")])
+def test_tp_preservation_straddles_its_tolerance(scale, status):
+    # Scaling the rep by s scales every T*(e_kk (x) 1) to s Z_kk, tr Z_kk = 1,
+    # so the residual is |s - 1|, just inside or just outside TP_PRESERVING_TOL.
+    ident = sc.super_from_dilation(channels.identity_channel(2), channels.identity_channel(2))
+    theta = sc.super_from_rep(scale * ident.rep.choi, ident.dims)
+    flag = theta.flags.tp_preserving
+    assert flag.status == status
+    assert abs(flag.certificate - abs(scale - 1)) <= 1e-15
+
+
 def test_random_isometry_super_checks_every_isometry_and_count():
     rng = np.random.default_rng(25)
     good = np.stack([channels.haar_isometry(2, 2, rng) for _ in range(2)])
