@@ -697,3 +697,41 @@ def test_channel_json_round_trip():
     np.testing.assert_allclose(back2.choi, n.choi, atol=1e-12)
     with pytest.raises(ValueError):
         channels.channel_from_json({"dim_in": 2, "dim_out": 2})
+
+
+@pytest.mark.parametrize("eig, rank", [(1e-10, 1), (1.01e-10, 2)])
+def test_kraus_rank_straddles_the_support_cutoff(eig, rank):
+    # An eigenvalue of exactly SUPPORT_CUTOFF is off the support, one just
+    # above it is on; herm_eig returns both unrounded.
+    choi = np.diag([0.0, eig, 0.0, 1.0]).astype(complex)
+    assert linalg.herm_eig(choi)[0][2] == eig
+    assert channels.kraus_from_choi(choi, 2, 2).shape == (rank, 2, 2)
+
+
+@pytest.mark.parametrize("eig, passes", [(-0.99e-9, True), (-1.01e-9, False)])
+def test_psd_checks_straddle_their_tolerance(eig, passes):
+    # An eigenvalue just above -PSD_TOL is rounding of a PSD operator; one
+    # just below it is not, for a Choi operator and for a state alike.
+    choi = np.diag([eig, 0.0, 0.0, 1.0]).astype(complex)
+    state = np.diag([1.0 - eig, eig]).astype(complex)
+    if passes:
+        assert channels.kraus_from_choi(choi, 2, 2).shape == (1, 2, 2)
+        linalg.check_density(state, linalg.herm_eigvals(state))
+        return
+    with pytest.raises(ValueError, match="Choi is not PSD: min eigenvalue -1.010e-09"):
+        channels.kraus_from_choi(choi, 2, 2)
+    with pytest.raises(ValueError, match="state is not PSD: min eigenvalue -1.010e-09"):
+        linalg.check_density(state, linalg.herm_eigvals(state))
+
+
+@pytest.mark.parametrize("delta, status", [(0.99e-10, "yes"), (1.01e-10, "no")])
+def test_tp_and_unital_flags_straddle_their_tolerance(delta, status):
+    # delta on the (00, 00) entry of the identity's Choi moves both marginals
+    # by delta e_00, so both residuals are delta, just inside or just outside
+    # TP_TOL.
+    choi = channels.identity_channel(2).choi.copy()
+    choi[0, 0] += delta
+    flags = channels.certify_flags(choi, 2, 2)
+    for flag in (flags.tp, flags.unital):
+        assert flag.status == status
+        assert abs(flag.certificate - delta) <= 1e-15

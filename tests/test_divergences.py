@@ -606,6 +606,13 @@ def test_leaking_support_is_infinite_in_one_evaluation():
     assert res.evaluations == 1
 
 
+@pytest.mark.parametrize("weight, finite", [(0.99e-8, True), (1.01e-8, False)])
+def test_rel_entropy_leak_straddles_its_tolerance(weight, finite):
+    # rho puts weight just inside or just outside LEAK_TOL off sigma's support.
+    rho, sigma = np.diag([1.0 - weight, weight]), np.diag([1.0, 0.0])
+    assert np.isfinite(dv.rel_entropy(rho, sigma)) == finite
+
+
 def test_thermal_entropy_is_certified_below_the_support_cutoff():
     # exp(-30) is below SUPPORT_CUTOFF, so a reference built from exp(-beta H)
     # would lose its excited level; ln gamma = -beta H keeps it.

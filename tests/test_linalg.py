@@ -284,3 +284,25 @@ def test_check_density():
             linalg.check_density(bad, linalg.herm_eigvals(bad))
     good = np.diag([0.5, 0.5])
     linalg.check_density(good, linalg.herm_eigvals(good))
+
+
+@pytest.mark.parametrize("dev, passes", [(0.99e-9, True), (1.01e-9, False)])
+def test_check_hermitian_straddles_its_tolerance(dev, passes):
+    # The largest |m - m^dagger| entry is dev, just inside or just outside HERM_TOL.
+    m = np.array([[1.0, dev], [0.0, 1.0]])
+    if passes:
+        linalg.check_hermitian(m)
+    else:
+        with pytest.raises(ValueError, match="not Hermitian: deviation 1.010e-09"):
+            linalg.check_hermitian(m)
+
+
+@pytest.mark.parametrize("excess, passes", [(0.99e-8, True), (1.01e-8, False)])
+def test_check_density_trace_straddles_its_tolerance(excess, passes):
+    # A PSD diagonal state of trace 1 + excess, just inside or just outside TRACE_TOL.
+    rho = np.diag([0.5 + excess, 0.5])
+    if passes:
+        linalg.check_density(rho, linalg.herm_eigvals(rho))
+    else:
+        with pytest.raises(ValueError, match="deviates from 1 beyond 1.0e-08"):
+            linalg.check_density(rho, linalg.herm_eigvals(rho))

@@ -563,6 +563,18 @@ def test_tp_preservation_straddles_its_tolerance(scale, status):
     assert abs(flag.certificate - abs(scale - 1)) <= 1e-15
 
 
+@pytest.mark.parametrize("residual, preserving", [(0.99e-8, True), (1.01e-8, False)])
+def test_r_preservation_straddles_its_tolerance(residual, preserving):
+    # Scaling the identity supermap's rep by s < 1 sends 1_AB to s 1_CD, so
+    # 1_CD - Theta(R)(1) = (1 - s) 1 is PSD with norm 2 (1 - s) at dims
+    # (2, 2, 2, 2): just inside or just outside R_PRESERVING_TOL.
+    ident = sc.super_from_dilation(channels.identity_channel(2), channels.identity_channel(2))
+    theta = sc.super_from_rep((1 - residual / 2) * ident.rep.choi, ident.dims)
+    report = sc.is_r_subpreserving(theta)
+    assert report.verdict
+    assert report.is_r_preserving == preserving
+
+
 def test_random_isometry_super_checks_every_isometry_and_count():
     rng = np.random.default_rng(25)
     good = np.stack([channels.haar_isometry(2, 2, rng) for _ in range(2)])
