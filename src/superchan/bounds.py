@@ -32,7 +32,6 @@ from .divergences import (
     vn_entropy,
 )
 from .linalg import (
-    SUPPORT_CUTOFF,
     check_density,
     dagger,
     fidelity,
@@ -41,6 +40,7 @@ from .linalg import (
     kron,
     mat_fn_psd,
     matrix_to_json,
+    on_support,
     psd_check,
 )
 from .recovery import universal_recovery
@@ -340,7 +340,7 @@ def entropy_gain_positive_map(f, rho):
 
     cp = f.flags.cp.status == "yes"
     spectrum = herm_eigvals(frho)
-    out_full_rank = bool(spectrum[0] > SUPPORT_CUTOFF)
+    out_full_rank = bool(on_support(spectrum).all())
     # D(rho || F*((F rho)^alpha) / alpha) is evaluated with F rho divided by s,
     # the larger of 1 and its smallest eigenvalue, so no eigenvalue of the
     # power drops below the absolute support cutoff (dividing by the largest

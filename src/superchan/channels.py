@@ -10,8 +10,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .linalg import (
-    PSD_TOL,
-    SUPPORT_CUTOFF,
     _json_dim,
     check_hermitian,
     dagger,
@@ -20,8 +18,10 @@ from .linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
+    on_support,
     permute_systems,
     psd_check,
+    require_psd,
 )
 
 TP_TOL = 1e-10
@@ -150,13 +150,12 @@ def channel_from_kraus(kraus):
 def kraus_from_choi(choi, dim_in, dim_out):
     """A minimal Kraus set of a PSD Choi operator, stacked (r, dim_out, dim_in).
 
-    K_i = sqrt(w_i) unvec(v_i)^T for each eigenvalue w_i of herm_eig above
-    SUPPORT_CUTOFF, in ascending order.
+    K_i = sqrt(w_i) unvec(v_i)^T for each eigenvalue w_i of herm_eig on the
+    support, in ascending order.
     """
     w, v = herm_eig(choi)
-    if w[0] < -PSD_TOL:
-        raise ValueError(f"Choi is not PSD: min eigenvalue {w[0]:.3e}")
-    on = w > SUPPORT_CUTOFF
+    require_psd(w, "Choi")
+    on = on_support(w)
     return (v[:, on] * np.sqrt(w[on])).T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1)
 
 
@@ -221,8 +220,7 @@ def thermal_map(spec):
         raise ValueError("beta must be nonnegative")
     h = np.asarray(spec.hamiltonian, dtype=complex)
     w, v = herm_eig(h)
-    if w[0] < -PSD_TOL:
-        raise ValueError("hamiltonian must have lowest eigenvalue >= 0")
+    require_psd(w, "hamiltonian")
     tau = (v * np.exp(-spec.beta * w)) @ dagger(v)
     tau = (tau + dagger(tau)) / 2
     dim = h.shape[0]
@@ -365,7 +363,8 @@ def is_cptp(n):
 
 
 def channel_to_json(n):
-    if n.kraus is not None:
+    # A map with no Kraus operator on the support, such as the zero map, takes the Choi form.
+    if n.kraus is not None and len(n.kraus):
         return {
             "dim_in": n.dim_in,
             "dim_out": n.dim_out,

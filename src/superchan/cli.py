@@ -225,11 +225,12 @@ def _opts(cfg, seed):
 
 
 def _result_payload(res, **extra):
-    """The interval, evaluation count and witness of a DivergenceResult, as JSON."""
+    """The interval, evaluation count, convergence and witness of a DivergenceResult, as JSON."""
     return {
         "value": _scalar(res.value),
         "upper": _scalar(res.upper),
         "evaluations": res.evaluations,
+        "converged": res.converged,
         "witness": matrix_to_json(res.optimizer_state.a_psi),
         **extra,
     }

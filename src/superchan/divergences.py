@@ -34,15 +34,15 @@ from .channels import (
     thermal_map,
 )
 from .linalg import (
-    SUPPORT_CUTOFF,
     dagger,
     eigh,
     eigvalsh,
     herm_eig,
     kron,
     mat_fn_psd,
+    on_support,
     partial_trace,
-    psd_check,
+    require_psd,
     support_projector,
 )
 
@@ -169,15 +169,6 @@ def nudge_full_rank(psi):
     return maximally_entangled(dim)
 
 
-def _psd_eig(x, name):
-    """herm_eig of x; raises naming x when it is not PSD."""
-    w, v = herm_eig(x)
-    chk = psd_check(w)
-    if not chk.is_psd:
-        raise ValueError(f"{name} is not PSD: min eigenvalue {chk.min_eig:.3e}")
-    return w, v
-
-
 def _sum_xlogx(w):
     """sum of w log2 w over the positive eigenvalues w, with 0 log 0 = 0.
 
@@ -194,10 +185,11 @@ def rel_entropy(rho, sigma):
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError("shape mismatch")
-    # One decomposition per operand: sigma's also gives its support projector
-    # and its log2.
-    w, _ = _psd_eig(rho, "rho")
-    mu, u = _psd_eig(sigma, "sigma")
+    # One decomposition per operand; sigma's also gives its support projector and log2.
+    w, _ = herm_eig(rho)
+    require_psd(w, "rho")
+    mu, u = herm_eig(sigma)
+    require_psd(mu, "sigma")
     proj = support_projector(mu, u)
     leak = np.trace(rho @ (np.eye(rho.shape[0]) - proj)).real
     if leak > LEAK_TOL:
@@ -210,7 +202,8 @@ def rel_entropy(rho, sigma):
 def vn_entropy(rho):
     """von Neumann entropy -tr(rho log2 rho) of a PSD operator, in bits."""
     rho = np.asarray(rho, dtype=complex)
-    w, _ = _psd_eig(rho, "operator")
+    w, _ = herm_eig(rho)
+    require_psd(w, "operator")
     return -_sum_xlogx(w)
 
 
@@ -238,7 +231,7 @@ def _conditional_replacer(n, m):
         if np.linalg.norm(m.choi - kron(marginal, gamma)) > TP_TOL * np.linalg.norm(gamma):
             continue
         w, v = herm_eig(gamma)
-        if w[0] > SUPPORT_CUTOFF:
+        if on_support(w).all():
             return b, (v * np.log(w)) @ dagger(v)
     return None
 
@@ -443,7 +436,7 @@ def _certified_objective(n, b, ln_gamma):
     # at most din * r'; compressed onto it, tau has full rank for every
     # full-rank rho.
     t_w, t_v = herm_eig(np.einsum("pij,pkj->ik", to_be, to_be.conj()))
-    tau_blocks = dagger(t_v[:, t_w > SUPPORT_CUTOFF]) @ to_be
+    tau_blocks = dagger(t_v[:, on_support(t_w)]) @ to_be
     kt = tau_blocks.shape[1]
     k = kt + r
     blocks = np.zeros((rp + rp * b, k, din), dtype=complex)
@@ -520,7 +513,7 @@ def _general_objective(n, m):
     M, and data processing under E bounds that divergence by f(rho).  So
     D[N||M] = max_rho f <= f + gap at every rho, with gap the Frank-Wolfe gap.
 
-    With C_N = A A^dagger, C_M = B B^dagger (eigenvalues above SUPPORT_CUTOFF)
+    With C_N = A A^dagger, C_M = B B^dagger (eigenvalues on the support)
     and Q = (B^+ C_N B^+dagger)^T, f = [tr Phi ln Phi - tr Q G ln G] / ln 2,
     where Phi = N^c(rho) and G = M^c(rho) = V diag(g) V^dagger are the
     complementary outputs of the minimal Kraus stacks that A and B reshape
@@ -540,7 +533,7 @@ def _general_objective(n, m):
     """
     d, dout = n.dim_in, n.dim_out
     b_w, b_v = herm_eig(m.choi)
-    on = b_w > SUPPORT_CUTOFF
+    on = on_support(b_w)
     b_w, b_v = b_w[on], b_v[:, on]
     kept = dagger(b_v) @ n.choi @ b_v
     if (np.trace(n.choi) - np.trace(kept)).real / d > LEAK_TOL:

@@ -4,9 +4,9 @@ trace norm, fidelity.
 
 kron is the package's one Kronecker product, and eigh and eigvalsh its one
 Hermitian eigendecomposition; no module calls np.kron, np.linalg.eigh or
-np.linalg.eigvalsh.  The spectral functions (mat_fn_psd, support_projector,
-psd_check, check_density) read the spectrum that the caller took with
-herm_eig or herm_eigvals, so one decomposition serves all that need it.
+np.linalg.eigvalsh.  The spectral functions read the spectrum that the
+caller took with herm_eig or herm_eigvals; on_support and psd_check (which
+require_psd raises on) are the package's only support and PSD rules.
 """
 
 from __future__ import annotations
@@ -101,26 +101,29 @@ def herm_eigvals(m):
     return eigvalsh((m + dagger(m)) / 2)
 
 
-def mat_fn_psd(w, v, f, cutoff=SUPPORT_CUTOFF):
+def on_support(w):
+    """Mask of the ascending eigenvalues w (of a herm_eig) on the support: w > SUPPORT_CUTOFF."""
+    return w > SUPPORT_CUTOFF
+
+
+def mat_fn_psd(w, v, f):
     """f applied spectrally on the support of the PSD matrix whose herm_eig is (w, v).
 
-    f maps an array of eigenvalues to their images.  Eigenvalues below cutoff
-    are treated as exact zeros and map to 0, so f = 1/sqrt pseudo-inverts.
-    Eigenvalues below -PSD_TOL raise.
+    f maps an array of eigenvalues to their images.  Eigenvalues off the
+    support are treated as exact zeros and map to 0, so f = 1/sqrt
+    pseudo-inverts.  A spectrum that fails psd_check raises.
     """
-    if w[0] < -PSD_TOL:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    on_support = w > cutoff
+    require_psd(w, "matrix")
+    on = on_support(w)
     fw = np.zeros_like(w)
-    fw[on_support] = f(w[on_support])
+    fw[on] = f(w[on])
     out = (v * fw) @ dagger(v)
     return (out + dagger(out)) / 2
 
 
 def support_projector(w, v):
-    """Projector onto the eigenvectors v of eigenvalues w above SUPPORT_CUTOFF (a herm_eig)."""
-    on = w > SUPPORT_CUTOFF
+    """Projector onto the eigenvectors v of the eigenvalues w on the support (a herm_eig)."""
+    on = on_support(w)
     out = (v[:, on]) @ dagger(v[:, on])
     return (out + dagger(out)) / 2
 
@@ -176,11 +179,16 @@ def trace_norm(x):
 
 
 def fidelity(rho, sigma):
-    """Fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2 of PSD operators."""
-    a = mat_fn_psd(*herm_eig(rho), np.sqrt, cutoff=0.0)
-    b = mat_fn_psd(*herm_eig(sigma), np.sqrt, cutoff=0.0)
-    val = trace_norm(a @ b) ** 2
-    return max(val, 0.0)
+    """Fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2 of PSD operators, with no cutoff.
+
+    F = ||diag(sqrt r) V^dagger U diag(sqrt s)||_1^2 for the herm_eigs (r, V) and (s, U), clipped
+    at 0, so no eigenvalue near a cutoff biases F by its square root.
+    """
+    r, v = herm_eig(rho)
+    require_psd(r, "matrix")
+    s, u = herm_eig(sigma)
+    require_psd(s, "matrix")
+    return trace_norm(np.sqrt(r.clip(0.0))[:, None] * (dagger(v) @ u) * np.sqrt(s.clip(0.0))) ** 2
 
 
 def psd_check(w):
@@ -189,12 +197,16 @@ def psd_check(w):
     return PsdCheck(bool(mn >= -PSD_TOL), mn)
 
 
+def require_psd(w, name):
+    """Raise, naming the operator, unless its ascending eigenvalues w pass psd_check."""
+    if not (chk := psd_check(w)).is_psd:
+        raise ValueError(f"{name} is not PSD: min eigenvalue {chk.min_eig:.3e}")
+
+
 def check_density(rho, w):
     """Raise unless the Hermitian rho, with ascending eigenvalues w, is PSD with unit trace."""
     rho = np.asarray(rho)
-    chk = psd_check(w)
-    if not chk.is_psd:
-        raise ValueError(f"state is not PSD: min eigenvalue {chk.min_eig:.3e}")
+    require_psd(w, "state")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"state trace {tr} deviates from 1 beyond {TRACE_TOL:.1e}")

@@ -7,12 +7,12 @@ beta_0-average of rotated Petz maps.
 import numpy as np
 
 from .linalg import (
-    SUPPORT_CUTOFF,
     check_density,
     dagger,
     herm_eig,
     kron,
     mat_fn_psd,
+    on_support,
     schur_sinh_ratio,
     support_projector,
 )
@@ -40,7 +40,7 @@ def _petz_ingredients(sigma, n):
 
 def _support_log(w):
     """ln w on the support, 0 off it."""
-    return np.log(w, out=np.zeros_like(w), where=w > SUPPORT_CUTOFF)
+    return np.log(w, out=np.zeros_like(w), where=on_support(w))
 
 
 def petz(sigma, n):

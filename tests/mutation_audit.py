@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 BOUNDS = "src/superchan/bounds.py"
 DIVERGENCES = "src/superchan/divergences.py"
+LINALG = "src/superchan/linalg.py"
 SUPERCHANNELS = "src/superchan/superchannels.py"
 
 MUTANTS = (
@@ -144,6 +145,20 @@ MUTANTS = (
         "TP_PRESERVING_TOL = 1e-8",
         "TP_PRESERVING_TOL = 1e-4",
         "a 1e4 times wider TP-preservation tolerance",
+    ),
+    Mutant(
+        "M15",
+        LINALG,
+        "    return w > SUPPORT_CUTOFF",
+        "    return w >= SUPPORT_CUTOFF",
+        "an eigenvalue at the support cutoff counts as on the support",
+    ),
+    Mutant(
+        "M16",
+        LINALG,
+        "    return PsdCheck(bool(mn >= -PSD_TOL), mn)",
+        "    return PsdCheck(bool(mn >= -10 * PSD_TOL), mn)",
+        "a ten times wider PSD tolerance",
     ),
 )
 

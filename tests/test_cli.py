@@ -205,6 +205,20 @@ def test_apply_super_round_trip(tmp_path):
     np.testing.assert_allclose(result.choi, n0.choi, atol=1e-12)
 
 
+def test_apply_super_writes_a_zero_map_it_can_read_back(tmp_path):
+    # The zero supermap sends every channel to the zero map, which has no
+    # Kraus operator on the support; its file must load again.
+    zero = {"dims": [2, 2, 2, 2], "rep_choi": linalg.matrix_to_json(np.zeros((16, 16)))}
+    tp = write_json(tmp_path, "zero.json", zero)
+    np_ = write_json(tmp_path, "n.json", channels.channel_to_json(channels.random_channel(2, 2, 4, 66)))
+    first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+    assert cli.main(["apply-super", tp, np_, "--out", first]) == 0
+    assert "choi" in json.loads((tmp_path / "first.json").read_text())
+    assert cli.main(["apply-super", tp, first, "--out", second]) == 0
+    result = channels.channel_from_json(json.loads((tmp_path / "second.json").read_text()))
+    assert (result.dim_in, result.dim_out) == (2, 2) and not result.choi.any()
+
+
 def test_apply_super_slot_mismatch(tmp_path):
     theta = bd.replacer_supermap(channels.random_channel(2, 2, 4, 63), 2, 2)
     tp = write_json(tmp_path, "t.json", sc.super_to_json(theta))
@@ -799,10 +813,13 @@ def test_entropy_and_divergence_print_evaluations(tmp_path):
     path = write_json(tmp_path, "n.json", channels.channel_to_json(n))
     assert cli.main(["entropy", path, "--out", out]) == 0
     blob = json.loads((tmp_path / "out.json").read_text())
-    assert blob["evaluations"] == dv.channel_entropy(n).evaluations >= 1
+    res = dv.channel_entropy(n)
+    assert blob["evaluations"] == res.evaluations >= 1
+    assert blob["converged"] is res.converged is True
     rt = channels.channel_to_json(channels.depolarizing_r_tilde(2, 2))
     assert cli.main(["entropy", write_json(tmp_path, "rt.json", rt), "--out", out]) == 0
-    assert json.loads((tmp_path / "out.json").read_text())["evaluations"] == 1
+    blob = json.loads((tmp_path / "out.json").read_text())
+    assert (blob["evaluations"], blob["converged"]) == (1, True)
     # A general pair takes the restarted ascent under write_config's opts:
     # every start evaluates at least once, after the leak check.
     cfg = write_config(tmp_path)
@@ -811,8 +828,9 @@ def test_entropy_and_divergence_print_evaluations(tmp_path):
     mp = write_json(tmp_path, "m.json", channels.channel_to_json(m))
     assert cli.main(["divergence", np_, mp, "--config", cfg, "--out", out]) == 0
     blob = json.loads((tmp_path / "out.json").read_text())
-    opts = dv.OptimizerOpts(restarts=2, max_evals=200, seed=0)
-    assert blob["evaluations"] == dv.channel_divergence(n, m, opts).evaluations > 1 + 2
+    res = dv.channel_divergence(n, m, dv.OptimizerOpts(restarts=2, max_evals=200, seed=0))
+    assert blob["evaluations"] == res.evaluations > 1 + 2
+    assert blob["converged"] is res.converged
 
 
 def test_super_div_reads_upper_end_of_base():

@@ -306,3 +306,11 @@ def test_check_density_trace_straddles_its_tolerance(excess, passes):
     else:
         with pytest.raises(ValueError, match="deviates from 1 beyond 1.0e-08"):
             linalg.check_density(rho, linalg.herm_eigvals(rho))
+
+
+def test_fidelity_reads_eigenvalues_below_the_support_cutoff():
+    # F(diag(1 - e, e), |1><1|) = e.  A square root cut at SUPPORT_CUTOFF would
+    # read 0 for every e below it.
+    for e in (5e-11, 1e-13):
+        rho = np.diag([1.0 - e, e])
+        np.testing.assert_allclose(linalg.fidelity(rho, np.diag([0.0, 1.0])), e, rtol=1e-12)

@@ -16,6 +16,7 @@ every Kronecker product to one kernel, linalg.kron, in place of np.kron;
 every Hermitian eigendecomposition to linalg.eigh and linalg.eigvalsh, in
 place of np.linalg.eigh and np.linalg.eigvalsh; every spectral job to one
 public linalg function, with no private twin imported from linalg; every
+support and PSD decision to linalg.on_support and linalg.psd_check; every
 certificate of a channel or superchannel to a property computed on first
 read; and every Kraus set to one (r, d_out, d_in) stack that no Python loop
 walks.  No channel carries a tele-covariance tag, and no divergence
@@ -177,6 +178,34 @@ def test_no_module_imports_a_private_linalg_helper():
         if alias.name.startswith("_") and alias.name not in PRIVATE_LINALG_IMPORTS_KEPT
     )
     assert not found, "private linalg name imported at: " + ", ".join(found)
+
+
+# linalg's own tolerances for its spectral rules: on_support reads the first,
+# psd_check the second.
+SPECTRAL_TOLERANCES = frozenset({"SUPPORT_CUTOFF", "PSD_TOL"})
+
+
+def test_spectral_rules_are_read_only_in_linalg():
+    """No module but linalg imports or names SUPPORT_CUTOFF or PSD_TOL.
+
+    Every support decision goes through linalg.on_support and every PSD
+    decision through linalg.psd_check (or require_psd, which raises on it), so
+    a change to either rule is an edit in one place.  Docstrings and comments
+    may still name the tolerances.
+    """
+    package = Package(PACKAGE)
+    found = sorted(
+        f"{module}.py:{node.lineno} ({name})"
+        for module, tree in package.trees.items()
+        if module != "linalg"
+        for node in ast.walk(tree)
+        for name in (
+            [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom))
+            else [getattr(node, "id", None) or getattr(node, "attr", None)]
+        )
+        if name in SPECTRAL_TOLERANCES
+    )
+    assert not found, "spectral tolerance read outside linalg at: " + ", ".join(found)
 
 
 def _functions(tree):
